@@ -9,6 +9,10 @@ level with epsilon <= tau ends the training for the absolute proximity
 condition.  The relative condition instead watches backbone gaps, and the
 percentage of uncovered threshold (PUT) normalises the remaining distance,
 which drives the choice of the look-ahead for anchor updates.
+
+Two power laws cross at most twice: their difference has at most two
+monotone pieces, split at the one zero of its derivative, so every
+intersection is found by one bisection per piece and the count is exact.
 """
 from __future__ import annotations
 
@@ -16,16 +20,12 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-import numpy as np
-
 from .curves import PowerLawCurve, evaluate
 from .errors import (CoincidentCurves, MissingWLevel, NotDecreasing,
                      NotReached)
 from .traces import LearningTrace
 
 _COINCIDENT_TOL = 1e-12
-_GRID_CELLS = 2048
-_X_MAX_FACTOR = 1e3
 _X_MIN_FACTOR = 1e-3
 _TAIL_LIMIT = 1e280
 
@@ -83,61 +83,55 @@ def _bisect_root(c1, c2, lo, hi, d_lo):
     return _geo_mid(lo, hi)
 
 
-def intersect(c1: PowerLawCurve, c2: PowerLawCurve, x_min: float,
-              x_max: Optional[float] = None,
-              cells: int = _GRID_CELLS) -> IntersectionSet:
+def _turning_point(c1: PowerLawCurve, c2: PowerLawCurve) -> float:
+    """The only zero of the derivative of c1 - c2, where a1*b1*x**-b1 =
+    a2*b2*x**-b2, solved in log space.  It is capped at _TAIL_LIMIT, where
+    the root search ends anyway, and is 0.0 when b1 == b2: the difference
+    is then monotone on (0, inf)."""
+    if c1.b == c2.b:
+        return 0.0
+    log_x = (math.log(c1.a) + math.log(c1.b) - math.log(c2.a)
+             - math.log(c2.b)) / (c1.b - c2.b)
+    return math.exp(min(log_x, math.log(_TAIL_LIMIT)))
+
+
+def intersect(c1: PowerLawCurve, c2: PowerLawCurve,
+              x_min: float) -> IntersectionSet:
     """All intersection points of two curves on [x_min, inf).
 
-    A geometric grid over [x_min, x_max] is scanned for sign changes, each
-    refined by bisection; the tail beyond x_max needs no grid because the
-    difference is dominated there by the asymptote gap, so a single root is
-    bracketed analytically whenever the sign at x_max disagrees with it.
+    The difference d(x) = c1(x) - c2(x) has a derivative with at most one
+    zero x*, so d is strictly monotone on [x_min, x*] and on [x*, inf) and
+    each piece holds a root exactly when the signs at its ends differ; the
+    sign at infinity is that of the asymptote gap c1.c - c2.c.  Each root
+    is one bisection, the tail one on [x*, _TAIL_LIMIT], so a root beyond
+    _TAIL_LIMIT is reported there.  Both curves must be valid patterns
+    (a > 0, b > 0), which the derivation assumes; CoincidentCurves is
+    raised when |d| stays below 1e-12 on all of [x_min, inf).
     """
     if x_min <= 0.0:
         raise ValueError("x_min must be positive")
-    if x_max is None:
-        x_max = x_min * 1e9
-    grid = np.geomspace(x_min, x_max, cells + 1)
-    diff = evaluate(c1, grid) - evaluate(c2, grid)
-    asym_gap = c1.c - c2.c
-    if max(float(np.max(np.abs(diff))), abs(asym_gap)) < _COINCIDENT_TOL:
-        raise CoincidentCurves("curves agree within 1e-12 on the scan grid")
+    if min(c1.a, c1.b, c2.a, c2.b) <= 0.0:
+        raise ValueError("intersect needs curves with a > 0 and b > 0")
+    # (x, d(x)) at the ends of the monotone pieces; the last end stands for
+    # infinity, where d tends to the asymptote gap
+    ends = [(x_min, _difference(c1, c2, x_min))]
+    x_star = _turning_point(c1, c2)
+    if x_star > x_min:
+        ends.append((x_star, _difference(c1, c2, x_star)))
+    ends.append((_TAIL_LIMIT, c1.c - c2.c))
+    # the supremum of |d| on [x_min, inf) is attained at a piece end
+    if max(abs(d) for _, d in ends) < _COINCIDENT_TOL:
+        raise CoincidentCurves("curves agree within 1e-12 on [x_min, inf)")
 
     roots: list[float] = []
-    sign = np.sign(diff)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(_bisect_root(c1, c2, float(grid[i]), float(grid[i + 1]),
-                                  float(diff[i])))
-    for i in np.nonzero(diff == 0.0)[0]:
-        roots.append(float(grid[i]))
-
-    tail_sign = float(diff[-1])
-    if tail_sign != 0.0 and asym_gap != 0.0 and (tail_sign > 0) != (asym_gap > 0):
-        lo = float(x_max)
-        hi = lo * 10.0
-        while (_difference(c1, c2, hi) > 0) == (tail_sign > 0) and hi < _TAIL_LIMIT:
-            lo = hi
-            hi *= 10.0
-        roots.append(_bisect_root(c1, c2, lo, hi, _difference(c1, c2, lo)))
-
-    # merge numerically duplicated roots
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > 1e-9 * r:
-            merged.append(r)
-    if len(merged) > 2:
-        # many crossings can only come from a difference that never leaves
-        # the fit-precision noise band: the trends are indistinguishable
-        if max(float(np.max(np.abs(diff))), abs(asym_gap)) < 1e-9:
-            raise CoincidentCurves(
-                "curves differ only at fit-precision level on the scan grid")
-        raise RuntimeError(
-            f"power-law difference produced {len(merged)} roots; at most 2 "
-            "are possible for distinct curves")
-    if not merged:
+    for (lo, d_lo), (hi, d_hi) in zip(ends, ends[1:]):
+        if d_lo == 0.0:
+            roots.append(lo)
+        elif d_lo * d_hi < 0.0:
+            roots.append(_bisect_root(c1, c2, lo, hi, d_lo))
+    if not roots:
         return IntersectionSet(first=None, last=None, count=0)
-    pts = [(r, evaluate(c1, r)) for r in merged]
+    pts = [(r, evaluate(c1, r)) for r in roots]
     return IntersectionSet(first=pts[0], last=pts[-1], count=len(pts))
 
 
@@ -174,9 +168,7 @@ def epsilon_sequence(trace: LearningTrace) -> list[EpsilonRecord]:
     trends = trace.trends()
     levels = _active_levels(trace)
     positions = trace.positions()
-    xs = [positions[o] for o in sorted(positions)]
-    x_min = xs[0] * _X_MIN_FACTOR
-    x_max = xs[-1] * _X_MAX_FACTOR
+    x_min = positions[min(positions)] * _X_MIN_FACTOR
 
     records: list[EpsilonRecord] = []
     prev_count: Optional[int] = None
@@ -188,7 +180,7 @@ def epsilon_sequence(trace: LearningTrace) -> list[EpsilonRecord]:
         anchor_changed = trace.anchors.get(level) != trace.anchors.get(prev_level)
         try:
             inter = intersect(trends[prev_level].curve, trends[level].curve,
-                              x_min, x_max)
+                              x_min)
         except CoincidentCurves:
             eps = prev_eps if prev_eps is not None else 0.0
             records.append(EpsilonRecord(level=level, epsilon=eps, q=None,

@@ -15,7 +15,7 @@ class FitDiverged(ConvergemaError):
 
 
 class CoincidentCurves(ConvergemaError):
-    """Two curves are numerically indistinguishable on the scan grid."""
+    """Two curves are numerically indistinguishable on [x_min, inf)."""
 
 
 class NotDecreasing(ConvergemaError):

@@ -337,7 +337,7 @@ def test_criterion_10_intersection_oracle():
     # the analytic two-root case: quadratic in u = x**-0.5
     c1 = PowerLawCurve(1.0, 1.0, 10.0)
     c2 = PowerLawCurve(2.0, 0.5, 10.5)
-    out = intersect(c1, c2, 0.1, x_max=1e4)
+    out = intersect(c1, c2, 0.1)
     u = (2.0 - np.sqrt(2.0)) / 2.0
     assert out.count == 2
     assert out.last[0] == pytest.approx(u ** -2, rel=1e-9)
@@ -357,14 +357,13 @@ def test_criterion_10_intersection_oracle():
         curve1 = PowerLawCurve(a1, b1, c_base)
         curve2 = PowerLawCurve(a2, b2, c_base + rng.uniform(-2.0, 2.0))
         # keep roots comfortably inside the comparison window
-        probe = intersect(curve1, curve2, window[0] / 100.0,
-                          x_max=window[1] * 100.0, cells=8192)
+        probe = intersect(curve1, curve2, window[0] / 100.0)
         roots = [p[0] for p in (probe.first, probe.last) if p is not None]
         if len(set(roots)) != probe.count:
             roots = sorted(set(roots))
         if any(not (window[0] * 4 < r < window[1] / 4) for r in roots):
             continue
-        found = intersect(curve1, curve2, window[0], x_max=window[1])
+        found = intersect(curve1, curve2, window[0])
         oracle = dense_scan_oracle(curve1, curve2, window[0], window[1])
         assert found.count == len(oracle), \
             f"pair {done}: count {found.count} vs oracle {len(oracle)}"

@@ -7,7 +7,8 @@ from convergema import (AnchoringStrategy, CoincidentCurves, NotDecreasing,
                         find_optimal_look_ahead, intersect, minimal_look_ahead,
                         normalize_threshold, put, threshold_level)
 from convergema.convergence import EpsilonRecord
-from convergema import GeneratorSpec, LearningTrace, generate, drift_perturbations
+from convergema import (GeneratorSpec, LearningTrace, ObservationLog, generate,
+                        drift_perturbations)
 from tests.conftest import build_trace
 
 
@@ -33,21 +34,46 @@ def dense_sign_scan(c1, c2, x_lo, x_hi, cells=2_000_000):
 
 
 class TestIntersect:
-    def test_analytic_two_root_case(self):
-        # difference is quadratic in u = x**-0.5: u = 1 +- sqrt(2)/2
+    @pytest.mark.parametrize("c2_asymptote", [10.5, 11.0 - 1e-8])
+    def test_analytic_two_root_case(self, c2_asymptote):
+        # difference is quadratic in u = x**-0.5: u = 1 +- sqrt(11 - c2.c),
+        # i.e. 1 +- sqrt(2)/2 for 10.5; near 11 the two roots are twins
+        # (u = 1 +- 1e-4) that share any cell of a coarse scan
         c1 = PowerLawCurve(1.0, 1.0, 10.0)
-        c2 = PowerLawCurve(2.0, 0.5, 10.5)
-        out = intersect(c1, c2, 0.1, x_max=1e4)
+        c2 = PowerLawCurve(2.0, 0.5, c2_asymptote)
+        out = intersect(c1, c2, 0.1)
         assert out.count == 2
-        u = (2.0 - np.sqrt(2.0)) / 2.0
+        half_gap = np.sqrt(11.0 - c2_asymptote)
+        u = 1.0 - half_gap
         assert out.last[0] == pytest.approx(u ** -2, rel=1e-9)
         assert out.last[1] == pytest.approx(10.0 - 1.0 / (u ** -2), rel=1e-9)
-        assert out.first[0] == pytest.approx(((2.0 + np.sqrt(2.0)) / 2.0) ** -2,
-                                             rel=1e-9)
+        assert out.first[0] == pytest.approx((1.0 + half_gap) ** -2, rel=1e-9)
+
+    def test_tangent_curves_touch_once(self):
+        # difference -(u - 1)**2 with u = x**-0.5: a double root at x = 1,
+        # which is also the turning point of the difference
+        out = intersect(PowerLawCurve(1.0, 1.0, 10.0),
+                        PowerLawCurve(2.0, 0.5, 11.0), 0.1)
+        assert out.count == 1
+        assert out.first == out.last == (1.0, 9.0)
+
+    def test_turning_point_beyond_double_range(self):
+        # b1 - b2 = 1e-9 puts the turning point at exp(6.9e8), past any
+        # double; the difference is ~3e-3 - 3 x**-0.5 with its root near 1e6
+        c1 = PowerLawCurve(4.0, 0.5 + 1e-9, 10.003)
+        c2 = PowerLawCurve(1.0, 0.5, 10.0)
+        out = intersect(c1, c2, 1.0)
+        assert out.count == 1
+        assert out.last[0] == pytest.approx(1e6, rel=1e-4)
+
+    def test_invalid_curve_rejected(self):
+        with pytest.raises(ValueError):
+            intersect(PowerLawCurve(-1.0, 1.0, 10.0),
+                      PowerLawCurve(1.0, 1.0, 10.0), 0.1)
 
     def test_no_intersection(self):
         out = intersect(PowerLawCurve(1.0, 1.0, 10.0), PowerLawCurve(2.0, 1.0, 10.0),
-                        0.1, x_max=1e6)
+                        0.1)
         assert out.count == 0 and out.first is None
 
     def test_coincident(self):
@@ -56,10 +82,10 @@ class TestIntersect:
             intersect(c, PowerLawCurve(1.0, 1.0, 10.0), 0.1)
 
     def test_tail_root_beyond_scan_window(self):
-        # asymptote gap tiny: the crossing sits far beyond x_max
+        # asymptote gap tiny: the crossing sits far out in the tail
         c1 = PowerLawCurve(100.0, 0.5, 95.0)
         c2 = PowerLawCurve(90.0, 0.48, 94.999)
-        out = intersect(c1, c2, 10.0, x_max=1e6)
+        out = intersect(c1, c2, 10.0)
         ref = dense_sign_scan(c1, c2, 10.0, 1e14, cells=400_000)
         assert out.count == len(ref)
         assert out.last[0] == pytest.approx(ref[-1], rel=1e-6)
@@ -67,7 +93,7 @@ class TestIntersect:
     def test_roots_satisfy_equation(self):
         c1 = PowerLawCurve(50.0, 0.7, 97.0)
         c2 = PowerLawCurve(30.0, 0.5, 96.5)
-        out = intersect(c1, c2, 1.0, x_max=1e8)
+        out = intersect(c1, c2, 1.0)
         for point in (out.first, out.last):
             if point is not None:
                 x, y = point
@@ -104,9 +130,20 @@ class TestEpsilonSequence:
         prev = levels[levels.index(rec.level) - 1]
         xs = [o.x for o in trace.observations]
         out = intersect(trends[prev].curve, trends[rec.level].curve,
-                        xs[0] * 1e-3, xs[-1] * 1e3)
+                        xs[0] * 1e-3)
         assert rec.epsilon == pytest.approx(
             abs(out.last[1] - trends[rec.level].curve.c), rel=1e-9)
+
+    def test_records_independent_of_later_observations(self):
+        # an online monitor decides on prefixes of the stream: a level's
+        # record may not move when later observations arrive
+        full = fixed_trace(levels=40)
+        replay = {rec.level: rec for rec in epsilon_sequence(full)}
+        for k in range(20, 41, 5):
+            log = ObservationLog(full.observations.entries[:k])
+            prefix = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+            for rec in epsilon_sequence(prefix):
+                assert rec == replay[rec.level]
 
     def test_not_decreasing_raises_for_plain_increasing(self):
         pert = drift_perturbations(30, -1.0, 0.15)   # slow deficit: rising alphas
@@ -291,7 +328,7 @@ class TestDegenerateAndInvariants:
         # asymptote 10.5 leaves a bound of |9.9142 - 10.5|
         c1 = PowerLawCurve(1.0, 1.0, 10.0)
         c2 = PowerLawCurve(2.0, 0.5, 10.5)
-        out = intersect(c1, c2, 0.1, x_max=1e4)
+        out = intersect(c1, c2, 0.1)
         eps = abs(out.last[1] - c2.c)
         assert eps == pytest.approx(0.5858, abs=1e-4)
 

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convergema import PowerLawCurve, asymptote, derivative, evaluate, is_valid_pattern
@@ -87,13 +89,20 @@ def test_strict_increase(a, b, c, x1, ratio):
 
 @given(st.floats(0.01, 1e3), st.floats(0.05, 2.5), st.floats(-10, 100),
        st.floats(1e-2, 1e5), st.floats(1.1, 4.0), st.floats(1.1, 4.0))
+@example(a=0.01, b=2.4921875, c=33.0, x1=45320.0, r1=1.125, r2=2.0)
 @settings(max_examples=200, deadline=None)
 def test_concavity_by_chords(a, b, c, x1, r1, r2):
     curve = PowerLawCurve(a, b, c)
     x2, x3 = x1 * r1, x1 * r1 * r2
     s12 = (evaluate(curve, x2) - evaluate(curve, x1)) / (x2 - x1)
     s23 = (evaluate(curve, x3) - evaluate(curve, x2)) / (x3 - x2)
-    noise = 1e-12 * max(abs(s12), abs(s23), 1e-300)
+    # Rounding floor: with M the largest summand, max(|c|, a*x1**-b), each
+    # evaluation is within 2.5 ulp(M) of the curve (power 1 ulp, product
+    # 0.5, sum 1 since |f| <= 2M), so a chord's rise is within 5 ulp(M).
+    # Once a*x**-b falls below ulp(c), both rises round to noise.
+    rise_err = 5.0 * math.ulp(max(abs(c), a * x1 ** -b))
+    noise = (1e-12 * max(abs(s12), abs(s23), 1e-300)
+             + rise_err / (x2 - x1) + rise_err / (x3 - x2))
     assert s12 >= s23 - noise
     if s12 - s23 > noise:
         assert s12 > s23
