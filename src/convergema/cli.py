@@ -107,17 +107,14 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
     eps_error = None
     try:
         records = epsilon_sequence(trace)
-    except NotDecreasing as exc:
-        eps_error = str(exc)
     except ConvergemaError as exc:
-        eps_error = str(exc)
+        eps_error = exc
 
+    # the absolute condition reads the epsilon sequence that just failed;
+    # the relative one reads only the backbone
     stop = None
     if eps_error is None or cond.kind == "relative":
-        try:
-            stop = clevel(trace, cond)
-        except NotDecreasing as exc:
-            eps_error = str(exc)
+        stop = clevel(trace, cond)
 
     for entry in trace.backbone():
         click.echo(f"  level {entry.level:>4}  x {entry.x:>10}  "
@@ -137,7 +134,7 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
             for r in records
         ],
         "clevel": stop,
-        "error": eps_error,
+        "error": None if eps_error is None else str(eps_error),
     }
     if out:
         write_json(report, out)
@@ -160,7 +157,9 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
 
     if eps_error is not None and stop is None and cond.kind == "absolute":
         click.echo(f"error: {eps_error}", err=True)
-        click.echo("hint: use fixed anchoring for absolute thresholds", err=True)
+        if isinstance(eps_error, NotDecreasing):
+            click.echo("hint: use fixed anchoring for absolute thresholds",
+                       err=True)
         sys.exit(1)
     if stop is None:
         click.echo("not converged yet")

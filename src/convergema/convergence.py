@@ -135,10 +135,6 @@ def intersect(c1: PowerLawCurve, c2: PowerLawCurve,
     return IntersectionSet(first=pts[0], last=pts[-1], count=len(pts))
 
 
-def _active_levels(trace: LearningTrace) -> list[int]:
-    return sorted(trace.trends())
-
-
 def _check_decreasing(trace: LearningTrace) -> None:
     """Raise NotDecreasing when the active backbone rises past omega+1."""
     if trace.strategy.kind in ("fixed", "fixed_look_ahead"):
@@ -160,27 +156,45 @@ def epsilon_sequence(trace: LearningTrace) -> list[EpsilonRecord]:
     """Epsilon bound per level, from the last intersection of consecutive
     trends; rupture levels (intersection-count transitions, anchor changes,
     degenerate pairs) are flagged and carry the previous epsilon forward.
+
+    The sequence is a left-to-right fold: a level's record depends only on
+    its pair of trends and on the fold state before it (the previous
+    intersection count and epsilon), never on later levels.  So the fold is
+    kept on the trace and resumed: a call intersects only the pairs added
+    since the last call, provided the levels folded then are still the
+    first levels of the trace, each with the very same FitResult object;
+    otherwise it starts over.  The returned list is the caller's own.
     """
     omega = trace.wlevel
     if omega is None:
         raise MissingWLevel("epsilon sequence needs a resolved working level")
     _check_decreasing(trace)
     trends = trace.trends()
-    levels = _active_levels(trace)
-    positions = trace.positions()
-    x_min = positions[min(positions)] * _X_MIN_FACTOR
+    pairs = [(level, trends[level]) for level in sorted(trends)]
 
     records: list[EpsilonRecord] = []
     prev_count: Optional[int] = None
     prev_eps: Optional[float] = None
+    done = 0
+    if trace._epsilon_fold is not None:
+        folded, memo_records, memo_count, memo_eps = trace._epsilon_fold
+        if len(folded) <= len(pairs) and all(
+                old[0] == new[0] and old[1] is new[1]
+                for old, new in zip(folded, pairs)):
+            records = list(memo_records)
+            prev_count, prev_eps = memo_count, memo_eps
+            done = len(folded)
+
+    x_min = trace.observations.entries[0].x * _X_MIN_FACTOR
     start = max(4, omega + 2)
-    for prev_level, level in zip(levels, levels[1:]):
+    first = max(done, 1)
+    for (prev_level, prev_fit), (level, fit) in zip(pairs[first - 1:],
+                                                    pairs[first:]):
         if level < start:
             continue
         anchor_changed = trace.anchors.get(level) != trace.anchors.get(prev_level)
         try:
-            inter = intersect(trends[prev_level].curve, trends[level].curve,
-                              x_min)
+            inter = intersect(prev_fit.curve, fit.curve, x_min)
         except CoincidentCurves:
             eps = prev_eps if prev_eps is not None else 0.0
             records.append(EpsilonRecord(level=level, epsilon=eps, q=None,
@@ -197,11 +211,12 @@ def epsilon_sequence(trace: LearningTrace) -> list[EpsilonRecord]:
         rupture = anchor_changed or (prev_count is not None
                                      and inter.count != prev_count)
         q = inter.last
-        eps = abs(q[1] - trends[level].curve.c)
+        eps = abs(q[1] - fit.curve.c)
         records.append(EpsilonRecord(level=level, epsilon=eps, q=q,
                                      is_rupture=rupture))
         prev_count = inter.count
         prev_eps = eps
+    trace._epsilon_fold = (tuple(pairs), tuple(records), prev_count, prev_eps)
     return records
 
 

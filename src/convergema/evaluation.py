@@ -194,7 +194,7 @@ class LocalTestingFrame:
                                    self.spec.error_target)
                     rp_c = a_c / rc
                     rp_e = a_e / rc
-                except (NotReached, ConvergemaError):
+                except ConvergemaError:
                     pass
             look = run.strategy.look_ahead
             if (run.strategy.kind == "fixed_look_ahead"
@@ -205,7 +205,7 @@ class LocalTestingFrame:
                         put_val = put(run.trace,
                                       ProximityCondition("absolute", self.tau_a),
                                       switch)
-                    except (NotReached, ValueError, ConvergemaError):
+                    except (ValueError, ConvergemaError):
                         put_val = None
             out.append(FrameRow(strategy=run.strategy.spec_string(),
                                 condition=run.condition.kind,

@@ -197,6 +197,9 @@ class LearningTrace:
         self.plevel_reference: Optional[int] = None
         self.plevel_anchored: Optional[int] = None
         self._frozen_anchor: Optional[float] = None   # look-ahead switch value
+        # epsilon fold state kept by convergence.epsilon_sequence so that a
+        # query resumes it: (level, FitResult) pairs, records, count, epsilon
+        self._epsilon_fold: Optional[tuple] = None
 
     # -- construction -----------------------------------------------------
 

@@ -115,6 +115,17 @@ class TestAnalyze:
         assert result.exit_code == 1
         assert "fixed anchoring" in result.output
 
+    def test_unresolved_working_level_gives_no_anchoring_hint(self, runner,
+                                                              tmp_path):
+        # six levels cannot resolve the working level; the trace is already
+        # fixed-anchored, so advice to use fixed anchoring would mislead
+        obs = observations_csv(tmp_path, levels=6)
+        result = runner.invoke(main, ["analyze", str(obs), "--strategy",
+                                      "fixed:100", "--tau", "1.0"])
+        assert result.exit_code == 1
+        assert "working level" in result.output
+        assert "fixed anchoring" not in result.output
+
     def test_series_csv(self, runner, tmp_path):
         obs = observations_csv(tmp_path)
         series = tmp_path / "series.csv"

@@ -7,8 +7,10 @@ from convergema import (AnchoringStrategy, CoincidentCurves, NotDecreasing,
                         find_optimal_look_ahead, intersect, minimal_look_ahead,
                         normalize_threshold, put, threshold_level)
 from convergema.convergence import EpsilonRecord
-from convergema import (GeneratorSpec, LearningTrace, ObservationLog, generate,
+from convergema import (ConvergemaError, GeneratorSpec, LearningTrace,
+                        MissingWLevel, ObservationLog, generate,
                         drift_perturbations)
+from convergema import convergence
 from tests.conftest import build_trace
 
 
@@ -158,6 +160,84 @@ class TestEpsilonSequence:
                             AnchoringStrategy.none(), perturbations=pert)
         records = epsilon_sequence(trace)
         assert records and records[-1].epsilon < records[0].epsilon
+
+
+def noisy_log(levels=40, noise=0.05, seed=1):
+    """The fixed_trace stream with monitor-like noise, as a bare log."""
+    spec = GeneratorSpec(truth=PowerLawCurve(8.0 * 5000.0 ** 0.7, 0.7, 97.0),
+                         levels=levels, noise_sd=noise, seed=seed)
+    return generate(spec)
+
+
+def outcome(fn, *args):
+    """The value of fn(*args), or the type of the ConvergemaError it raises."""
+    try:
+        return fn(*args)
+    except ConvergemaError as exc:
+        return type(exc)
+
+
+class TestEpsilonFold:
+    """epsilon_sequence resumes its fold on the trace between queries."""
+
+    def test_each_pair_intersected_once(self, monkeypatch):
+        calls = []
+        real = convergence.intersect
+
+        def counting(c1, c2, x_min):
+            calls.append((c1, c2))
+            return real(c1, c2, x_min)
+
+        monkeypatch.setattr(convergence, "intersect", counting)
+        cond = ProximityCondition("absolute", 0.25)
+        trace = LearningTrace(AnchoringStrategy.fixed(100.0))
+        for obs in noisy_log():
+            trace.extend(obs)
+            outcome(clevel, trace, cond)
+        assert len(calls) == len(epsilon_sequence(trace)) > 0
+
+    @pytest.mark.parametrize("strategy, outcomes", [
+        (AnchoringStrategy.fixed(100.0), {MissingWLevel, list}),
+        (AnchoringStrategy.canonical(), {MissingWLevel, list, NotDecreasing}),
+    ], ids=["fixed:100", "canonical"])
+    def test_online_matches_batch_replay(self, strategy, outcomes):
+        # a decreasing drift with a jump at level 20, which makes the
+        # canonical backbone rise a few levels after its fold has started
+        pert = dict(drift_perturbations(30, 1.5, 0.15))
+        pert[20] += 1.0
+        log = generate(GeneratorSpec(
+            truth=PowerLawCurve(8.0 * 5000.0 ** 0.7, 0.7, 97.0), levels=30,
+            noise_sd=1e-3, seed=1, perturbations=tuple(sorted(pert.items()))))
+        cond = ProximityCondition("absolute", 6.0)
+        online = LearningTrace(strategy)
+        seen = set()
+        for k, obs in enumerate(log, start=1):
+            online.extend(obs)
+            batch = LearningTrace.from_log(ObservationLog(log.entries[:k]),
+                                           strategy)
+            got = outcome(epsilon_sequence, online)
+            assert got == outcome(epsilon_sequence, batch)
+            assert outcome(clevel, online, cond) == outcome(clevel, batch, cond)
+            seen.add(type(got) if isinstance(got, list) else got)
+        assert seen == outcomes
+
+    def test_returned_list_is_the_callers_own(self):
+        trace = fixed_trace(levels=25)
+        first = epsilon_sequence(trace)
+        expected = list(first)
+        first.clear()
+        assert epsilon_sequence(trace) == expected
+
+    def test_replaced_trend_invalidates_fold(self):
+        queried = fixed_trace(levels=25)
+        before = epsilon_sequence(queried)
+        level = before[len(before) // 2].level
+        fresh = fixed_trace(levels=25)
+        for trace in (queried, fresh):
+            trace.anchored_trends[level] = trace.reference_trends[level]
+        after = epsilon_sequence(queried)
+        assert after == epsilon_sequence(fresh)
+        assert after != before
 
 
 class TestCLevel:
