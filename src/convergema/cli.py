@@ -198,7 +198,8 @@ def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
     base_stop = clevel(baseline, cond)
     if base_stop is None:
         raise click.ClickException("anchor-free baseline did not converge")
-    result = find_optimal_look_ahead(hor_log, params, tau, beta, base_stop)
+    result = find_optimal_look_ahead(hor_log, params, tau, beta, base_stop,
+                                     reference=baseline)
 
     click.echo(f"baseline clevel: {base_stop}")
     click.echo("zeta  lambda  clevel  rc")

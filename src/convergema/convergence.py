@@ -353,7 +353,12 @@ def find_optimal_look_ahead(log, params, tau: float, beta: float,
     """Sweep tentative PUT values, build the candidate run for the minimal
     look-ahead of each, and pick the turning point of the relative-cost
     sequence: the candidate that starts the longest strictly increasing RC
-    window (ties to the smallest look-ahead)."""
+    window (ties to the smallest look-ahead).
+
+    A candidate run takes the fixed-anchor base trace's fits below its
+    switch level, where both anchor at beta, and fits its levels in order
+    only until its convergence level: a level's epsilon record depends on
+    no later level, so that level is the one the full run would report."""
     from .anchoring import AnchoringStrategy
     from .traces import LearningTrace
 
@@ -373,10 +378,15 @@ def find_optimal_look_ahead(log, params, tau: float, beta: float,
             candidates.append(TuningCandidate(zeta, None, None, None))
             continue
         if look not in by_look:
-            trace = LearningTrace.from_log(
+            trace = LearningTrace._with_reference_levels(
                 log, AnchoringStrategy.fixed_with_look_ahead(beta, look),
-                params, reference=reference)
-            stop = clevel(trace, condition)
+                params, base)
+            stop = None
+            for level in range(trace.wlevel + 1, len(log) + 1):
+                trace._fit_pending_anchored(base, upto=level)
+                stop = clevel(trace, condition)
+                if stop is not None:
+                    break
             rc = None if stop is None else stop / baseline_clevel
             by_look[look] = (stop, rc)
         stop, rc = by_look[look]

@@ -219,18 +219,23 @@ class LocalTestingFrame:
 def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
     """Build all runs, normalise the absolute threshold from the relative
     one on the anchor-free reference, and pick the baseline (the anchor-free
-    run of the fastest condition)."""
+    run of the fastest condition).
+
+    Each anchored trace is replayed with the anchored trace built before it
+    as its reference, so it takes over every level both anchor alike: fixed
+    anchoring with a look-ahead reuses the fixed levels below its switch."""
     horizon = Horizon.from_log(log, spec.params.fit, spec.horizon_len)
     reference = LearningTrace.from_log(log, AnchoringStrategy.none(), spec.params)
     tau_a = normalize_threshold(reference, spec.tau_r)
 
     runs: list[Run] = []
+    previous = reference
     for strategy in spec.strategies:
         if strategy.kind == "none":
             trace = reference
         else:
-            trace = LearningTrace.from_log(log, strategy, spec.params,
-                                           reference=reference)
+            trace = previous = LearningTrace.from_log(
+                log, strategy, spec.params, reference=previous)
         for kind in spec.conditions:
             tau = tau_a if kind == "absolute" else spec.tau_r
             condition = ProximityCondition(kind, tau)

@@ -210,26 +210,45 @@ class LearningTrace:
         """Build a trace by replaying the log.
 
         `reference` may be another trace over the *same* observations and
-        parameters whose plain trends are reused instead of refitted (the
-        reference route is strategy-independent).
+        parameters whose fits are reused instead of refitted: all of its
+        plain trends (the reference route is strategy-independent), and its
+        anchored trend at every level where its anchor equals, exactly, the
+        anchor this strategy gives there.  A fit problem is fixed by the
+        prefix, the anchor and the parameters, and `fit` is deterministic,
+        so a reused FitResult is the one a refit would return.  Of the
+        reference's skips only those of plain fits are taken over; its
+        anchored-fit skips belong to its own anchors.  The trace keeps no
+        pointer to the reference.
         """
-        if reference is not None:
-            ref_obs = [(o.level, o.x, o.accuracy) for o in reference.observations]
-            new_obs = [(o.level, o.x, o.accuracy) for o in log]
-            if ref_obs != new_obs or reference.params != params:
-                raise ValueError("reference trace does not match the log/params")
+        if reference is None:
             trace = LearningTrace(strategy, params, scheme=log.scheme)
             for obs in log:
-                trace.observations.append(obs)
-            trace.reference_trends = dict(reference.reference_trends)
-            trace.skipped = dict(reference.skipped)
-            trace.wlevel = reference.wlevel
-            trace.plevel_reference = reference.plevel_reference
-            trace._fit_pending_anchored()
+                trace.extend(obs)
             return trace
+        trace = LearningTrace._with_reference_levels(log, strategy, params,
+                                                     reference)
+        trace._fit_pending_anchored(reference)
+        return trace
+
+    @staticmethod
+    def _with_reference_levels(log: ObservationLog, strategy: AnchoringStrategy,
+                               params: TraceParams,
+                               reference: "LearningTrace") -> "LearningTrace":
+        """A trace over `log` holding the plain trends, plain skips and
+        levels of `reference`, with no anchored level fitted yet."""
+        ref_obs = [(o.level, o.x, o.accuracy) for o in reference.observations]
+        new_obs = [(o.level, o.x, o.accuracy) for o in log]
+        if ref_obs != new_obs or reference.params != params:
+            raise ValueError("reference trace does not match the log/params")
         trace = LearningTrace(strategy, params, scheme=log.scheme)
         for obs in log:
-            trace.extend(obs)
+            trace.observations.append(obs)
+        trace.reference_trends = dict(reference.reference_trends)
+        trace.skipped = {level: reason
+                         for level, reason in reference.skipped.items()
+                         if level not in reference.reference_trends}
+        trace.wlevel = reference.wlevel
+        trace.plevel_reference = reference.plevel_reference
         return trace
 
     def extend(self, obs: Observation) -> "LearningTrace":
@@ -260,22 +279,30 @@ class LearningTrace:
             return
         self.reference_trends[level] = result
 
-    def _fit_pending_anchored(self) -> None:
+    def _fit_pending_anchored(self, reference: "LearningTrace | None" = None,
+                              upto: Optional[int] = None) -> None:
+        """Fit the anchored levels not yet fitted, in order, up to `upto`
+        (default: the last observation), taking a level's fit from
+        `reference` where its anchor there is exactly this one."""
         if self.strategy.kind == "none" or self.wlevel is None:
             return
-        n = len(self.observations)
+        n = len(self.observations) if upto is None else upto
         for level in range(self.wlevel + 1, n + 1):
             if level in self.anchored_trends or level in self.skipped:
                 continue
             anchor = anchor_for_level(self.strategy, level, self)
-            try:
-                result = fit(self._problem(level, anchor), self.params.fit)
-            except DegenerateData as exc:
-                self.skipped[level] = str(exc)
-                continue
-            if not result.converged:
-                self.skipped[level] = "fit diverged"
-                continue
+            if (reference is not None and level in reference.anchored_trends
+                    and reference.anchors[level] == anchor):
+                result = reference.anchored_trends[level]
+            else:
+                try:
+                    result = fit(self._problem(level, anchor), self.params.fit)
+                except DegenerateData as exc:
+                    self.skipped[level] = str(exc)
+                    continue
+                if not result.converged:
+                    self.skipped[level] = "fit diverged"
+                    continue
             self.anchored_trends[level] = result
             self.anchors[level] = float(anchor)
             if (self.plevel_anchored is None

@@ -142,25 +142,31 @@ class TestAnalyze:
         assert result.exit_code != 0
 
 
+def tune_inputs(tmp_path):
+    """Observations, the horizon they are a prefix of, and a tau at which
+    the anchor-free baseline converges."""
+    from convergema import epsilon_sequence, ObservationLog, TraceParams
+    spec = GeneratorSpec(truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3),
+                         levels=80, seed=5,
+                         perturbations=drift_perturbations(80, 0.8, 0.15))
+    log = generate(spec)
+    horizon_path = tmp_path / "horizon.csv"
+    write_observations(log, horizon_path)
+    prefix = ObservationLog(log.entries[:50])
+    obs_path = tmp_path / "obs.csv"
+    write_observations(prefix, obs_path)
+
+    fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
+                                   TraceParams())
+    records = epsilon_sequence(fixed)
+    tau = records[int(len(records) * 0.3)].epsilon
+    return obs_path, horizon_path, tau
+
+
 class TestTune:
     def test_tune_runs_and_reports(self, runner, tmp_path):
         # horizon = longer stream; observations = a prefix
-        from convergema import epsilon_sequence, TraceParams
-        spec = GeneratorSpec(truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3),
-                             levels=80, seed=5,
-                             perturbations=drift_perturbations(80, 0.8, 0.15))
-        log = generate(spec)
-        horizon_path = tmp_path / "horizon.csv"
-        write_observations(log, horizon_path)
-        from convergema import ObservationLog
-        prefix = ObservationLog(log.entries[:50])
-        obs_path = tmp_path / "obs.csv"
-        write_observations(prefix, obs_path)
-
-        fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
-                                       TraceParams())
-        records = epsilon_sequence(fixed)
-        tau = records[int(len(records) * 0.3)].epsilon
+        obs_path, horizon_path, tau = tune_inputs(tmp_path)
         out = tmp_path / "tuning.json"
         result = runner.invoke(main, ["tune", str(obs_path), "--horizon",
                                       str(horizon_path), "--tau", str(tau),
@@ -171,6 +177,23 @@ class TestTune:
         assert payload["selected"]["look_ahead"] >= 2
         rcs = [c["rc"] for c in payload["candidates"] if c["rc"] is not None]
         assert payload["selected"]["rc"] == pytest.approx(min(rcs))
+
+    def test_anchor_free_trace_replayed_once(self, runner, tmp_path,
+                                             monkeypatch):
+        obs_path, horizon_path, tau = tune_inputs(tmp_path)
+        replays = []
+        real = LearningTrace.from_log
+
+        def counting(log, strategy, *args, **kwargs):
+            if strategy.kind == "none":
+                replays.append(strategy)
+            return real(log, strategy, *args, **kwargs)
+
+        monkeypatch.setattr(LearningTrace, "from_log", staticmethod(counting))
+        result = runner.invoke(main, ["tune", str(obs_path), "--horizon",
+                                      str(horizon_path), "--tau", str(tau)])
+        assert result.exit_code == 0, result.output
+        assert len(replays) == 1
 
     def test_missing_horizon_is_error(self, runner, tmp_path):
         obs = observations_csv(tmp_path)

@@ -402,6 +402,60 @@ class TestTuningSweep:
         assert chosen.look_ahead == 2
 
 
+class TestTuningSweepReuse:
+    """Candidates reuse the fixed-anchor base below their switch and stop
+    at their convergence level."""
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.05], ids=["clean", "noisy"])
+    @pytest.mark.parametrize("plevel_source", ["reference", "anchored"])
+    def test_candidates_match_full_runs(self, monkeypatch, noise_sd,
+                                        plevel_source):
+        from convergema import traces
+        log = generate(GeneratorSpec(
+            truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=60,
+            perturbations=drift_perturbations(60, 0.8, 0.15),
+            noise_sd=noise_sd, seed=7))
+        params = TraceParams(plevel_source=plevel_source)
+        plain = LearningTrace.from_log(log, AnchoringStrategy.none(), params)
+        base = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
+                                      params, reference=plain)
+        records = epsilon_sequence(base)
+        tau = records[int(len(records) * 0.3)].epsilon
+
+        fits = []
+        real_fit = traces.fit
+
+        def counting(problem, config):
+            fits.append(problem)
+            return real_fit(problem, config)
+
+        monkeypatch.setattr(traces, "fit", counting)
+        result = find_optimal_look_ahead(log, params, tau, 100.0, 30,
+                                         reference=plain)
+        monkeypatch.undo()
+
+        condition = ProximityCondition("absolute", tau)
+        stops = {}
+        for cand in result.candidates:
+            full = LearningTrace.from_log(
+                log, AnchoringStrategy.fixed_with_look_ahead(100.0,
+                                                             cand.look_ahead),
+                params, reference=plain)
+            assert cand.clevel == clevel(full, condition)
+            stops[cand.look_ahead] = cand.clevel
+        # the base fits every anchored level; a candidate refits only the
+        # levels from its switch (where its anchor leaves beta) to its stop
+        levels = [lv for lv in range(plain.wlevel + 1, len(log) + 1)
+                  if lv not in plain.skipped]
+        expected = len(levels)
+        for look, stop in stops.items():
+            switch = base.plevel + look + 1
+            end = len(log) if stop is None else stop
+            expected += sum(1 for lv in levels if switch <= lv <= end)
+        assert len(fits) == expected
+        assert len(stops) > 1
+
+
 class TestDegenerateAndInvariants:
     def test_epsilon_arithmetic_on_analytic_pair(self):
         # last intersection of the analytic pair at y=9.9142; a trend with

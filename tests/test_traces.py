@@ -163,6 +163,36 @@ class TestTraceBuilding:
         scratch = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
         assert shared.snapshot() == scratch.snapshot()
 
+    @pytest.mark.parametrize("strategy", [
+        AnchoringStrategy.none(), AnchoringStrategy.canonical(),
+        AnchoringStrategy.fixed(100.0),
+        AnchoringStrategy.fixed_with_look_ahead(100.0, 3)],
+        ids=lambda s: s.spec_string())
+    def test_anchored_reference_reuses_equal_anchors_only(self, strategy):
+        spec = GeneratorSpec(truth=PowerLawCurve(300.0, 0.6, 96.0), levels=20,
+                             noise_sd=0.005, seed=8)
+        log = generate(spec)
+        plain = LearningTrace.from_log(log, AnchoringStrategy.none())
+        fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
+                                       reference=plain)
+        # an anchored-fit skip at a level whose plain fit succeeded
+        level = sorted(fixed.anchored_trends)[len(fixed.anchored_trends) // 2]
+        assert level in plain.reference_trends
+        del fixed.anchored_trends[level], fixed.anchors[level]
+        fixed.skipped[level] = "fit diverged"
+
+        shared = LearningTrace.from_log(log, strategy, reference=fixed)
+        expected = LearningTrace.from_log(log, strategy, reference=plain)
+        assert shared.snapshot() == expected.snapshot()
+        assert all(shared.reference_trends[lv] is fit
+                   for lv, fit in plain.reference_trends.items())
+        same = [lv for lv, anchor in shared.anchors.items()
+                if fixed.anchors.get(lv) == anchor]
+        assert all(shared.anchored_trends[lv] is fixed.anchored_trends[lv]
+                   for lv in same)
+        if strategy.kind in ("fixed", "fixed_look_ahead"):
+            assert len(same) >= 3
+
     def test_plevel_sources(self):
         trace = build_trace(300.0, 0.6, 96.0, 14, AnchoringStrategy.fixed(100.0),
                             params=TraceParams(look_ahead=3))
