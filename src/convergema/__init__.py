@@ -25,7 +25,6 @@ from .errors import (
     CoincidentCurves,
     ConvergemaError,
     DegenerateData,
-    FitDiverged,
     MissingHorizon,
     MissingPLevel,
     MissingWLevel,
@@ -45,7 +44,7 @@ from .evaluation import (
     relative_cost,
     relative_performance,
 )
-from .fitting import FitConfig, FitProblem, FitResult, GridSpec, fit, oracle_fit
+from .fitting import FitProblem, FitResult, fit
 from .synth import GeneratorSpec, drift_perturbations, generate
 from .traces import (
     BackboneEntry,

@@ -22,6 +22,8 @@ if TYPE_CHECKING:
     from .traces import LearningTrace
 
 _FIXED_MIN = 100.0
+# margin below zero still read as met by verify_sufficiency (rounding)
+_SUFFICIENCY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,7 +155,7 @@ class SufficiencyReport:
     all_ok: bool
 
 
-def verify_sufficiency(trace: "LearningTrace", tolerance: float = 1e-9) -> SufficiencyReport:
+def verify_sufficiency(trace: "LearningTrace") -> SufficiencyReport:
     """Check, per level, the two anchor conditions that force a decreasing
     anchored backbone: anchors never below the reference asymptote past the
     prediction level, and anchor decrements at least matching the decrements
@@ -175,7 +177,7 @@ def verify_sufficiency(trace: "LearningTrace", tolerance: float = 1e-9) -> Suffi
         if level in trace.reference_trends:
             lower_margin = anchor - trace.reference_trends[level].curve.c
             if lower_required:
-                lower_ok = lower_margin >= -tolerance
+                lower_ok = lower_margin >= -_SUFFICIENCY_TOL
                 ok = ok and lower_ok
         evolution_margin = None
         evolution_ok: Optional[bool] = None
@@ -184,7 +186,7 @@ def verify_sufficiency(trace: "LearningTrace", tolerance: float = 1e-9) -> Suffi
             rho_i = trace.anchored_trends[level].residual_at_infinity
             rho_n = trace.anchored_trends[nxt].residual_at_infinity
             evolution_margin = (anchor - anchors[nxt]) - (rho_i - rho_n)
-            evolution_ok = evolution_margin >= -tolerance
+            evolution_ok = evolution_margin >= -_SUFFICIENCY_TOL
             ok = ok and evolution_ok
         rows.append(SufficiencyRow(level=level, anchor=anchor,
                                    lower_margin=lower_margin,

@@ -18,7 +18,6 @@ from .convergence import (ProximityCondition, clevel, epsilon_sequence,
 from .curves import PowerLawCurve
 from .errors import ConvergemaError, NotDecreasing
 from .evaluation import FrameSpec, build_frame
-from .fitting import FitConfig
 from .io import (read_observations, write_json, write_observations,
                  write_series_csv)
 from .synth import GeneratorSpec, generate
@@ -27,10 +26,9 @@ from .traces import LearningScheme, LearningTrace, TraceParams
 SEED_ENV = "CONVERGEMA_SEED"
 
 
-def _params(nu, slowdown, look_ahead, fit_tol, fit_max_iter, anchor_weight,
+def _params(nu, slowdown, look_ahead, anchor_weight,
             plevel_source) -> TraceParams:
     return TraceParams(nu=nu, slowdown=slowdown, look_ahead=look_ahead,
-                       fit=FitConfig(sse_tol=fit_tol, max_iter=fit_max_iter),
                        anchor_weight=anchor_weight,
                        plevel_source=plevel_source)
 
@@ -56,10 +54,6 @@ def _common_options(fn):
     fn = click.option("--lambda", "look_ahead", type=int, default=5,
                       show_default=True,
                       help="Look-ahead window for level detection.")(fn)
-    fn = click.option("--fit-tol", type=float, default=1e-12, show_default=True,
-                      help="Relative SSE improvement tolerance.")(fn)
-    fn = click.option("--fit-max-iter", type=int, default=200, show_default=True,
-                      help="Trust-region iteration cap.")(fn)
     fn = click.option("--anchor-weight", type=float, default=1.0,
                       show_default=True, help="Weight of the infinity point.")(fn)
     fn = click.option("--plevel-source",
@@ -87,12 +81,10 @@ def main():
               help="Write the epsilon/PUT series CSV here.")
 @_common_options
 def analyze(observations, strategy, condition, tau, out, series, kernel, step,
-            nu, slowdown, look_ahead, fit_tol, fit_max_iter, anchor_weight,
-            plevel_source):
+            nu, slowdown, look_ahead, anchor_weight, plevel_source):
     """Stream a CSV of observations through a trace and report the stop
     decision.  Exits 0 when converged, 2 when not yet."""
-    params = _params(nu, slowdown, look_ahead, fit_tol, fit_max_iter,
-                     anchor_weight, plevel_source)
+    params = _params(nu, slowdown, look_ahead, anchor_weight, plevel_source)
     strat = AnchoringStrategy.parse(strategy)
     cond = ProximityCondition(condition, tau)
     log = read_observations(observations, scheme=_scheme(kernel, step))
@@ -177,12 +169,10 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_common_options
 def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
-         slowdown, look_ahead, fit_tol, fit_max_iter, anchor_weight,
-         plevel_source):
+         slowdown, look_ahead, anchor_weight, plevel_source):
     """Sweep tentative PUT values (100 down to 0, step 10) and pick the
     look-ahead with the turning-point relative cost."""
-    params = _params(nu, slowdown, look_ahead, fit_tol, fit_max_iter,
-                     anchor_weight, plevel_source)
+    params = _params(nu, slowdown, look_ahead, anchor_weight, plevel_source)
     scheme = _scheme(kernel, step)
     obs_log = read_observations(observations, scheme=scheme)
     hor_log = read_observations(horizon_path, scheme=scheme)

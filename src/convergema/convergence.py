@@ -28,6 +28,10 @@ from .traces import LearningTrace
 _COINCIDENT_TOL = 1e-12
 _X_MIN_FACTOR = 1e-3
 _TAIL_LIMIT = 1e280
+# largest backbone rise still read as decreasing (rounding, not a trend)
+_DECREASING_TOL = 1e-9
+# tentative PUT values of the look-ahead sweep: 100, 90, ..., 0
+_TUNING_ZETAS = tuple(float(z) for z in range(100, -1, -10))
 
 
 @dataclass(frozen=True)
@@ -144,7 +148,7 @@ def _check_decreasing(trace: LearningTrace) -> None:
         raise MissingWLevel("epsilon sequence needs a resolved working level")
     entries = [e for e in trace.backbone() if e.level > omega + 1]
     for prev, cur in zip(entries, entries[1:]):
-        if cur.alpha - prev.alpha > trace.params.decreasing_tol:
+        if cur.alpha - prev.alpha > _DECREASING_TOL:
             raise NotDecreasing(
                 f"backbone rises by {cur.alpha - prev.alpha:.3e} at level "
                 f"{cur.level}; for increasing backbones the bound depends on "
@@ -348,7 +352,6 @@ class TuningResult:
 
 def find_optimal_look_ahead(log, params, tau: float, beta: float,
                             baseline_clevel: int,
-                            zetas=tuple(float(z) for z in range(100, -1, -10)),
                             reference=None) -> TuningResult:
     """Sweep tentative PUT values, build the candidate run for the minimal
     look-ahead of each, and pick the turning point of the relative-cost
@@ -371,7 +374,7 @@ def find_optimal_look_ahead(log, params, tau: float, beta: float,
 
     candidates: list[TuningCandidate] = []
     by_look: dict[int, tuple[Optional[int], Optional[float]]] = {}
-    for zeta in zetas:
+    for zeta in _TUNING_ZETAS:
         try:
             look = minimal_look_ahead(base, condition, zeta, base_records)
         except NotReached:

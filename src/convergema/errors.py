@@ -10,10 +10,6 @@ class DegenerateData(ConvergemaError):
     represent flat data (a -> 0 lies outside the family)."""
 
 
-class FitDiverged(ConvergemaError):
-    """Fit hit the iteration cap without meeting tolerances."""
-
-
 class CoincidentCurves(ConvergemaError):
     """Two curves are numerically indistinguishable on [x_min, inf)."""
 

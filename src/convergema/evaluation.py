@@ -18,7 +18,7 @@ from .convergence import (ProximityCondition, clevel, epsilon_sequence,
 from .curves import evaluate
 from .errors import (ConvergemaError, MissingHorizon, NotDecreasing,
                      NotReached, UnresolvedCLevel)
-from .fitting import FitConfig, FitProblem, FitResult, fit
+from .fitting import FitProblem, FitResult, fit
 from .traces import LearningTrace, ObservationLog, TraceParams
 
 
@@ -34,14 +34,14 @@ class Horizon:
         return self.limit_trend.curve.c
 
     @staticmethod
-    def from_log(log: ObservationLog, fit_config: FitConfig = FitConfig(),
+    def from_log(log: ObservationLog,
                  length: Optional[int] = None) -> "Horizon":
         entries = log.entries if length is None else log.entries[:length]
         if len(entries) < 3:
             raise MissingHorizon("horizon needs at least 3 observations")
         sub = ObservationLog(entries)
         problem = FitProblem.from_arrays([o.x for o in sub], [o.accuracy for o in sub])
-        return Horizon(observations=sub, limit_trend=fit(problem, fit_config))
+        return Horizon(observations=sub, limit_trend=fit(problem))
 
 
 @dataclass
@@ -224,7 +224,7 @@ def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
     Each anchored trace is replayed with the anchored trace built before it
     as its reference, so it takes over every level both anchor alike: fixed
     anchoring with a look-ahead reuses the fixed levels below its switch."""
-    horizon = Horizon.from_log(log, spec.params.fit, spec.horizon_len)
+    horizon = Horizon.from_log(log, spec.horizon_len)
     reference = LearningTrace.from_log(log, AnchoringStrategy.none(), spec.params)
     tau_a = normalize_threshold(reference, spec.tau_r)
 

@@ -8,16 +8,14 @@ The objective for a problem with points (x_i, y_i), optional anchor value A
 The infinity point is realised exactly as a residual on the asymptote
 parameter, since lim_{x->inf} pi(a,b,c)(x) = c.
 
-`fit` runs a trust-region solve on (log a, log b, c), which keeps every
-iterate inside the valid pattern family, and then refines the result through
-a variable-projection pass: for fixed b the model is linear in (a, c), so the
-profiled objective SSE*(b) can be scanned globally and its stationary point
-located to machine precision.  The refinement keeps consecutive fits of a
-growing observation set on the same minimiser branch, which the level-wise
+`fit` has one route and no settings.  For fixed b the model is linear in
+(a, c), so the profiled objective SSE*(b) is scanned globally and each of
+its basins refined to machine precision; the best basin starts a
+trust-region solve on (log a, log b, c), which keeps every iterate inside
+the valid pattern family, and a last variable-projection pass re-pins the
+stationary point.  The profile route keeps consecutive fits of a growing
+observation set on the same minimiser branch, which the level-wise
 monotonicity guarantees downstream depend on.
-
-`oracle_fit` is an independent brute-force check: full lattice search plus
-cyclic coordinate descent, sharing nothing with `fit` beyond the objective.
 """
 from __future__ import annotations
 
@@ -25,7 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares, minimize, minimize_scalar
+from scipy.optimize import least_squares, minimize_scalar
 
 from .curves import PowerLawCurve
 from .errors import DegenerateData
@@ -33,6 +31,10 @@ from .errors import DegenerateData
 _B_SCAN_LO = 1e-3
 _B_SCAN_HI = 4.0
 _B_SCAN_N = 56
+# trust-region termination: relative SSE improvement, step norm, evaluations
+_TRUST_FTOL = 1e-12
+_TRUST_XTOL = 1e-10
+_TRUST_MAX_NFEV = 200
 
 
 @dataclass(frozen=True)
@@ -68,35 +70,12 @@ class FitProblem:
 
 
 @dataclass(frozen=True)
-class FitConfig:
-    """Termination settings for the trust-region stage."""
-
-    sse_tol: float = 1e-12      # relative SSE improvement
-    step_tol: float = 1e-10     # step norm
-    max_iter: int = 200
-    refine: bool = True         # variable-projection polish
-
-
-@dataclass(frozen=True)
 class FitResult:
     curve: PowerLawCurve
     residuals: tuple[float, ...]          # observed - fitted, per finite point
     residual_at_infinity: Optional[float]  # anchor - c, when anchored
     sse: float
     converged: bool
-    iterations: int
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """Lattice bounds for the brute-force oracle fitter."""
-
-    a_range: tuple[float, float]
-    b_range: tuple[float, float]
-    c_range: tuple[float, float]
-    n_a: int = 24
-    n_b: int = 24
-    n_c: int = 24
 
 
 def _projected_solve(b: float, x, y, anchor, weight, lx=None):
@@ -209,7 +188,7 @@ def _initial_guess(x, y, anchor):
     return np.array([np.log(a0), np.log(b0), c0])
 
 
-def fit(problem: FitProblem, config: FitConfig = FitConfig()) -> FitResult:
+def fit(problem: FitProblem) -> FitResult:
     """Minimise the (optionally anchored) SSE; deterministic.
 
     Raises DegenerateData when every accuracy is identical: the flat limit
@@ -244,46 +223,43 @@ def fit(problem: FitProblem, config: FitConfig = FitConfig()) -> FitResult:
             jac[x.size, 2] = -sw
         return jac
 
-    start = _initial_guess(x, y, anchor)
     best = None                      # (sse, a, b, c)
-    if config.refine:
-        grid = np.geomspace(_B_SCAN_LO, _B_SCAN_HI, _B_SCAN_N)
-        sse_grid = _scan_profile(grid, x, y, anchor, weight)
-        order = np.argsort(sse_grid)
-        interior = set((np.nonzero((sse_grid[1:-1] <= sse_grid[:-2]) &
-                                   (sse_grid[1:-1] <= sse_grid[2:]))[0] + 1))
-        candidates = [int(order[0])] + [i for i in sorted(interior)
-                                        if i != int(order[0])]
-        for idx in candidates:
-            if (best is not None
-                    and sse_grid[max(idx - 1, 0):idx + 2].min() >= best[0]):
-                continue
-            lo = float(grid[max(idx - 1, 0)])
-            hi = float(grid[min(idx + 1, len(grid) - 1)])
-            br, ar, cr = _refine_basin(lo, hi, x, y, anchor, weight, lx)
-            sse_r = _projected_solve(br, x, y, anchor, weight, lx)[0]
-            if ar > 0.0 and (best is None or sse_r < best[0]):
-                best = (sse_r, ar, br, cr)
-        if best is not None:
-            start = np.array([np.log(best[1]), np.log(best[2]), best[3]])
+    grid = np.geomspace(_B_SCAN_LO, _B_SCAN_HI, _B_SCAN_N)
+    sse_grid = _scan_profile(grid, x, y, anchor, weight)
+    order = np.argsort(sse_grid)
+    interior = set((np.nonzero((sse_grid[1:-1] <= sse_grid[:-2]) &
+                               (sse_grid[1:-1] <= sse_grid[2:]))[0] + 1))
+    candidates = [int(order[0])] + [i for i in sorted(interior)
+                                    if i != int(order[0])]
+    for idx in candidates:
+        if (best is not None
+                and sse_grid[max(idx - 1, 0):idx + 2].min() >= best[0]):
+            continue
+        lo = float(grid[max(idx - 1, 0)])
+        hi = float(grid[min(idx + 1, len(grid) - 1)])
+        br, ar, cr = _refine_basin(lo, hi, x, y, anchor, weight, lx)
+        sse_r = _projected_solve(br, x, y, anchor, weight, lx)[0]
+        if ar > 0.0 and (best is None or sse_r < best[0]):
+            best = (sse_r, ar, br, cr)
+    start = (_initial_guess(x, y, anchor) if best is None
+             else np.array([np.log(best[1]), np.log(best[2]), best[3]]))
 
     trust = least_squares(residuals, start, jac=jacobian, method="trf",
-                          ftol=config.sse_tol, xtol=config.step_tol,
-                          gtol=1e-14, max_nfev=config.max_iter)
+                          ftol=_TRUST_FTOL, xtol=_TRUST_XTOL,
+                          gtol=1e-14, max_nfev=_TRUST_MAX_NFEV)
     a, b, c = float(np.exp(trust.x[0])), float(np.exp(trust.x[1])), float(trust.x[2])
     sse_trust = 2.0 * float(trust.cost)
     converged = trust.status > 0
 
-    if config.refine:
-        # re-pin full stationarity: (a, c) solved exactly at the final b
-        br, ar, cr = _refine_basin(b * 0.995, b * 1.005, x, y, anchor, weight, lx)
-        sse_r = _projected_solve(br, x, y, anchor, weight, lx)[0]
-        if ar > 0.0 and sse_r <= sse_trust:
-            a, b, c = ar, br, cr
-            converged = True
-        if best is not None and best[0] < min(sse_trust, sse_r):
-            _, a, b, c = best
-            converged = True
+    # re-pin full stationarity: (a, c) solved exactly at the final b
+    br, ar, cr = _refine_basin(b * 0.995, b * 1.005, x, y, anchor, weight, lx)
+    sse_r = _projected_solve(br, x, y, anchor, weight, lx)[0]
+    if ar > 0.0 and sse_r <= sse_trust:
+        a, b, c = ar, br, cr
+        converged = True
+    if best is not None and best[0] < min(sse_trust, sse_r):
+        _, a, b, c = best
+        converged = True
 
     curve = PowerLawCurve(a=a, b=b, c=c)
     fitted = -a * np.power(x, -b) + c
@@ -294,74 +270,5 @@ def fit(problem: FitProblem, config: FitConfig = FitConfig()) -> FitResult:
         rinf = float(anchor - c)
         sse += weight * rinf * rinf
     return FitResult(curve=curve, residuals=tuple(float(v) for v in res),
-                     residual_at_infinity=rinf, sse=sse, converged=converged,
-                     iterations=int(trust.nfev))
+                     residual_at_infinity=rinf, sse=sse, converged=converged)
 
-
-def _sse_lattice(a_vals, b_vals, c_vals, x, y, anchor, weight):
-    """SSE over the full (a, b, c) lattice, vectorised over a and c."""
-    best = (np.inf, None)
-    ac = a_vals[:, None]
-    cc = c_vals[None, :]
-    for b in b_vals:
-        g = np.power(x, -b)
-        # residual tensor: y - (c - a g) over (a, c) grid
-        sse = np.zeros((a_vals.size, c_vals.size))
-        for xi, yi in zip(g, y):
-            r = yi - cc + ac * xi
-            sse += r * r
-        if anchor is not None:
-            r = anchor - cc
-            sse += weight * r * r
-        idx = np.unravel_index(np.argmin(sse), sse.shape)
-        if sse[idx] < best[0]:
-            best = (float(sse[idx]), (float(a_vals[idx[0]]), float(b),
-                                      float(c_vals[idx[1]])))
-    return best
-
-
-def _sse_point(params, x, y, anchor, weight):
-    a, b, c = params
-    r = y - (-a * np.power(x, -b) + c)
-    sse = float(r @ r)
-    if anchor is not None:
-        sse += weight * (anchor - c) ** 2
-    return sse
-
-
-def oracle_fit(problem: FitProblem, grid: GridSpec) -> FitResult:
-    """Brute-force reference fitter: lattice search + coordinate descent.
-
-    The refinement is Powell's direction-set method (cyclic 1-D line
-    minimisations with direction updates) over (log a, log b, c); nothing is
-    shared with `fit` beyond the objective, so the two routes stay
-    independent checks of each other.
-    """
-    x = np.asarray(problem.x, dtype=float)
-    y = np.asarray(problem.y, dtype=float)
-    anchor, weight = problem.anchor, problem.anchor_weight
-    a_vals = np.geomspace(grid.a_range[0], grid.a_range[1], grid.n_a)
-    b_vals = np.geomspace(grid.b_range[0], grid.b_range[1], grid.n_b)
-    c_vals = np.linspace(grid.c_range[0], grid.c_range[1], grid.n_c)
-    _, start = _sse_lattice(a_vals, b_vals, c_vals, x, y, anchor, weight)
-
-    def objective(p):
-        return _sse_point((np.exp(p[0]), np.exp(p[1]), p[2]), x, y, anchor, weight)
-
-    refined = minimize(objective,
-                       np.array([np.log(start[0]), np.log(start[1]), start[2]]),
-                       method="Powell",
-                       options={"xtol": 1e-14, "ftol": 1e-16, "maxfev": 40000})
-    a, b, c = np.exp(refined.x[0]), np.exp(refined.x[1]), refined.x[2]
-    sweep = refined.nit
-    curve = PowerLawCurve(a=float(a), b=float(b), c=float(c))
-    fitted = -curve.a * np.power(x, -curve.b) + curve.c
-    res = y - fitted
-    sse = float(res @ res)
-    rinf = None
-    if anchor is not None:
-        rinf = float(anchor - curve.c)
-        sse += weight * rinf * rinf
-    return FitResult(curve=curve, residuals=tuple(float(v) for v in res),
-                     residual_at_infinity=rinf, sse=sse, converged=True,
-                     iterations=int(sweep + 1))

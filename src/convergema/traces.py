@@ -14,12 +14,12 @@ anchoring strategies draw their anchor values from them.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
 from .errors import DegenerateData
-from .fitting import FitConfig, FitProblem, FitResult, fit
+from .fitting import FitProblem, FitResult, fit
 
 ACCURACY_CEILING = 100.0
 
@@ -107,15 +107,13 @@ class BackboneEntry:
 
 @dataclass(frozen=True)
 class TraceParams:
-    """Verticality/look-ahead setting plus fit options for one trace."""
+    """Verticality/look-ahead setting and anchor weight for one trace."""
 
     nu: float = 2e-5
     slowdown: int = 1
     look_ahead: int = 5
-    fit: FitConfig = field(default_factory=FitConfig)
     anchor_weight: float = 1.0
     plevel_source: str = "reference"    # "reference" | "anchored"
-    decreasing_tol: float = 1e-9
 
     def __post_init__(self):
         if not (0.0 < self.nu < 1.0):
@@ -196,7 +194,6 @@ class LearningTrace:
         self.wlevel: Optional[int] = None
         self.plevel_reference: Optional[int] = None
         self.plevel_anchored: Optional[int] = None
-        self._frozen_anchor: Optional[float] = None   # look-ahead switch value
         # epsilon fold state kept by convergence.epsilon_sequence so that a
         # query resumes it: (level, FitResult) pairs, records, count, epsilon
         self._epsilon_fold: Optional[tuple] = None
@@ -270,7 +267,7 @@ class LearningTrace:
 
     def _fit_reference(self, level: int) -> None:
         try:
-            result = fit(self._problem(level, None), self.params.fit)
+            result = fit(self._problem(level, None))
         except DegenerateData as exc:
             self.skipped[level] = str(exc)
             return
@@ -296,7 +293,7 @@ class LearningTrace:
                 result = reference.anchored_trends[level]
             else:
                 try:
-                    result = fit(self._problem(level, anchor), self.params.fit)
+                    result = fit(self._problem(level, anchor))
                 except DegenerateData as exc:
                     self.skipped[level] = str(exc)
                     continue

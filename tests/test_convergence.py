@@ -425,9 +425,9 @@ class TestTuningSweepReuse:
         fits = []
         real_fit = traces.fit
 
-        def counting(problem, config):
+        def counting(problem):
             fits.append(problem)
-            return real_fit(problem, config)
+            return real_fit(problem)
 
         monkeypatch.setattr(traces, "fit", counting)
         result = find_optimal_look_ahead(log, params, tau, 100.0, 30,

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,7 @@ from convergema import (AnchoringStrategy, BackboneEntry, GeneratorSpec,
                         LearningScheme, LearningTrace, Observation,
                         ObservationLog, PowerLawCurve, TraceParams, generate,
                         normalized_slope, prediction_level,
-                        verticality_threshold, working_level)
+                        traces, verticality_threshold, working_level)
 from tests.conftest import build_trace
 
 
@@ -224,3 +226,34 @@ class TestParamsValidation:
             TraceParams(look_ahead=-1)
         with pytest.raises(ValueError):
             TraceParams(plevel_source="nowhere")
+
+
+def test_unconverged_fit_skipped_not_raised(monkeypatch):
+    # one plain fit and one anchored fit come back unconverged; each level
+    # is recorded as skipped and the replay carries on
+    log = generate(GeneratorSpec(truth=PowerLawCurve(300.0, 0.6, 96.0),
+                                 levels=15, noise_sd=0.005, seed=8))
+    plain_level, anchored_level = 4, len(log)
+    targets = {(plain_level, False), (anchored_level, True)}
+    real_fit = traces.fit
+    failed = []
+
+    def unconverged_at(problem):
+        result = real_fit(problem)
+        key = (len(problem.x), problem.anchor is not None)
+        if key in targets:
+            failed.append(key)
+            return dataclasses.replace(result, converged=False)
+        return result
+
+    monkeypatch.setattr(traces, "fit", unconverged_at)
+    trace = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+    assert set(failed) == targets and len(failed) == 2
+    assert trace.skipped == {plain_level: "fit diverged",
+                             anchored_level: "fit diverged"}
+    assert plain_level not in trace.reference_trends
+    assert anchored_level in trace.reference_trends
+    assert anchored_level not in trace.anchored_trends
+    assert anchored_level not in trace.anchors
+    assert trace.wlevel is not None and trace.wlevel < anchored_level - 1
+    assert anchored_level - 1 in trace.anchored_trends
