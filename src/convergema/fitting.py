@@ -16,14 +16,22 @@ the valid pattern family, and a last variable-projection pass re-pins the
 stationary point.  The profile route keeps consecutive fits of a growing
 observation set on the same minimiser branch, which the level-wise
 monotonicity guarantees downstream depend on.
+
+A basin is refined by bounded Brent in log b, inlined here as a faithful
+port of scipy's `minimize_scalar(method="bounded")`, then by secant steps
+on the exact gradient.  The b-independent terms of the profile are
+computed once per fit, Brent's evaluations skip the gradient, and every
+point the refinement has solved is returned rather than solved again; the
+outputs are those of the plain formulation bit for bit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isfinite, sqrt
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares, minimize_scalar
+from scipy.optimize import least_squares
 
 from .curves import PowerLawCurve
 from .errors import DegenerateData
@@ -31,6 +39,7 @@ from .errors import DegenerateData
 _B_SCAN_LO = 1e-3
 _B_SCAN_HI = 4.0
 _B_SCAN_N = 56
+_B_GRID = np.geomspace(_B_SCAN_LO, _B_SCAN_HI, _B_SCAN_N)
 # trust-region termination: relative SSE improvement, step norm, evaluations
 _TRUST_FTOL = 1e-12
 _TRUST_XTOL = 1e-10
@@ -78,47 +87,55 @@ class FitResult:
     converged: bool
 
 
-def _projected_solve(b: float, x, y, anchor, weight, lx=None):
-    """Exact least squares over (a, c) for fixed b.
+class _Profile:
+    """SSE*(b) of one problem: exact least squares over (a, c) for fixed b.
 
     The model is linear in (a, c) once b is fixed; the constant column is
     orthogonalised out of the decaying one, which keeps the solve stable
-    even when x**-b barely varies over the data.  Returns
-    (sse, a, c, dsse_db); the derivative is exact by the envelope theorem:
-    only the explicit b-dependence of the residuals contributes.
+    even when x**-b barely varies over the data.  The b-independent terms
+    (log x, the weighted mean of y and y centred on it) are computed once
+    per fit.
     """
-    if lx is None:
-        lx = np.log(x)
-    g = np.exp(lx * (-b))
-    n = x.size
-    if anchor is not None:
-        # rows: (y_i ~ c - a g_i) plus sqrt(w) * (anchor ~ c)
-        w_tot = n + weight
-        g_mean = float(g.sum()) / w_tot
-        y_mean = (float(y.sum()) + weight * anchor) / w_tot
-    else:
-        w_tot = n
-        g_mean = float(g.sum()) / n
-        y_mean = float(y.sum()) / n
-    g_cent = g - g_mean
-    y_cent = y - y_mean
-    denom = float(g_cent @ g_cent) + (weight * g_mean * g_mean
-                                      if anchor is not None else 0.0)
-    if denom <= 0.0:
-        return float(y_cent @ y_cent), 0.0, y_mean, 0.0
-    if anchor is not None:
-        num = float(g_cent @ y_cent) + weight * (-g_mean) * (anchor - y_mean)
-    else:
-        num = float(g_cent @ y_cent)
-    a = -num / denom
-    c = y_mean + a * g_mean
-    resid = y - c + a * g
-    sse = float(resid @ resid)
-    if anchor is not None:
-        sse += weight * (anchor - c) ** 2
-    # d r_i / d b = -a * ln(x_i) * x_i**-b  (anchor row is b-independent)
-    grad = -2.0 * a * float(np.dot(resid, lx * g))
-    return sse, float(a), float(c), grad
+
+    def __init__(self, x, y, anchor, weight):
+        self.y, self.anchor, self.weight = y, anchor, weight
+        self.lx = np.log(x)
+        n = x.size
+        if anchor is not None:
+            # rows: (y_i ~ c - a g_i) plus sqrt(w) * (anchor ~ c)
+            self.w_tot = n + weight
+            self.y_mean = (float(y.sum()) + weight * anchor) / self.w_tot
+            self.anchor_gap = anchor - self.y_mean
+        else:
+            self.w_tot = n
+            self.y_mean = float(y.sum()) / n
+        self.y_cent = y - self.y_mean
+
+    def solve(self, b: float, grad: bool = False):
+        """(sse, a, c, dsse_db) at b; dsse_db is computed only if `grad`.
+        The derivative is exact by the envelope theorem: only the explicit
+        b-dependence of the residuals contributes."""
+        anchor, weight, y_mean = self.anchor, self.weight, self.y_mean
+        g = np.exp(self.lx * (-b))
+        g_mean = float(g.sum()) / self.w_tot
+        g_cent = g - g_mean
+        denom = float(g_cent @ g_cent)
+        num = float(g_cent @ self.y_cent)
+        if anchor is not None:
+            denom += weight * g_mean * g_mean
+            num += weight * (-g_mean) * self.anchor_gap
+        if denom <= 0.0:
+            return float(self.y_cent @ self.y_cent), 0.0, y_mean, 0.0
+        a = -num / denom
+        c = y_mean + a * g_mean
+        resid = self.y - c + a * g
+        sse = float(resid @ resid)
+        if anchor is not None:
+            sse += weight * (anchor - c) ** 2
+        if not grad:
+            return sse, a, c, None
+        # d r_i / d b = -a * ln(x_i) * x_i**-b  (anchor row is b-independent)
+        return sse, a, c, -2.0 * a * float(np.dot(resid, self.lx * g))
 
 
 def _scan_profile(grid, x, y, anchor, weight):
@@ -149,17 +166,105 @@ def _scan_profile(grid, x, y, anchor, weight):
     return sse
 
 
-def _refine_basin(b_lo: float, b_hi: float, x, y, anchor, weight, lx):
+_SQRT_EPS = sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - sqrt(5.0))
+_BRENT_XATOL = 1e-9
+_BRENT_MAXFUN = 500
+
+
+def _bounded_brent(f, lo: float, hi: float):
+    """Brent's bounded minimisation of a scalar function on [lo, hi]
+    (fminbound; Brent 1973, ch. 5), ported step for step from scipy's
+    `_minimize_scalar_bounded` with xatol = _BRENT_XATOL, so it returns the
+    same point bit for bit.
+
+    `f(t)` returns a tuple whose first item is the value to minimise;
+    the result is (t, f(t)) at the best point found.
+    """
+    if not (isfinite(lo) and isfinite(hi)):
+        raise ValueError("Optimization bounds must be finite scalars.")
+    if lo > hi:
+        raise ValueError("The lower bound exceeds the upper bound.")
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    best = f(xf)
+    fx = best[0]
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = _SQRT_EPS * abs(xf) + _BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        if abs(e) > tol1:              # try a parabola through the three points
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and p > q * (a - xf) and p < q * (b - xf):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if (x - a) < tol2 or (b - x) < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+            else:
+                golden = True
+        if golden:
+            e = a - xf if xf >= xm else b - xf
+            rat = _GOLDEN * e
+        # step at least tol1, in the direction of rat (forward when rat == 0)
+        step = max(abs(rat), tol1)
+        x = xf - step if rat < 0.0 else xf + step
+        trial = f(x)
+        fu = trial[0]
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx, best = x, fu, trial
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * abs(xf) + _BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            break
+    return xf, best
+
+
+def _refine_basin(b_lo: float, b_hi: float, profile: _Profile):
     """Locate the minimiser of SSE*(b) inside [b_lo, b_hi] precisely:
-    bounded Brent on the profile, then secant steps on its exact gradient."""
-    f = lambda t: _projected_solve(float(np.exp(t)), x, y, anchor, weight, lx)[0]
-    res = minimize_scalar(f, bounds=(np.log(b_lo), np.log(b_hi)),
-                          method="bounded", options={"xatol": 1e-9})
-    b = float(np.exp(res.x))
+    bounded Brent on the profile in log b, then secant steps on its exact
+    gradient.  Returns (b, sse, a, c) at the better of Brent's point and
+    the last secant point."""
+    t, (sse, a, c, _) = _bounded_brent(
+        lambda t: profile.solve(float(np.exp(t))),
+        float(np.log(b_lo)), float(np.log(b_hi)))
+    b = float(np.exp(t))
     span = 1e-5 * b
     b0, b1 = b - span, b + span
-    g0 = _projected_solve(b0, x, y, anchor, weight, lx)[3]
-    g1 = _projected_solve(b1, x, y, anchor, weight, lx)[3]
+    g0 = profile.solve(b0, grad=True)[3]
+    last = profile.solve(b1, grad=True)
+    g1 = last[3]
     for _ in range(12):
         if g1 == g0:
             break
@@ -168,14 +273,14 @@ def _refine_basin(b_lo: float, b_hi: float, x, y, anchor, weight, lx):
             break
         b0, g0 = b1, g1
         b1 = b2
-        g1 = _projected_solve(b1, x, y, anchor, weight, lx)[3]
+        last = profile.solve(b1, grad=True)
+        g1 = last[3]
         if abs(b1 - b0) <= 1e-15 * b1:
             break
-    cand = min((b, b1),
-               key=lambda t: (_projected_solve(t, x, y, anchor, weight, lx)[0]
-                              if t > 0 else np.inf))
-    _, a, c, _ = _projected_solve(cand, x, y, anchor, weight, lx)
-    return cand, a, c
+    # the secant point replaces Brent's only on a strictly smaller SSE
+    if last[0] < sse:
+        return b1, last[0], last[1], last[2]
+    return b, sse, a, c
 
 
 def _initial_guess(x, y, anchor):
@@ -199,7 +304,8 @@ def fit(problem: FitProblem) -> FitResult:
     if np.all(y == y[0]):
         raise DegenerateData("all observed accuracies are equal")
     anchor, weight = problem.anchor, problem.anchor_weight
-    lx = np.log(x)
+    profile = _Profile(x, y, anchor, weight)
+    lx = profile.lx
     sw = np.sqrt(weight)
 
     def residuals(p):
@@ -224,8 +330,7 @@ def fit(problem: FitProblem) -> FitResult:
         return jac
 
     best = None                      # (sse, a, b, c)
-    grid = np.geomspace(_B_SCAN_LO, _B_SCAN_HI, _B_SCAN_N)
-    sse_grid = _scan_profile(grid, x, y, anchor, weight)
+    sse_grid = _scan_profile(_B_GRID, x, y, anchor, weight)
     order = np.argsort(sse_grid)
     interior = set((np.nonzero((sse_grid[1:-1] <= sse_grid[:-2]) &
                                (sse_grid[1:-1] <= sse_grid[2:]))[0] + 1))
@@ -235,10 +340,9 @@ def fit(problem: FitProblem) -> FitResult:
         if (best is not None
                 and sse_grid[max(idx - 1, 0):idx + 2].min() >= best[0]):
             continue
-        lo = float(grid[max(idx - 1, 0)])
-        hi = float(grid[min(idx + 1, len(grid) - 1)])
-        br, ar, cr = _refine_basin(lo, hi, x, y, anchor, weight, lx)
-        sse_r = _projected_solve(br, x, y, anchor, weight, lx)[0]
+        lo = float(_B_GRID[max(idx - 1, 0)])
+        hi = float(_B_GRID[min(idx + 1, _B_SCAN_N - 1)])
+        br, sse_r, ar, cr = _refine_basin(lo, hi, profile)
         if ar > 0.0 and (best is None or sse_r < best[0]):
             best = (sse_r, ar, br, cr)
     start = (_initial_guess(x, y, anchor) if best is None
@@ -252,8 +356,7 @@ def fit(problem: FitProblem) -> FitResult:
     converged = trust.status > 0
 
     # re-pin full stationarity: (a, c) solved exactly at the final b
-    br, ar, cr = _refine_basin(b * 0.995, b * 1.005, x, y, anchor, weight, lx)
-    sse_r = _projected_solve(br, x, y, anchor, weight, lx)[0]
+    br, sse_r, ar, cr = _refine_basin(b * 0.995, b * 1.005, profile)
     if ar > 0.0 and sse_r <= sse_trust:
         a, b, c = ar, br, cr
         converged = True

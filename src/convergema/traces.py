@@ -344,12 +344,6 @@ class LearningTrace:
             return self.plevel_reference
         return self.plevel_anchored
 
-    def alpha_at(self, level: int) -> float:
-        return self.trends()[level].curve.c
-
-    def positions(self) -> dict[int, int]:
-        return {o.level: o.x for o in self.observations}
-
     # -- serialisation ----------------------------------------------------
 
     def snapshot(self) -> dict:

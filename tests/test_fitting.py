@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
 from convergema import DegenerateData, FitProblem, fit
+from convergema.fitting import _B_GRID, _BRENT_XATOL, _Profile, _bounded_brent
+from tests import fit_fixtures
 from tests.conftest import power_law_samples
 from tests.oracle import GridSpec, oracle_fit
 
@@ -104,3 +107,55 @@ def test_anchored_residual_at_infinity_nonnegative():
         y = np.clip(y + rng.normal(0, 0.05, y.size), 1.0, 100.0)
         result = fit(FitProblem.from_arrays(x, y, anchor=100.0))
         assert result.residual_at_infinity >= -1e-12
+
+
+def _smooth(seed):
+    """A seeded smooth function with several local minima: a parabola
+    plus a few cosines."""
+    rng = np.random.default_rng(seed)
+    centre, curv = rng.uniform(-1.0, 1.0), rng.uniform(0.5, 5.0)
+    amps, freqs, phases = (rng.uniform(0.0, 1.0, 3), rng.uniform(1.0, 9.0, 3),
+                           rng.uniform(0.0, 6.3, 3))
+    return lambda t: float(curv * (t - centre) ** 2
+                           + np.sum(amps * np.cos(freqs * t + phases)))
+
+
+def _profile_sse(n, noise, seed, anchor):
+    problem = fit_fixtures.problem((seed % 3, noise, seed, n, anchor, 1.0))
+    profile = _Profile(np.asarray(problem.x), np.asarray(problem.y), anchor, 1.0)
+    return lambda t: profile.solve(float(np.exp(t)))[0]
+
+
+def test_brent_port_matches_scipy_bounded(capsys):
+    # scipy is still a dependency; once it goes, the scipy results become a
+    # frozen fixture.
+    log_lo, log_hi = float(np.log(_B_GRID[0])), float(np.log(_B_GRID[-1]))
+    bracket = float(np.log(_B_GRID[20])), float(np.log(_B_GRID[22]))
+    cases = [(_smooth(seed), -2.0, 2.0) for seed in range(8)]
+    cases += [(lambda t: float(np.exp(t)), 0.0, 1.0),     # minimum at a bound
+              (lambda t: (t - 0.25) ** 2, -1.0, 3.0)]
+    for n, noise, seed, anchor in [(5, 0.0, 0, None), (30, 0.05, 1, 100.0),
+                                   (90, 0.05, 2, None), (180, 0.05, 3, 100.0)]:
+        f = _profile_sse(n, noise, seed, anchor)
+        cases += [(f, log_lo, log_hi), (f, *bracket)]
+    for f, lo, hi in cases:
+        ref = minimize_scalar(f, bounds=(lo, hi), method="bounded",
+                              options={"xatol": _BRENT_XATOL, "disp": 3})
+        t, best = _bounded_brent(lambda t: (f(t),), lo, hi)
+        assert t == ref.x and best[0] == ref.fun
+    # scipy's iteration log names each step: both kinds were exercised
+    steps = capsys.readouterr().out
+    assert "parabolic" in steps and "golden" in steps
+
+
+def test_fit_outputs_frozen():
+    got = [tuple(float.hex(v) for v in (r.curve.a, r.curve.b, r.curve.c, r.sse))
+           for r in (fit(fit_fixtures.problem(case))
+                     for case in fit_fixtures.CASES)]
+    assert got == list(fit_fixtures.FROZEN)
+    for index, b, frozen in fit_fixtures.SOLVES:
+        problem = fit_fixtures.problem(fit_fixtures.CASES[index])
+        profile = _Profile(np.asarray(problem.x), np.asarray(problem.y),
+                           problem.anchor, problem.anchor_weight)
+        got = tuple(float.hex(v) for v in profile.solve(b, grad=True))
+        assert got == frozen, (index, b)
