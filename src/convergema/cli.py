@@ -41,6 +41,19 @@ def _scheme(kernel, step):
     return LearningScheme.uniform(kernel, step)
 
 
+def _spec_value(raw: dict, key: str, convert, *default):
+    """`convert` applied to a JSON spec's value for `key`, or to the default
+    when the key is absent; a missing key that has no default, or a value
+    `convert` rejects, becomes a ClickException that names the key."""
+    if key not in raw and not default:
+        raise click.ClickException(f"spec missing key {key!r}")
+    try:
+        return convert(raw[key] if key in raw else default[0])
+    except (TypeError, ValueError) as exc:
+        raise click.ClickException(
+            f"spec key {key!r} has a bad value {raw.get(key)!r}: {exc}") from None
+
+
 def _common_options(fn):
     fn = click.option("--kernel", type=int, default=None,
                       help="Declared kernel size; with --step, input sizes "
@@ -225,22 +238,24 @@ def evaluate(frame_spec, out_prefix, error_target):
     nu/slowdown/lambda/horizon_len/anchor_weight/plevel_source."""
     with open(frame_spec) as handle:
         raw = json.load(handle)
-    for key in ("observations", "tau_r", "strategies"):
-        if key not in raw:
-            raise click.ClickException(f"frame spec missing key {key!r}")
     params = TraceParams(
-        nu=raw.get("nu", 2e-5), slowdown=raw.get("slowdown", 1),
-        look_ahead=raw.get("lambda", 5),
-        anchor_weight=raw.get("anchor_weight", 1.0),
+        nu=_spec_value(raw, "nu", float, 2e-5),
+        slowdown=_spec_value(raw, "slowdown", int, 1),
+        look_ahead=_spec_value(raw, "lambda", int, 5),
+        anchor_weight=_spec_value(raw, "anchor_weight", float, 1.0),
         plevel_source=raw.get("plevel_source", "reference"))
     spec = FrameSpec(
-        tau_r=float(raw["tau_r"]),
-        strategies=tuple(AnchoringStrategy.parse(s) for s in raw["strategies"]),
-        conditions=tuple(raw.get("conditions", ("absolute", "relative"))),
+        tau_r=_spec_value(raw, "tau_r", float),
+        strategies=_spec_value(
+            raw, "strategies",
+            lambda v: tuple(AnchoringStrategy.parse(str(s)) for s in v)),
+        conditions=_spec_value(raw, "conditions", tuple,
+                               ("absolute", "relative")),
         params=params,
-        horizon_len=raw.get("horizon_len"),
+        horizon_len=_spec_value(raw, "horizon_len",
+                                lambda v: None if v is None else int(v), None),
         error_target=error_target)
-    log = read_observations(raw["observations"])
+    log = read_observations(_spec_value(raw, "observations", os.fspath))
     frame = build_frame(log, spec)
 
     def fmt(value, digits=6):
@@ -284,20 +299,20 @@ def simulate(spec_path, out):
     perturbations/seed.  CONVERGEMA_SEED overrides the seed."""
     with open(spec_path) as handle:
         raw = json.load(handle)
-    for key in ("a", "b", "c", "levels"):
-        if key not in raw:
-            raise click.ClickException(f"generator spec missing key {key!r}")
-    seed = int(os.environ.get(SEED_ENV, raw.get("seed", 0)))
-    scheme = LearningScheme.uniform(int(raw.get("kernel", 5000)),
-                                    int(raw.get("step", 5000)))
+    seed = (int(os.environ[SEED_ENV]) if SEED_ENV in os.environ
+            else _spec_value(raw, "seed", int, 0))
+    scheme = LearningScheme.uniform(_spec_value(raw, "kernel", int, 5000),
+                                    _spec_value(raw, "step", int, 5000))
     spec = GeneratorSpec(
-        truth=PowerLawCurve(a=float(raw["a"]), b=float(raw["b"]),
-                            c=float(raw["c"])),
-        levels=int(raw["levels"]),
+        truth=PowerLawCurve(a=_spec_value(raw, "a", float),
+                            b=_spec_value(raw, "b", float),
+                            c=_spec_value(raw, "c", float)),
+        levels=_spec_value(raw, "levels", int),
         scheme=scheme,
-        noise_sd=float(raw.get("noise_sd", 0.0)),
-        perturbations=tuple((int(lv), float(d))
-                            for lv, d in raw.get("perturbations", [])),
+        noise_sd=_spec_value(raw, "noise_sd", float, 0.0),
+        perturbations=_spec_value(
+            raw, "perturbations",
+            lambda v: tuple((int(lv), float(d)) for lv, d in v), ()),
         seed=seed)
     write_observations(generate(spec), out)
     click.echo(f"wrote {spec.levels} observations to {out}")

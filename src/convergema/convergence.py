@@ -20,10 +20,11 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
+from .anchoring import AnchoringStrategy
 from .curves import PowerLawCurve, evaluate
 from .errors import (CoincidentCurves, MissingWLevel, NotDecreasing,
                      NotReached)
-from .traces import LearningTrace
+from .traces import LearningTrace, ObservationLog
 
 _COINCIDENT_TOL = 1e-12
 _X_MIN_FACTOR = 1e-3
@@ -358,16 +359,12 @@ def find_optimal_look_ahead(log, params, tau: float, beta: float,
     sequence: the candidate that starts the longest strictly increasing RC
     window (ties to the smallest look-ahead).
 
-    A candidate run takes the fixed-anchor base trace's fits below its
-    switch level, where both anchor at beta, and fits its levels in order
-    only until its convergence level: a level's epsilon record depends on
-    no later level, so that level is the one the full run would report."""
-    from .anchoring import AnchoringStrategy
-    from .traces import LearningTrace
-
+    A candidate run replays the log with the fixed-anchor base trace as
+    its reference, so it takes over the base's fits below its switch level,
+    where both anchor at beta, and it stops at its convergence level: a
+    level's epsilon record depends on no later level, so that level is the
+    one the full run would report."""
     condition = ProximityCondition("absolute", tau)
-    if reference is None:
-        reference = LearningTrace.from_log(log, AnchoringStrategy.none(), params)
     base = LearningTrace.from_log(log, AnchoringStrategy.fixed(beta), params,
                                   reference=reference)
     base_records = epsilon_sequence(base)
@@ -381,15 +378,17 @@ def find_optimal_look_ahead(log, params, tau: float, beta: float,
             candidates.append(TuningCandidate(zeta, None, None, None))
             continue
         if look not in by_look:
-            trace = LearningTrace._with_reference_levels(
-                log, AnchoringStrategy.fixed_with_look_ahead(beta, look),
-                params, base)
+            trace = LearningTrace.from_log(
+                ObservationLog(scheme=log.scheme),
+                AnchoringStrategy.fixed_with_look_ahead(beta, look), params,
+                reference=base)
             stop = None
-            for level in range(trace.wlevel + 1, len(log) + 1):
-                trace._fit_pending_anchored(base, upto=level)
-                stop = clevel(trace, condition)
-                if stop is not None:
-                    break
+            for obs in log:
+                trace.extend(obs)
+                if trace.wlevel is not None:
+                    stop = clevel(trace, condition)
+                    if stop is not None:
+                        break
             rc = None if stop is None else stop / baseline_clevel
             by_look[look] = (stop, rc)
         stop, rc = by_look[look]

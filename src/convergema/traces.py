@@ -197,6 +197,8 @@ class LearningTrace:
         # epsilon fold state kept by convergence.epsilon_sequence so that a
         # query resumes it: (level, FitResult) pairs, records, count, epsilon
         self._epsilon_fold: Optional[tuple] = None
+        # trace whose fits _fit reuses while this one follows its observations
+        self._reference: Optional[LearningTrace] = None
 
     # -- construction -----------------------------------------------------
 
@@ -204,55 +206,37 @@ class LearningTrace:
     def from_log(log: ObservationLog, strategy: AnchoringStrategy,
                  params: TraceParams = TraceParams(),
                  reference: "LearningTrace | None" = None) -> "LearningTrace":
-        """Build a trace by replaying the log.
+        """Build a trace by replaying the log through `extend`.
 
-        `reference` may be another trace over the *same* observations and
-        parameters whose fits are reused instead of refitted: all of its
-        plain trends (the reference route is strategy-independent), and its
-        anchored trend at every level where its anchor equals, exactly, the
-        anchor this strategy gives there.  A fit problem is fixed by the
-        prefix, the anchor and the parameters, and `fit` is deterministic,
-        so a reused FitResult is the one a refit would return.  Of the
-        reference's skips only those of plain fits are taken over; its
-        anchored-fit skips belong to its own anchors.  The trace keeps no
-        pointer to the reference.
+        `reference` may be a trace with the same parameters whose
+        observations start with the log's.  Its fits are reused, not
+        refitted, for as long as this trace follows its observations, also
+        when it is extended later (see `_fit`); `fit` is deterministic, so a
+        reused FitResult is the one a refit would return.  Fits are shared
+        only along such `reference=` chains.
         """
-        if reference is None:
-            trace = LearningTrace(strategy, params, scheme=log.scheme)
-            for obs in log:
-                trace.extend(obs)
-            return trace
-        trace = LearningTrace._with_reference_levels(log, strategy, params,
-                                                     reference)
-        trace._fit_pending_anchored(reference)
-        return trace
-
-    @staticmethod
-    def _with_reference_levels(log: ObservationLog, strategy: AnchoringStrategy,
-                               params: TraceParams,
-                               reference: "LearningTrace") -> "LearningTrace":
-        """A trace over `log` holding the plain trends, plain skips and
-        levels of `reference`, with no anchored level fitted yet."""
-        ref_obs = [(o.level, o.x, o.accuracy) for o in reference.observations]
-        new_obs = [(o.level, o.x, o.accuracy) for o in log]
-        if ref_obs != new_obs or reference.params != params:
-            raise ValueError("reference trace does not match the log/params")
         trace = LearningTrace(strategy, params, scheme=log.scheme)
+        if reference is not None:
+            prefix = reference.observations.entries[:len(log)]
+            if reference.params != params or log.entries != prefix:
+                raise ValueError("reference trace does not match the log/params")
+            trace._reference = reference
         for obs in log:
-            trace.observations.append(obs)
-        trace.reference_trends = dict(reference.reference_trends)
-        trace.skipped = {level: reason
-                         for level, reason in reference.skipped.items()
-                         if level not in reference.reference_trends}
-        trace.wlevel = reference.wlevel
-        trace.plevel_reference = reference.plevel_reference
+            trace.extend(obs)
         return trace
 
     def extend(self, obs: Observation) -> "LearningTrace":
         self.observations.append(obs)
         n = len(self.observations)
+        ref = self._reference
+        if ref is not None and ref.observations.entries[n - 1:n] != [obs]:
+            self._reference = None
         if n >= 3:
-            self._fit_reference(n)
+            result = self._fit(n, None)
+            if isinstance(result, str):
+                self.skipped[n] = result
+            else:
+                self.reference_trends[n] = result
             self._update_levels()
             self._fit_pending_anchored()
         return self
@@ -265,41 +249,40 @@ class LearningTrace:
         return FitProblem.from_arrays(xs, ys, anchor=anchor,
                                       anchor_weight=self.params.anchor_weight)
 
-    def _fit_reference(self, level: int) -> None:
+    def _fit(self, level: int, anchor: Optional[float]) -> "FitResult | str":
+        """The fit of the first `level` observations with `anchor` (None:
+        plain), or the reason the level is skipped.  While the trace follows
+        its reference, it takes over the reference's plain trend or plain-fit
+        skip at the level, and its anchored trend where its anchor there is
+        exactly this one; its anchored-fit skips belong to its own anchors."""
+        ref = self._reference
+        if ref is not None:
+            if anchor is None:
+                if level in ref.reference_trends:
+                    return ref.reference_trends[level]
+                return ref.skipped[level]
+            if level in ref.anchored_trends and ref.anchors[level] == anchor:
+                return ref.anchored_trends[level]
         try:
-            result = fit(self._problem(level, None))
+            result = fit(self._problem(level, anchor))
         except DegenerateData as exc:
-            self.skipped[level] = str(exc)
-            return
+            return str(exc)
         if not result.converged:
-            self.skipped[level] = "fit diverged"
-            return
-        self.reference_trends[level] = result
+            return "fit diverged"
+        return result
 
-    def _fit_pending_anchored(self, reference: "LearningTrace | None" = None,
-                              upto: Optional[int] = None) -> None:
-        """Fit the anchored levels not yet fitted, in order, up to `upto`
-        (default: the last observation), taking a level's fit from
-        `reference` where its anchor there is exactly this one."""
+    def _fit_pending_anchored(self) -> None:
+        """Fit the anchored levels not yet fitted, in order."""
         if self.strategy.kind == "none" or self.wlevel is None:
             return
-        n = len(self.observations) if upto is None else upto
-        for level in range(self.wlevel + 1, n + 1):
+        for level in range(self.wlevel + 1, len(self.observations) + 1):
             if level in self.anchored_trends or level in self.skipped:
                 continue
             anchor = anchor_for_level(self.strategy, level, self)
-            if (reference is not None and level in reference.anchored_trends
-                    and reference.anchors[level] == anchor):
-                result = reference.anchored_trends[level]
-            else:
-                try:
-                    result = fit(self._problem(level, anchor))
-                except DegenerateData as exc:
-                    self.skipped[level] = str(exc)
-                    continue
-                if not result.converged:
-                    self.skipped[level] = "fit diverged"
-                    continue
+            result = self._fit(level, anchor)
+            if isinstance(result, str):
+                self.skipped[level] = result
+                continue
             self.anchored_trends[level] = result
             self.anchors[level] = float(anchor)
             if (self.plevel_anchored is None
@@ -309,12 +292,14 @@ class LearningTrace:
     # -- levels -----------------------------------------------------------
 
     def _update_levels(self) -> None:
+        if self.plevel_reference is not None:
+            return      # both levels are final once set
         backbone = self.reference_backbone()
         if self.wlevel is None:
             self.wlevel = working_level(backbone, self.params.nu,
                                         self.params.slowdown,
                                         self.params.look_ahead)
-        if self.wlevel is not None and self.plevel_reference is None:
+        if self.wlevel is not None:
             self.plevel_reference = prediction_level(backbone, self.wlevel)
 
     # -- views ------------------------------------------------------------

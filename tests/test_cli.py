@@ -3,7 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
-from convergema.cli import main
+from convergema.cli import _entry, main
 from convergema.io import read_observations, write_observations
 from convergema import (AnchoringStrategy, GeneratorSpec, LearningTrace,
                         PowerLawCurve, drift_perturbations, generate)
@@ -237,3 +237,28 @@ class TestEvaluate:
         csv_lines = (tmp_path / "report.csv").read_text().splitlines()
         assert csv_lines[0].startswith("strategy,condition,tau,plevel,clevel")
         assert len(csv_lines) == 7
+
+
+@pytest.mark.parametrize("command,payload,key", [
+    ("simulate", {"a": None, "b": 0.6, "c": 96.0, "levels": 20}, "a"),
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20,
+                  "perturbations": [5]}, "perturbations"),
+    ("evaluate", {"observations": "obs.csv", "tau_r": [1],
+                  "strategies": ["none"]}, "tau_r"),
+    ("evaluate", {"observations": "obs.csv", "tau_r": 0.1,
+                  "strategies": 5}, "strategies"),
+])
+def test_bad_spec_value_is_error_naming_key(tmp_path, monkeypatch, capsys,
+                                            command, payload, key):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(payload))
+    args = [command, str(spec)]
+    if command == "simulate":
+        args += ["--out", str(tmp_path / "out.csv")]
+    monkeypatch.setattr("sys.argv", ["convergema"] + args)
+    with pytest.raises(SystemExit) as stop:
+        _entry()
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert repr(key) in err

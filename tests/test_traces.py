@@ -214,6 +214,83 @@ class TestTraceBuilding:
             assert rec["a"] == curve.a and rec["b"] == curve.b and rec["c"] == curve.c
 
 
+class TestReferenceReuse:
+    """A trace built with `reference=` takes over the reference's fits for
+    as long as its observations follow the reference's."""
+
+    @staticmethod
+    def stream(levels=20):
+        return generate(GeneratorSpec(truth=PowerLawCurve(300.0, 0.6, 96.0),
+                                      levels=levels, noise_sd=0.005, seed=8))
+
+    def test_mismatched_reference_rejected(self):
+        log = self.stream()
+        ref = LearningTrace.from_log(ObservationLog(log.entries[:12]),
+                                     AnchoringStrategy.fixed(100.0))
+        fixed = AnchoringStrategy.fixed(100.0)
+        with pytest.raises(ValueError):
+            LearningTrace.from_log(ObservationLog(log.entries[:12]), fixed,
+                                   TraceParams(look_ahead=3), reference=ref)
+        moved = list(log.entries[:8])
+        moved[5] = dataclasses.replace(moved[5], accuracy=moved[5].accuracy + 0.1)
+        with pytest.raises(ValueError):
+            LearningTrace.from_log(ObservationLog(moved), fixed, reference=ref)
+        with pytest.raises(ValueError):    # longer than the reference
+            LearningTrace.from_log(log, fixed, reference=ref)
+
+    def test_following_extension_reuses_reference_fits(self):
+        log = self.stream()
+        ref = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+        trace = LearningTrace.from_log(ObservationLog(log.entries[:10]),
+                                       AnchoringStrategy.fixed(100.0),
+                                       reference=ref)
+        for obs in ref.observations.entries[10:]:
+            trace.extend(obs)
+        assert max(trace.anchored_trends) == len(log)
+        assert trace.reference_trends.keys() == ref.reference_trends.keys()
+        assert all(trace.reference_trends[lv] is fit
+                   for lv, fit in ref.reference_trends.items())
+        assert trace.anchored_trends.keys() == ref.anchored_trends.keys()
+        assert all(trace.anchored_trends[lv] is fit
+                   for lv, fit in ref.anchored_trends.items())
+
+    def test_diverging_extension_refits_from_there(self):
+        log = self.stream()
+        ref = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+        trace = LearningTrace.from_log(ObservationLog(log.entries[:10]),
+                                       AnchoringStrategy.fixed(100.0),
+                                       reference=ref)
+        moved = dataclasses.replace(log.entries[10],
+                                    accuracy=log.entries[10].accuracy + 0.2)
+        # after the moved level, the reference's own observations again
+        for obs in [moved] + log.entries[11:]:
+            trace.extend(obs)
+        for lv, fit in trace.reference_trends.items():
+            assert (fit is ref.reference_trends[lv]) == (lv <= 10)
+        for lv, fit in trace.anchored_trends.items():
+            assert (fit is ref.anchored_trends[lv]) == (lv <= 10)
+        scratch = LearningTrace.from_log(ObservationLog(trace.observations),
+                                         AnchoringStrategy.fixed(100.0))
+        assert trace.snapshot() == scratch.snapshot()
+
+    @pytest.mark.parametrize("strategy", [
+        AnchoringStrategy.canonical(), AnchoringStrategy.fixed(100.0),
+        AnchoringStrategy.fixed_with_look_ahead(100.0, 3)],
+        ids=lambda s: s.spec_string())
+    @pytest.mark.parametrize("prefix", [0, 7, 14])
+    def test_prefix_then_extend_equals_full_replay(self, strategy, prefix):
+        log = self.stream()
+        full = LearningTrace.from_log(log, strategy)
+        # the reference covers 14 levels: the trace outruns it after that
+        ref = LearningTrace.from_log(ObservationLog(log.entries[:14]),
+                                     AnchoringStrategy.fixed(100.0))
+        trace = LearningTrace.from_log(ObservationLog(log.entries[:prefix]),
+                                       strategy, reference=ref)
+        for obs in log.entries[prefix:]:
+            trace.extend(obs)
+        assert trace.snapshot() == full.snapshot()
+
+
 class TestParamsValidation:
     def test_ranges(self):
         with pytest.raises(ValueError):
