@@ -14,6 +14,7 @@ anchoring strategies draw their anchor values from them.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
@@ -56,6 +57,12 @@ class LearningScheme:
                               description=description or f"uniform({kernel},{step})")
 
 
+class _FitStore(dict):
+    """(level, anchor or None, anchor_weight) -> FitResult or skip reason,
+    for prefixes of one log; a dict subclass so that the log can hold it
+    weakly."""
+
+
 class ObservationLog:
     """Ordered (level, size, accuracy) samples, levels contiguous from 1."""
 
@@ -63,8 +70,18 @@ class ObservationLog:
                  scheme: Optional[LearningScheme] = None):
         self.entries: list[Observation] = []
         self.scheme = scheme
+        self._store_ref: Optional[weakref.ref] = None
         for obs in entries:
             self.append(obs)
+
+    def _fit_store(self) -> _FitStore:
+        """The fits of this log's prefixes.  Only the traces that use the
+        store keep it alive, so it dies with the last of them."""
+        store = self._store_ref() if self._store_ref is not None else None
+        if store is None:
+            store = _FitStore()
+            self._store_ref = weakref.ref(store)
+        return store
 
     def append(self, obs: Observation) -> None:
         expected = len(self.entries) + 1
@@ -197,8 +214,9 @@ class LearningTrace:
         # epsilon fold state kept by convergence.epsilon_sequence so that a
         # query resumes it: (level, FitResult) pairs, records, count, epsilon
         self._epsilon_fold: Optional[tuple] = None
-        # trace whose fits _fit reuses while this one follows its observations
-        self._reference: Optional[LearningTrace] = None
+        # the log this trace follows, and that log's fit store (see _fit)
+        self._stream = self.observations
+        self._store = self._stream._fit_store()
 
     # -- construction -----------------------------------------------------
 
@@ -208,19 +226,22 @@ class LearningTrace:
                  reference: "LearningTrace | None" = None) -> "LearningTrace":
         """Build a trace by replaying the log through `extend`.
 
-        `reference` may be a trace with the same parameters whose
-        observations start with the log's.  Its fits are reused, not
-        refitted, for as long as this trace follows its observations, also
-        when it is extended later (see `_fit`); `fit` is deterministic, so a
-        reused FitResult is the one a refit would return.  Fits are shared
-        only along such `reference=` chains.
+        The trace uses the log's fit store, which every trace replayed on
+        that log shares; with `reference` (a trace with the same parameters
+        whose observations start with the log's) it uses the reference's
+        store instead.  It keeps the store for as long as it follows the
+        observations the store belongs to, also when it is extended later
+        (see `_fit`); `fit` is deterministic, so a stored FitResult is the
+        one a refit would return.
         """
         trace = LearningTrace(strategy, params, scheme=log.scheme)
+        stream = log
         if reference is not None:
             prefix = reference.observations.entries[:len(log)]
             if reference.params != params or log.entries != prefix:
                 raise ValueError("reference trace does not match the log/params")
-            trace._reference = reference
+            stream = reference._stream
+        trace._stream, trace._store = stream, stream._fit_store()
         for obs in log:
             trace.extend(obs)
         return trace
@@ -228,9 +249,10 @@ class LearningTrace:
     def extend(self, obs: Observation) -> "LearningTrace":
         self.observations.append(obs)
         n = len(self.observations)
-        ref = self._reference
-        if ref is not None and ref.observations.entries[n - 1:n] != [obs]:
-            self._reference = None
+        if self._stream.entries[n - 1:n] != [obs]:
+            # the trace leaves its log: from here on it fits its own prefixes
+            self._stream = self.observations
+            self._store = self._stream._fit_store()
         if n >= 3:
             result = self._fit(n, None)
             if isinstance(result, str):
@@ -251,24 +273,19 @@ class LearningTrace:
 
     def _fit(self, level: int, anchor: Optional[float]) -> "FitResult | str":
         """The fit of the first `level` observations with `anchor` (None:
-        plain), or the reason the level is skipped.  While the trace follows
-        its reference, it takes over the reference's plain trend or plain-fit
-        skip at the level, and its anchored trend where its anchor there is
-        exactly this one; its anchored-fit skips belong to its own anchors."""
-        ref = self._reference
-        if ref is not None:
-            if anchor is None:
-                if level in ref.reference_trends:
-                    return ref.reference_trends[level]
-                return ref.skipped[level]
-            if level in ref.anchored_trends and ref.anchors[level] == anchor:
-                return ref.anchored_trends[level]
-        try:
-            result = fit(self._problem(level, anchor))
-        except DegenerateData as exc:
-            return str(exc)
-        if not result.converged:
-            return "fit diverged"
+        plain), or the reason the level is skipped.  It is looked up in the
+        store of the log the trace follows, or else fitted and recorded
+        there, so no trace of that log fits the same problem twice."""
+        key = (level, anchor, self.params.anchor_weight)
+        result = self._store.get(key)
+        if result is None:
+            try:
+                result = fit(self._problem(level, anchor))
+                if not result.converged:
+                    result = "fit diverged"
+            except DegenerateData as exc:
+                result = str(exc)
+            self._store[key] = result
         return result
 
     def _fit_pending_anchored(self) -> None:

@@ -443,11 +443,12 @@ class TestTuningSweepReuse:
                 params, reference=plain)
             assert cand.clevel == clevel(full, condition)
             stops[cand.look_ahead] = cand.clevel
-        # the base fits every anchored level; a candidate refits only the
-        # levels from its switch (where its anchor leaves beta) to its stop
+        # the sweep's base takes every anchored fit from `base`, built on the
+        # same log; a candidate fits only the levels from its switch (where
+        # its anchor leaves beta) to its stop
         levels = [lv for lv in range(plain.wlevel + 1, len(log) + 1)
                   if lv not in plain.skipped]
-        expected = len(levels)
+        expected = 0
         for look, stop in stops.items():
             switch = base.plevel + look + 1
             end = len(log) if stop is None else stop

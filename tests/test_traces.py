@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convergema import (AnchoringStrategy, BackboneEntry, GeneratorSpec,
-                        LearningScheme, LearningTrace, Observation,
-                        ObservationLog, PowerLawCurve, TraceParams, generate,
-                        normalized_slope, prediction_level,
-                        traces, verticality_threshold, working_level)
+from convergema import (AnchoringStrategy, BackboneEntry, FrameSpec,
+                        GeneratorSpec, LearningScheme, LearningTrace,
+                        Observation, ObservationLog, PowerLawCurve,
+                        ProximityCondition, TraceParams, build_frame, clevel,
+                        drift_perturbations, epsilon_sequence,
+                        find_optimal_look_ahead, generate, normalized_slope,
+                        prediction_level, traces, verticality_threshold,
+                        working_level)
 from tests.conftest import build_trace
 
 
@@ -289,6 +292,99 @@ class TestReferenceReuse:
         for obs in log.entries[prefix:]:
             trace.extend(obs)
         assert trace.snapshot() == full.snapshot()
+
+
+class TestFitStore:
+    """Every trace replayed on one log shares one store of fits, which lives
+    only as long as a trace that uses it."""
+
+    @staticmethod
+    def stream():
+        return generate(GeneratorSpec(
+            truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=60,
+            perturbations=drift_perturbations(60, 0.8, 0.15), seed=7))
+
+    @staticmethod
+    def counting(monkeypatch):
+        """Record the (level, anchor, anchor_weight) of every fit made."""
+        keys = []
+        real_fit = traces.fit
+
+        def counted(problem):
+            keys.append((len(problem.x), problem.anchor, problem.anchor_weight))
+            return real_fit(problem)
+
+        monkeypatch.setattr(traces, "fit", counted)
+        return keys
+
+    @staticmethod
+    def fresh(log, strategy, params=TraceParams()):
+        return LearningTrace.from_log(ObservationLog(log.entries, log.scheme),
+                                      strategy, params).snapshot()
+
+    def test_study_never_fits_a_problem_twice(self, monkeypatch):
+        log = self.stream()
+        keys = self.counting(monkeypatch)
+        params = TraceParams()
+        plain = LearningTrace.from_log(log, AnchoringStrategy.none(), params)
+        fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
+                                       params, reference=plain)
+        records = epsilon_sequence(fixed)
+        tau = records[int(len(records) * 0.3)].epsilon
+        stop = clevel(plain, ProximityCondition("absolute", tau))
+        tuning = find_optimal_look_ahead(log, params, tau, 100.0, stop,
+                                         reference=plain)
+        entries = plain.backbone()
+        gaps = sorted(abs(cur.alpha - prev.alpha)
+                      for prev, cur in zip(entries, entries[1:]))
+        strategy = AnchoringStrategy
+        build_frame(log, FrameSpec(
+            tau_r=gaps[int(len(gaps) * 0.6)],
+            strategies=(strategy.none(), strategy.canonical(),
+                        strategy.fixed(100.0),
+                        strategy.fixed_with_look_ahead(100.0,
+                                                       tuning.look_ahead))))
+        assert len(keys) > len(log)
+        assert len(keys) == len(set(keys))
+
+    def test_store_dies_with_its_last_trace(self, monkeypatch):
+        log = self.stream()
+        keys = self.counting(monkeypatch)
+        first = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+        count = len(keys)
+        again = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+        assert len(keys) == count and again.snapshot() == first.snapshot()
+        del first, again
+        LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+        assert len(keys) == 2 * count
+
+    def test_anchor_weight_is_part_of_the_problem(self):
+        log = self.stream()
+        fixed = AnchoringStrategy.fixed(100.0)
+        weights = [TraceParams(anchor_weight=w) for w in (1.0, 1.5)]
+        shared = [LearningTrace.from_log(log, fixed, p) for p in weights]
+        for trace, params in zip(shared, weights):
+            assert trace.snapshot() == self.fresh(log, fixed, params)
+
+    @pytest.mark.parametrize("how", ["differs", "outruns"])
+    def test_leaving_the_log_keeps_its_store_clean(self, how):
+        log = self.stream()
+        fixed = AnchoringStrategy.fixed(100.0)
+        if how == "differs":
+            keeper = LearningTrace.from_log(log, AnchoringStrategy.none())
+            trace = LearningTrace.from_log(ObservationLog(log.entries[:30]),
+                                           fixed, reference=keeper)
+            shared = log
+        else:
+            shared = ObservationLog(log.entries[:30])
+            trace = LearningTrace.from_log(shared, fixed)
+        for obs in log.entries[30:]:
+            trace.extend(dataclasses.replace(obs, accuracy=obs.accuracy - 0.2))
+        for obs in log.entries[len(shared):]:
+            shared.append(obs)
+        later = LearningTrace.from_log(shared, fixed)
+        assert later.snapshot() == self.fresh(log, fixed)
+        assert trace.snapshot() == self.fresh(trace.observations, fixed)
 
 
 class TestParamsValidation:
