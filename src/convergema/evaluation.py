@@ -219,23 +219,17 @@ class LocalTestingFrame:
 def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
     """Build all runs, normalise the absolute threshold from the relative
     one on the anchor-free reference, and pick the baseline (the anchor-free
-    run of the fastest condition).
-
-    Each anchored trace is replayed with the anchored trace built before it
-    as its reference, so it takes over every level both anchor alike: fixed
-    anchoring with a look-ahead reuses the fixed levels below its switch."""
+    run of the fastest condition)."""
     horizon = Horizon.from_log(log, spec.horizon_len)
     reference = LearningTrace.from_log(log, AnchoringStrategy.none(), spec.params)
     tau_a = normalize_threshold(reference, spec.tau_r)
 
     runs: list[Run] = []
-    previous = reference
     for strategy in spec.strategies:
         if strategy.kind == "none":
             trace = reference
         else:
-            trace = previous = LearningTrace.from_log(
-                log, strategy, spec.params, reference=previous)
+            trace = LearningTrace.from_log(log, strategy, spec.params)
         for kind in spec.conditions:
             tau = tau_a if kind == "absolute" else spec.tau_r
             condition = ProximityCondition(kind, tau)

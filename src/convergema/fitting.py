@@ -23,6 +23,13 @@ on the exact gradient.  The b-independent terms of the profile are
 computed once per fit, Brent's evaluations skip the gradient, and every
 point the refinement has solved is returned rather than solved again; the
 outputs are those of the plain formulation bit for bit.
+
+The trust-region solve is likewise a step-for-step port of scipy's
+`least_squares(method="trf")` without bounds, with the exact SVD
+subproblem (`_trust_region`, `_trust_step`), so fitting needs numpy alone.
+Its SVD factors are put in the Fortran order scipy's `svd` returns them in:
+a product with a C-ordered factor runs another BLAS kernel, sums in another
+order and moves b in the last digits.
 """
 from __future__ import annotations
 
@@ -31,7 +38,7 @@ from math import isfinite, sqrt
 from typing import Optional
 
 import numpy as np
-from scipy.optimize import least_squares
+from numpy.linalg import norm
 
 from .curves import PowerLawCurve
 from .errors import DegenerateData
@@ -40,10 +47,12 @@ _B_SCAN_LO = 1e-3
 _B_SCAN_HI = 4.0
 _B_SCAN_N = 56
 _B_GRID = np.geomspace(_B_SCAN_LO, _B_SCAN_HI, _B_SCAN_N)
-# trust-region termination: relative SSE improvement, step norm, evaluations
+# trust-region termination: relative SSE improvement, step norm, evaluations,
+# gradient
 _TRUST_FTOL = 1e-12
 _TRUST_XTOL = 1e-10
 _TRUST_MAX_NFEV = 200
+_TRUST_GTOL = 1e-14
 
 
 @dataclass(frozen=True)
@@ -283,6 +292,136 @@ def _refine_basin(b_lo: float, b_hi: float, profile: _Profile):
     return b, sse, a, c
 
 
+_EPS = np.finfo(float).eps
+
+
+def _trust_step(n, m, uf, s, V, delta, alpha):
+    """Step of the trust-region subproblem min |J p + f| subject to
+    |p| <= delta, from one SVD J = U diag(s) V.T and uf = U.T f (Moré 1977,
+    "The Levenberg-Marquardt algorithm: implementation and theory"), ported
+    step for step from scipy's `solve_lsq_trust_region`: the Gauss-Newton
+    step when J has full rank and the step fits, otherwise at most ten
+    Newton iterations on the Levenberg-Marquardt parameter alpha, started
+    from the previous one.  Returns (p, alpha)."""
+    def phi_and_derivative(alpha):
+        # |p(alpha)| - delta and its derivative in alpha
+        denom = s**2 + alpha
+        p_norm = norm(suf / denom)
+        return p_norm - delta, -np.sum(suf ** 2 / denom**3) / p_norm
+
+    suf = s * uf
+    full_rank = s[-1] > _EPS * m * s[0] if m >= n else False
+    if full_rank:
+        p = -V.dot(uf / s)
+        if norm(p) <= delta:
+            return p, 0.0
+    alpha_upper = norm(suf) / delta
+    if full_rank:
+        phi, phi_prime = phi_and_derivative(0.0)
+        alpha_lower = -phi / phi_prime
+    else:
+        alpha_lower = 0.0
+    if not full_rank and alpha == 0:
+        alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+    for _ in range(10):
+        if alpha < alpha_lower or alpha > alpha_upper:
+            alpha = max(0.001 * alpha_upper, (alpha_lower * alpha_upper)**0.5)
+        phi, phi_prime = phi_and_derivative(alpha)
+        if phi < 0:
+            alpha_upper = alpha
+        ratio = phi / phi_prime
+        alpha_lower = max(alpha_lower, alpha - ratio)
+        alpha -= (phi + delta) * ratio / delta
+        if np.abs(phi) < 0.01 * delta:
+            break
+    p = -V.dot(suf / (s**2 + alpha))
+    # put p on the boundary exactly, so rounding cannot leave it outside
+    p *= delta / norm(p)
+    return p, alpha
+
+
+def _trust_region(residuals, jacobian, x0):
+    """Unbounded trust-region least squares with the exact SVD subproblem,
+    ported step for step from scipy's `least_squares(method="trf")`
+    (`trf_no_bounds` with linear loss and unit variable scale) at
+    _TRUST_FTOL, _TRUST_XTOL, _TRUST_GTOL and _TRUST_MAX_NFEV, so it returns
+    the same point bit for bit.
+
+    Returns (x, sse, status); status is 0 when the evaluation budget ran
+    out, 1 for a vanishing gradient, 2 for a small relative SSE decrease,
+    3 for a small step and 4 for both of the last two.
+    """
+    x = np.array(x0, dtype=float)
+    f = residuals(x)
+    if not np.all(np.isfinite(f)):
+        raise ValueError("Residuals are not finite in the initial point.")
+    J = jacobian(x)
+    nfev = 1
+    m, n = J.shape
+    cost = 0.5 * np.dot(f, f)
+    g = J.T.dot(f)
+    delta = norm(x)
+    if delta == 0:
+        delta = 1.0
+    alpha = 0.0
+    status = None
+    while True:
+        if norm(g, ord=np.inf) < _TRUST_GTOL:
+            status = 1
+        if status is not None or nfev == _TRUST_MAX_NFEV:
+            break
+        if not np.all(np.isfinite(J)):
+            raise ValueError("array must not contain infs or NaNs")
+        # in the layout of scipy's svd, so the products sum in its order
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        V = np.asfortranarray(Vt).T
+        uf = np.asfortranarray(U).T.dot(f)
+        actual_reduction = -1
+        while actual_reduction <= 0 and nfev < _TRUST_MAX_NFEV:
+            step, alpha = _trust_step(n, m, uf, s, V, delta, alpha)
+            Js = J.dot(step)
+            predicted_reduction = -(0.5 * np.dot(Js, Js) + np.dot(step, g))
+            x_new = x + step
+            f_new = residuals(x_new)
+            nfev += 1
+            step_norm = norm(step)
+            if not np.all(np.isfinite(f_new)):
+                delta = 0.25 * step_norm
+                continue
+            cost_new = 0.5 * np.dot(f_new, f_new)
+            actual_reduction = cost - cost_new
+            # radius update: shrink on a poor model, grow on a good step
+            # that reached the boundary
+            if predicted_reduction > 0:
+                ratio = actual_reduction / predicted_reduction
+            elif predicted_reduction == actual_reduction == 0:
+                ratio = 1
+            else:
+                ratio = 0
+            delta_new = delta
+            if ratio < 0.25:
+                delta_new = 0.25 * step_norm
+            elif ratio > 0.75 and step_norm > 0.95 * delta:
+                delta_new = delta * 2.0
+            ftol_met = actual_reduction < _TRUST_FTOL * cost and ratio > 0.25
+            xtol_met = step_norm < _TRUST_XTOL * (_TRUST_XTOL + norm(x))
+            if ftol_met and xtol_met:
+                status = 4
+            elif ftol_met:
+                status = 2
+            elif xtol_met:
+                status = 3
+            if status is not None:
+                break
+            alpha *= delta / delta_new
+            delta = delta_new
+        if actual_reduction > 0:
+            x, f, cost = x_new, f_new, cost_new
+            J = jacobian(x)
+            g = J.T.dot(f)
+    return x, 2.0 * float(cost), 0 if status is None else status
+
+
 def _initial_guess(x, y, anchor):
     y_max = float(np.max(y))
     c0 = y_max + 0.5 * (y_max - float(np.median(y)))
@@ -348,12 +487,9 @@ def fit(problem: FitProblem) -> FitResult:
     start = (_initial_guess(x, y, anchor) if best is None
              else np.array([np.log(best[1]), np.log(best[2]), best[3]]))
 
-    trust = least_squares(residuals, start, jac=jacobian, method="trf",
-                          ftol=_TRUST_FTOL, xtol=_TRUST_XTOL,
-                          gtol=1e-14, max_nfev=_TRUST_MAX_NFEV)
-    a, b, c = float(np.exp(trust.x[0])), float(np.exp(trust.x[1])), float(trust.x[2])
-    sse_trust = 2.0 * float(trust.cost)
-    converged = trust.status > 0
+    p, sse_trust, status = _trust_region(residuals, jacobian, start)
+    a, b, c = float(np.exp(p[0])), float(np.exp(p[1])), float(p[2])
+    converged = status > 0
 
     # re-pin full stationarity: (a, c) solved exactly at the final b
     br, sse_r, ar, cr = _refine_basin(b * 0.995, b * 1.005, profile)

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import convergema
 from convergema.cli import _entry, main
 from convergema.io import read_observations, write_observations
 from convergema import (AnchoringStrategy, GeneratorSpec, LearningTrace,
@@ -262,3 +267,14 @@ def test_bad_spec_value_is_error_naming_key(tmp_path, monkeypatch, capsys,
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert repr(key) in err
+
+
+def test_import_pulls_no_scipy():
+    # scipy is a test-only dependency: neither the package nor its CLI loads it
+    src = str(Path(convergema.__file__).resolve().parents[1])
+    code = ("import sys, convergema, convergema.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import least_squares, minimize_scalar
 
-from convergema import DegenerateData, FitProblem, fit
-from convergema.fitting import _B_GRID, _BRENT_XATOL, _Profile, _bounded_brent
+from convergema import DegenerateData, FitProblem, fit, fitting
+from convergema.fitting import (_B_GRID, _BRENT_XATOL, _TRUST_FTOL,
+                                _TRUST_GTOL, _TRUST_MAX_NFEV, _TRUST_XTOL,
+                                _Profile, _bounded_brent, _initial_guess,
+                                _trust_region)
 from tests import fit_fixtures
 from tests.conftest import power_law_samples
 from tests.oracle import GridSpec, oracle_fit
@@ -127,8 +130,7 @@ def _profile_sse(n, noise, seed, anchor):
 
 
 def test_brent_port_matches_scipy_bounded(capsys):
-    # scipy is still a dependency; once it goes, the scipy results become a
-    # frozen fixture.
+    # scipy is a test-only dependency: the port is checked against it here.
     log_lo, log_hi = float(np.log(_B_GRID[0])), float(np.log(_B_GRID[-1]))
     bracket = float(np.log(_B_GRID[20])), float(np.log(_B_GRID[22]))
     cases = [(_smooth(seed), -2.0, 2.0) for seed in range(8)]
@@ -146,6 +148,110 @@ def test_brent_port_matches_scipy_bounded(capsys):
     # scipy's iteration log names each step: both kinds were exercised
     steps = capsys.readouterr().out
     assert "parabolic" in steps and "golden" in steps
+
+
+def _scipy_solve(residuals, jacobian, x0):
+    return least_squares(residuals, x0, jac=jacobian, method="trf",
+                         ftol=_TRUST_FTOL, xtol=_TRUST_XTOL, gtol=_TRUST_GTOL,
+                         max_nfev=_TRUST_MAX_NFEV)
+
+
+def _same_solve_as_scipy(residuals, jacobian, x0):
+    """_trust_region's result, asserted equal to least_squares' bit for bit."""
+    x, sse, status = _trust_region(residuals, jacobian, x0)
+    ref = _scipy_solve(residuals, jacobian, x0)
+    assert (x == ref.x).all() and sse == 2.0 * ref.cost and status == ref.status
+    return x, sse, status
+
+
+# The first three points of the noisy drift stream of the benchmark's
+# monitor at seed 3: an exact interpolation, whose solve grows and shrinks
+# the radius until it runs out of evaluations.
+_INTERPOLATION = FitProblem(
+    x=(5000.0, 10000.0, 15000.0),
+    y=(97.62501495620562, 98.26359819088721, 98.7238998802596))
+# Falling accuracies: no basin gives a > 0, so the solve starts at
+# _initial_guess.
+_FALLING = FitProblem.from_arrays([1.0, 2.0, 3.0, 4.0], [90.0, 85.0, 82.0, 80.0])
+
+
+def _linear(target, slope=1.0, finite_below=np.inf):
+    """Residuals p - target, not finite once p[0] reaches `finite_below`,
+    with the Jacobian slope * I (the true one at slope 1); the list records
+    every non-finite evaluation."""
+    target = np.asarray(target, dtype=float)
+    bad = []
+
+    def residuals(p):
+        if p[0] >= finite_below:
+            bad.append(p[0])
+            return np.full(target.size, np.nan)
+        return p - target
+
+    return residuals, lambda p: slope * np.eye(target.size), bad
+
+
+def test_trust_region_port_matches_scipy(monkeypatch):
+    step = fitting._trust_step
+    starts, statuses, radii, alphas = [], [], [], []
+
+    def checked(residuals, jacobian, x0):
+        starts.append(x0)
+        radii.append([])
+        out = _same_solve_as_scipy(residuals, jacobian, x0)
+        statuses.append(out[2])
+        return out
+
+    def recorded_step(n, m, uf, s, V, delta, alpha):
+        p, alpha = step(n, m, uf, s, V, delta, alpha)
+        radii[-1].append(delta)
+        alphas.append(alpha)
+        return p, alpha
+
+    monkeypatch.setattr(fitting, "_trust_region", checked)
+    monkeypatch.setattr(fitting, "_trust_step", recorded_step)
+    for case in fit_fixtures.CASES:
+        fit(fit_fixtures.problem(case))
+    fit(_INTERPOLATION)
+    fit(_FALLING)
+    # every branch of the solve ran: the Gauss-Newton step (alpha 0) and
+    # More's alpha iteration, radius shrink and growth, and each exit
+    assert 0.0 in alphas and any(a > 0.0 for a in alphas)
+    pairs = [(r0, r1) for r in radii for r0, r1 in zip(r, r[1:])]
+    assert any(r1 < r0 for r0, r1 in pairs) and any(r1 > r0 for r0, r1 in pairs)
+    assert {0, 2, 3, 4} <= set(statuses)
+    falling = [np.asarray(v) for v in (_FALLING.x, _FALLING.y)]
+    assert (starts[-1] == _initial_guess(*falling, None)).all()
+
+    # a consistent linear system: the Gauss-Newton step lands on the
+    # solution and the gradient vanishes
+    residuals, jacobian, _ = _linear([0.5, 0.25, 2.0])
+    assert _same_solve_as_scipy(residuals, jacobian, np.array([1.0, 2.0, 3.0]))[2] == 1
+    # steps into the non-finite region shrink the radius and are retried
+    residuals, jacobian, bad = _linear([1.0], finite_below=0.5)
+    _same_solve_as_scipy(residuals, jacobian, np.array([-1.0]))
+    assert bad
+    # a Jacobian seven times too steep: every step removes a seventh of the
+    # residual and is accepted (ratio 0.27), and the gradient is still
+    # above _TRUST_GTOL when the evaluations run out
+    residuals, jacobian, _ = _linear([0.0], slope=7.0)
+    assert _same_solve_as_scipy(residuals, jacobian, np.array([1.0]))[2] == 0
+    # 100 residual rows and a smallest singular value 5e-15 of the largest,
+    # below the rank threshold EPS * rows * s[0] (but not EPS * 2 * s[0]):
+    # the Gauss-Newton step fits inside the radius and is still not taken
+    rows, target = np.zeros((100, 2)), np.zeros(100)
+    rows[0, 0], rows[1, 1], target[0] = 1.0, 5e-15, 1.0
+    _same_solve_as_scipy(lambda p: rows.dot(p) - target, lambda p: rows,
+                         np.array([2.0, 0.0]))
+    # a non-finite start, or a non-finite Jacobian, raises as scipy does
+    residuals, jacobian, _ = _linear([1.0], finite_below=0.0)
+    for solve in (_trust_region, _scipy_solve):
+        with pytest.raises(ValueError):
+            solve(residuals, jacobian, np.array([0.0]))
+    residuals, _, _ = _linear([1.0])
+    for solve in (_trust_region, _scipy_solve):
+        with pytest.raises(ValueError):
+            solve(residuals, lambda p: np.array([[np.nan]]), np.array([0.0]))
 
 
 def test_fit_outputs_frozen():
