@@ -41,7 +41,12 @@ class Horizon:
             raise MissingHorizon("horizon needs at least 3 observations")
         sub = ObservationLog(entries)
         problem = FitProblem.from_arrays([o.x for o in sub], [o.accuracy for o in sub])
-        return Horizon(observations=sub, limit_trend=fit(problem))
+        # the plain fit of this prefix, shared with the log's traces; on a
+        # skip reason, fitting again raises or returns what it always did
+        limit = log._fit_store().lookup((len(sub), None, None), lambda: problem)
+        if isinstance(limit, str):
+            limit = fit(problem)
+        return Horizon(observations=sub, limit_trend=limit)
 
 
 @dataclass
@@ -220,8 +225,8 @@ def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
     """Build all runs, normalise the absolute threshold from the relative
     one on the anchor-free reference, and pick the baseline (the anchor-free
     run of the fastest condition)."""
-    horizon = Horizon.from_log(log, spec.horizon_len)
     reference = LearningTrace.from_log(log, AnchoringStrategy.none(), spec.params)
+    horizon = Horizon.from_log(log, spec.horizon_len)
     tau_a = normalize_threshold(reference, spec.tau_r)
 
     runs: list[Run] = []

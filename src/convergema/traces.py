@@ -8,9 +8,10 @@ window, and the prediction level is the first level from there whose
 asymptote does not exceed the 100% accuracy ceiling.
 
 Anchored strategies re-fit levels past the working level with an extra
-observation at infinity; the reference (plain) trends are always kept, both
-because the working/prediction levels are defined on them and because the
-anchoring strategies draw their anchor values from them.
+observation at infinity; the reference (plain) trends are kept, and fitted
+on demand past the prediction level, both because the working/prediction
+levels are defined on them and because the anchoring strategies draw their
+anchor values from them.
 """
 from __future__ import annotations
 
@@ -58,9 +59,26 @@ class LearningScheme:
 
 
 class _FitStore(dict):
-    """(level, anchor or None, anchor_weight) -> FitResult or skip reason,
-    for prefixes of one log; a dict subclass so that the log can hold it
-    weakly."""
+    """(level, anchor, anchor_weight) -> FitResult or skip reason, for
+    prefixes of one log; a dict subclass so that the log can hold it
+    weakly.  A plain problem is keyed (level, None, None): `fit` reads the
+    anchor weight only when there is an anchor."""
+
+    def lookup(self, key: tuple,
+               problem: Callable[[], FitProblem]) -> "FitResult | str":
+        """The stored fit under `key`, or else the fit of `problem()`
+        recorded there; a degenerate or unconverged fit is recorded as the
+        reason its level is skipped."""
+        result = self.get(key)
+        if result is None:
+            try:
+                result = fit(problem())
+                if not result.converged:
+                    result = "fit diverged"
+            except DegenerateData as exc:
+                result = str(exc)
+            self[key] = result
+        return result
 
 
 class ObservationLog:
@@ -196,7 +214,16 @@ def prediction_level(backbone: list[BackboneEntry], omega: int) -> Optional[int]
 
 
 class LearningTrace:
-    """Single-writer incremental trace; snapshots are plain data."""
+    """Single-writer incremental trace; snapshots are plain data.
+
+    Once the reference prediction level is set, an anchored trace's
+    `extend` fits the anchored level only: no decision reads a new plain
+    fit.  Reading `reference_trends` or `skipped` fits the deferred plain
+    levels first (`_settle`), so both hold what an eager trace holds.  An
+    anchored level is fitted even if its plain fit was skipped; only a
+    plain "fit diverged" then differs, keeping the anchored trend while
+    `skipped` names the level.
+    """
 
     def __init__(self, strategy: AnchoringStrategy,
                  params: TraceParams = TraceParams(),
@@ -204,10 +231,13 @@ class LearningTrace:
         self.strategy = strategy
         self.params = params
         self.observations = ObservationLog(scheme=scheme)
-        self.reference_trends: dict[int, FitResult] = {}
+        self._reference_trends: dict[int, FitResult] = {}
         self.anchored_trends: dict[int, FitResult] = {}
         self.anchors: dict[int, float] = {}
-        self.skipped: dict[int, str] = {}
+        self._skipped: dict[int, str] = {}
+        # the last level whose plain fit, and whose anchored fit, was made
+        self._plain_level = 2
+        self._anchored_level = 0
         self.wlevel: Optional[int] = None
         self.plevel_reference: Optional[int] = None
         self.plevel_anchored: Optional[int] = None
@@ -249,17 +279,17 @@ class LearningTrace:
     def extend(self, obs: Observation) -> "LearningTrace":
         self.observations.append(obs)
         n = len(self.observations)
-        if self._stream.entries[n - 1:n] != [obs]:
-            # the trace leaves its log: from here on it fits its own prefixes
+        if (self._stream is not self.observations
+                and self._stream.entries[n - 1:n] != [obs]):
+            # the trace leaves its log: its deferred plain fits go to the
+            # log's store, and from here on it fits its own prefixes
+            self._settle(n - 1)
             self._stream = self.observations
             self._store = self._stream._fit_store()
         if n >= 3:
-            result = self._fit(n, None)
-            if isinstance(result, str):
-                self.skipped[n] = result
-            else:
-                self.reference_trends[n] = result
-            self._update_levels()
+            if self.strategy.kind == "none" or self.plevel_reference is None:
+                self._settle()
+                self._update_levels()
             self._fit_pending_anchored()
         return self
 
@@ -276,35 +306,40 @@ class LearningTrace:
         plain), or the reason the level is skipped.  It is looked up in the
         store of the log the trace follows, or else fitted and recorded
         there, so no trace of that log fits the same problem twice."""
-        key = (level, anchor, self.params.anchor_weight)
-        result = self._store.get(key)
-        if result is None:
-            try:
-                result = fit(self._problem(level, anchor))
-                if not result.converged:
-                    result = "fit diverged"
-            except DegenerateData as exc:
-                result = str(exc)
-            self._store[key] = result
-        return result
+        weight = None if anchor is None else self.params.anchor_weight
+        return self._store.lookup((level, anchor, weight),
+                                  lambda: self._problem(level, anchor))
+
+    def _settle(self, upto: Optional[int] = None) -> None:
+        """Fit the plain levels not yet fitted, in order, up to `upto`
+        (default: the last observed level)."""
+        if upto is None:
+            upto = len(self.observations)
+        for level in range(self._plain_level + 1, upto + 1):
+            result = self._fit(level, None)
+            if isinstance(result, str):
+                self._skipped[level] = result
+            else:
+                self._reference_trends[level] = result
+            self._plain_level = level
 
     def _fit_pending_anchored(self) -> None:
         """Fit the anchored levels not yet fitted, in order."""
         if self.strategy.kind == "none" or self.wlevel is None:
             return
-        for level in range(self.wlevel + 1, len(self.observations) + 1):
-            if level in self.anchored_trends or level in self.skipped:
-                continue
+        start = max(self._anchored_level, self.wlevel) + 1
+        for level in range(start, len(self.observations) + 1):
             anchor = anchor_for_level(self.strategy, level, self)
             result = self._fit(level, anchor)
             if isinstance(result, str):
-                self.skipped[level] = result
-                continue
-            self.anchored_trends[level] = result
-            self.anchors[level] = float(anchor)
-            if (self.plevel_anchored is None
-                    and result.curve.c <= ACCURACY_CEILING):
-                self.plevel_anchored = level
+                self._skipped[level] = result
+            else:
+                self.anchored_trends[level] = result
+                self.anchors[level] = float(anchor)
+                if (self.plevel_anchored is None
+                        and result.curve.c <= ACCURACY_CEILING):
+                    self.plevel_anchored = level
+            self._anchored_level = level
 
     # -- levels -----------------------------------------------------------
 
@@ -320,6 +355,16 @@ class LearningTrace:
             self.plevel_reference = prediction_level(backbone, self.wlevel)
 
     # -- views ------------------------------------------------------------
+
+    @property
+    def reference_trends(self) -> dict[int, FitResult]:
+        self._settle()
+        return self._reference_trends
+
+    @property
+    def skipped(self) -> dict[int, str]:
+        self._settle()
+        return self._skipped
 
     def reference_backbone(self) -> list[BackboneEntry]:
         xs = {o.level: o.x for o in self.observations}

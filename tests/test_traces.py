@@ -5,14 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from convergema import (AnchoringStrategy, BackboneEntry, FrameSpec,
-                        GeneratorSpec, LearningScheme, LearningTrace,
-                        Observation, ObservationLog, PowerLawCurve,
-                        ProximityCondition, TraceParams, build_frame, clevel,
-                        drift_perturbations, epsilon_sequence,
-                        find_optimal_look_ahead, generate, normalized_slope,
-                        prediction_level, traces, verticality_threshold,
-                        working_level)
+from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
+                        FrameSpec, GeneratorSpec, Horizon, LearningScheme,
+                        LearningTrace, Observation, ObservationLog,
+                        PowerLawCurve, ProximityCondition, TraceParams,
+                        build_frame, clevel, drift_perturbations,
+                        epsilon_sequence, evaluation, find_optimal_look_ahead,
+                        generate, normalized_slope, prediction_level, traces,
+                        verticality_threshold, working_level)
 from tests.conftest import build_trace
 
 
@@ -351,12 +351,34 @@ class TestFitStore:
         log = self.stream()
         keys = self.counting(monkeypatch)
         first = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+        snapshot = first.snapshot()     # a full view fits the deferred levels
         count = len(keys)
         again = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
-        assert len(keys) == count and again.snapshot() == first.snapshot()
+        assert again.snapshot() == snapshot and len(keys) == count
         del first, again
-        LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+        LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0)).snapshot()
         assert len(keys) == 2 * count
+
+    def test_horizon_takes_the_plain_trace_fit(self, monkeypatch):
+        log = self.stream()
+        plain = LearningTrace.from_log(log, AnchoringStrategy.none())
+
+        def no_fit(problem):
+            raise AssertionError("the horizon refitted a stored problem")
+
+        monkeypatch.setattr(traces, "fit", no_fit)
+        monkeypatch.setattr(evaluation, "fit", no_fit)
+        assert Horizon.from_log(log).limit_trend is plain.reference_trends[60]
+        assert (Horizon.from_log(log, 30).limit_trend
+                is plain.reference_trends[30])
+
+    def test_horizon_on_a_stored_skip_still_raises(self):
+        flat = ObservationLog.from_arrays([5000, 10000, 15000, 20000],
+                                          [90.0] * 4)
+        plain = LearningTrace.from_log(flat, AnchoringStrategy.none())
+        assert sorted(plain.skipped) == [3, 4]
+        with pytest.raises(DegenerateData):
+            Horizon.from_log(flat)
 
     def test_anchor_weight_is_part_of_the_problem(self):
         log = self.stream()
@@ -385,6 +407,92 @@ class TestFitStore:
         later = LearningTrace.from_log(shared, fixed)
         assert later.snapshot() == self.fresh(log, fixed)
         assert trace.snapshot() == self.fresh(trace.observations, fixed)
+
+
+class TestDeferredReference:
+    """Past the reference prediction level an anchored trace fits its
+    anchored levels only; its plain levels are fitted when they are read."""
+
+    STRATEGIES = [AnchoringStrategy.none(), AnchoringStrategy.canonical(),
+                  AnchoringStrategy.fixed(100.0),
+                  AnchoringStrategy.fixed_with_look_ahead(100.0, 3)]
+
+    @staticmethod
+    def stream():
+        return generate(GeneratorSpec(
+            truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=60,
+            noise_sd=0.05, perturbations=drift_perturbations(60, 0.8, 0.15),
+            seed=3))
+
+    def test_extend_fits_once_per_level(self, monkeypatch):
+        keys = TestFitStore.counting(monkeypatch)
+        trace = LearningTrace(AnchoringStrategy.fixed(100.0))
+        deferred = 0
+        for obs in self.stream():
+            resolved = trace.plevel_reference is not None
+            before = len(keys)
+            trace.extend(obs)
+            if resolved:
+                assert keys[before:] == [(obs.level, 100.0, 1.0)]
+                deferred += 1
+        assert deferred >= 30
+        trace.snapshot()
+        # plain levels 3..60 and anchored levels wlevel+1..60, each once
+        assert len(keys) == len(set(keys)) == 58 + 60 - trace.wlevel
+
+    @pytest.mark.parametrize("strategy", STRATEGIES,
+                             ids=lambda s: s.spec_string())
+    def test_online_trace_equals_eager_one(self, strategy):
+        log = self.stream()
+        online, eager = LearningTrace(strategy), LearningTrace(strategy)
+        for obs in log:
+            online.extend(obs)
+            eager.extend(obs)
+            eager.skipped           # a full view after every observation
+        assert online.plevel_reference is not None
+        assert online.snapshot() == eager.snapshot()
+        assert online.skipped == eager.skipped
+        assert online.reference_trends == eager.reference_trends
+        replay = LearningTrace.from_log(online.observations, strategy)
+        replay.snapshot()
+        assert replay.reference_trends.keys() == online.reference_trends.keys()
+        assert all(replay.reference_trends[lv] is fit
+                   for lv, fit in online.reference_trends.items())
+
+    def test_diverged_plain_fit_keeps_the_anchored_trend(self, monkeypatch):
+        log = self.stream()
+        fixed = AnchoringStrategy.fixed(100.0)
+        base = LearningTrace.from_log(ObservationLog(log.entries), fixed)
+        base.snapshot()                 # fit its deferred levels unpatched
+        level = base.plevel_reference + 20
+        real_fit = traces.fit
+
+        def diverged_at(problem):
+            result = real_fit(problem)
+            if len(problem.x) == level and problem.anchor is None:
+                return dataclasses.replace(result, converged=False)
+            return result
+
+        monkeypatch.setattr(traces, "fit", diverged_at)
+        trace = LearningTrace.from_log(log, fixed)
+        assert base.skipped == {}
+        assert trace.skipped == {level: "fit diverged"}
+        assert level not in trace.reference_trends
+        assert trace.anchored_trends == base.anchored_trends
+        assert trace.anchors == base.anchors
+
+    def test_leaving_the_log_settles_in_its_store(self):
+        log = TestReferenceReuse.stream()
+        fixed = AnchoringStrategy.fixed(100.0)
+        ref = LearningTrace.from_log(log, fixed)
+        trace = LearningTrace.from_log(ObservationLog(log.entries[:15]), fixed,
+                                       reference=ref)
+        assert trace.plevel_reference < 14
+        moved = dataclasses.replace(log.entries[15],
+                                    accuracy=log.entries[15].accuracy + 0.2)
+        trace.extend(moved)
+        for lv, fit in trace.reference_trends.items():
+            assert (fit is ref.reference_trends[lv]) == (lv <= 15)
 
 
 class TestParamsValidation:
