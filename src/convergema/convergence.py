@@ -67,17 +67,20 @@ def _difference(c1: PowerLawCurve, c2: PowerLawCurve, x: float) -> float:
             + c1.c - c2.c)
 
 
-def _geo_mid(lo: float, hi: float) -> float:
-    # sqrt(lo * hi) without overflowing for huge tail brackets
-    return lo * math.sqrt(hi / lo)
-
-
 def _bisect_root(c1, c2, lo, hi, d_lo):
+    """Bisect [lo, hi] at geometric midpoints for the root of
+    `_difference(c1, c2, .)`, whose sign at lo is that of d_lo.  The loop
+    inlines `_difference` with the curve parameters in locals, in the same
+    order of operations, so it returns the bits of the plain calls."""
+    a1, nb1, k1 = c1.a, -c1.b, c1.c
+    a2, nb2, k2 = c2.a, -c2.b, c2.c
+    power, sqrt = math.pow, math.sqrt
     for _ in range(200):
-        mid = _geo_mid(lo, hi)
+        # sqrt(lo * hi) without overflowing for huge tail brackets
+        mid = lo * sqrt(hi / lo)
         if mid <= lo or mid >= hi:
             break
-        d_mid = _difference(c1, c2, mid)
+        d_mid = a2 * power(mid, nb2) - a1 * power(mid, nb1) + k1 - k2
         if d_lo * d_mid <= 0.0:
             hi = mid
         else:
@@ -85,7 +88,7 @@ def _bisect_root(c1, c2, lo, hi, d_lo):
             d_lo = d_mid
         if hi - lo < 1e-12 * mid:
             break
-    return _geo_mid(lo, hi)
+    return lo * sqrt(hi / lo)
 
 
 def _turning_point(c1: PowerLawCurve, c2: PowerLawCurve) -> float:

@@ -18,7 +18,7 @@ from .convergence import (ProximityCondition, clevel, epsilon_sequence,
 from .curves import evaluate
 from .errors import (ConvergemaError, MissingHorizon, NotDecreasing,
                      NotReached, UnresolvedCLevel)
-from .fitting import FitProblem, FitResult, fit
+from .fitting import FitResult, fit
 from .traces import LearningTrace, ObservationLog, TraceParams
 
 
@@ -40,12 +40,12 @@ class Horizon:
         if len(entries) < 3:
             raise MissingHorizon("horizon needs at least 3 observations")
         sub = ObservationLog(entries)
-        problem = FitProblem.from_arrays([o.x for o in sub], [o.accuracy for o in sub])
         # the plain fit of this prefix, shared with the log's traces; on a
         # skip reason, fitting again raises or returns what it always did
-        limit = log._fit_store().lookup((len(sub), None, None), lambda: problem)
+        limit = log._fit_store().lookup((len(sub), None, None),
+                                        lambda: sub.problem(len(sub)))
         if isinstance(limit, str):
-            limit = fit(problem)
+            limit = fit(sub.problem(len(sub)))
         return Horizon(observations=sub, limit_trend=limit)
 
 

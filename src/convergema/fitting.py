@@ -34,7 +34,7 @@ order and moves b in the last digits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, sqrt
+from math import inf, isfinite, sqrt
 from typing import Optional
 
 import numpy as np
@@ -57,7 +57,12 @@ _TRUST_GTOL = 1e-14
 
 @dataclass(frozen=True)
 class FitProblem:
-    """Observations to fit, with an optional anchor at infinity."""
+    """Observations to fit, with an optional anchor at infinity.
+
+    x must be finite, positive and strictly increasing, y finite and in
+    (0, 100]; the anchor, when given, and its weight must be finite, and
+    the weight positive.
+    """
 
     x: tuple[float, ...]
     y: tuple[float, ...]
@@ -65,18 +70,22 @@ class FitProblem:
     anchor_weight: float = 1.0
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        y = np.asarray(self.y, dtype=float)
-        if x.size < 3:
+        n = len(self.x)
+        if n < 3:
             raise ValueError("need at least 3 observations to fit a trend")
-        if x.size != y.size:
+        if len(self.y) != n:
             raise ValueError("x and y must have equal length")
-        if np.any(np.diff(x) <= 0.0):
-            raise ValueError("x must be strictly increasing")
-        if np.any(x <= 0.0):
-            raise ValueError("x must be positive")
-        if np.any(y <= 0.0) or np.any(y > 100.0):
-            raise ValueError("accuracies must lie in (0, 100]")
+        x = np.fromiter(self.x, float, n)
+        y = np.fromiter(self.y, float, n)
+        # NaN fails every comparison and inf fails a bound, so this passes
+        # exactly the finite, increasing, positive x and in-range y
+        if not (np.minimum.reduce(x[1:] - x[:-1]) > 0.0 and x[0] > 0.0
+                and x[-1] < inf and y.min() > 0.0 and y.max() <= 100.0):
+            raise _invalid_data(x, y)
+        if self.anchor is not None and not isfinite(self.anchor):
+            raise ValueError("anchor must be finite")
+        if not isfinite(self.anchor_weight):
+            raise ValueError("anchor_weight must be finite")
         if self.anchor_weight <= 0.0:
             raise ValueError("anchor_weight must be positive")
 
@@ -85,6 +94,17 @@ class FitProblem:
         return FitProblem(tuple(float(v) for v in x), tuple(float(v) for v in y),
                           anchor=None if anchor is None else float(anchor),
                           anchor_weight=float(anchor_weight))
+
+
+def _invalid_data(x, y) -> ValueError:
+    """The error naming the first check that x and y fail."""
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        return ValueError("x and y must be finite")
+    if np.any(np.diff(x) <= 0.0):
+        return ValueError("x must be strictly increasing")
+    if np.any(x <= 0.0):
+        return ValueError("x must be positive")
+    return ValueError("accuracies must lie in (0, 100]")
 
 
 @dataclass(frozen=True)
@@ -104,6 +124,12 @@ class _Profile:
     even when x**-b barely varies over the data.  The b-independent terms
     (log x, the weighted mean of y and y centred on it) are computed once
     per fit.
+
+    A fit solves the profile about 47 times, so `solve` is written for
+    call overhead at small n: `ndarray.dot` for its 1-D products runs the
+    same BLAS `ddot` as `@` at about 60% of its cost (0.49 against 0.79 us
+    at n = 90), and `np.add.reduce` is the pairwise summation of `.sum()`.
+    Both give the same bits as the plain spelling.
     """
 
     def __init__(self, x, y, anchor, weight):
@@ -126,25 +152,25 @@ class _Profile:
         b-dependence of the residuals contributes."""
         anchor, weight, y_mean = self.anchor, self.weight, self.y_mean
         g = np.exp(self.lx * (-b))
-        g_mean = float(g.sum()) / self.w_tot
+        g_mean = float(np.add.reduce(g)) / self.w_tot
         g_cent = g - g_mean
-        denom = float(g_cent @ g_cent)
-        num = float(g_cent @ self.y_cent)
+        denom = float(g_cent.dot(g_cent))
+        num = float(g_cent.dot(self.y_cent))
         if anchor is not None:
             denom += weight * g_mean * g_mean
             num += weight * (-g_mean) * self.anchor_gap
         if denom <= 0.0:
-            return float(self.y_cent @ self.y_cent), 0.0, y_mean, 0.0
+            return float(self.y_cent.dot(self.y_cent)), 0.0, y_mean, 0.0
         a = -num / denom
         c = y_mean + a * g_mean
         resid = self.y - c + a * g
-        sse = float(resid @ resid)
+        sse = float(resid.dot(resid))
         if anchor is not None:
             sse += weight * (anchor - c) ** 2
         if not grad:
             return sse, a, c, None
         # d r_i / d b = -a * ln(x_i) * x_i**-b  (anchor row is b-independent)
-        return sse, a, c, -2.0 * a * float(np.dot(resid, self.lx * g))
+        return sse, a, c, -2.0 * a * float(resid.dot(self.lx * g))
 
 
 def _scan_profile(grid, x, y, anchor, weight):
@@ -508,6 +534,6 @@ def fit(problem: FitProblem) -> FitResult:
     if anchor is not None:
         rinf = float(anchor - c)
         sse += weight * rinf * rinf
-    return FitResult(curve=curve, residuals=tuple(float(v) for v in res),
+    return FitResult(curve=curve, residuals=tuple(res.tolist()),
                      residual_at_infinity=rinf, sse=sse, converged=converged)
 

@@ -82,12 +82,19 @@ class _FitStore(dict):
 
 
 class ObservationLog:
-    """Ordered (level, size, accuracy) samples, levels contiguous from 1."""
+    """Ordered (level, size, accuracy) samples, levels contiguous from 1.
+
+    Sizes and accuracies are also kept as float columns, from which the
+    fit problems of the log's prefixes are built."""
 
     def __init__(self, entries: Iterable[Observation] = (),
                  scheme: Optional[LearningScheme] = None):
         self.entries: list[Observation] = []
         self.scheme = scheme
+        self._xs: list[float] = []
+        self._ys: list[float] = []
+        # the scheme's size at the last level, so a check takes one step
+        self._position: Optional[int] = None
         self._store_ref: Optional[weakref.ref] = None
         for obs in entries:
             self.append(obs)
@@ -112,12 +119,28 @@ class ObservationLog:
         if not (0.0 < obs.accuracy <= ACCURACY_CEILING):
             raise ValueError("accuracy must lie in (0, 100]")
         if self.scheme is not None:
-            want = self.scheme.positions(obs.level)[-1]
+            if self._position is None:
+                want = self.scheme.kernel_size
+            else:
+                delta = self.scheme.step(obs.level)
+                if delta <= 0:
+                    raise ValueError("step function must be positive")
+                want = self._position + delta
             if obs.x != want:
                 raise ValueError(
                     f"size {obs.x} at level {obs.level} disagrees with the "
                     f"declared scheme (expected {want})")
+            self._position = want
         self.entries.append(obs)
+        self._xs.append(float(obs.x))
+        self._ys.append(float(obs.accuracy))
+
+    def problem(self, level: int, anchor: Optional[float] = None,
+                anchor_weight: float = 1.0) -> FitProblem:
+        """The fit problem of the first `level` observations."""
+        return FitProblem(tuple(self._xs[:level]), tuple(self._ys[:level]),
+                          anchor=None if anchor is None else float(anchor),
+                          anchor_weight=float(anchor_weight))
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -295,20 +318,16 @@ class LearningTrace:
 
     # -- fitting ----------------------------------------------------------
 
-    def _problem(self, level: int, anchor: Optional[float]) -> FitProblem:
-        xs = [o.x for o in self.observations.entries[:level]]
-        ys = [o.accuracy for o in self.observations.entries[:level]]
-        return FitProblem.from_arrays(xs, ys, anchor=anchor,
-                                      anchor_weight=self.params.anchor_weight)
-
     def _fit(self, level: int, anchor: Optional[float]) -> "FitResult | str":
         """The fit of the first `level` observations with `anchor` (None:
         plain), or the reason the level is skipped.  It is looked up in the
         store of the log the trace follows, or else fitted and recorded
         there, so no trace of that log fits the same problem twice."""
         weight = None if anchor is None else self.params.anchor_weight
-        return self._store.lookup((level, anchor, weight),
-                                  lambda: self._problem(level, anchor))
+        return self._store.lookup(
+            (level, anchor, weight),
+            lambda: self.observations.problem(level, anchor,
+                                              self.params.anchor_weight))
 
     def _settle(self, upto: Optional[int] = None) -> None:
         """Fit the plain levels not yet fitted, in order, up to `upto`

@@ -11,6 +11,7 @@ from convergema import (ConvergemaError, GeneratorSpec, LearningTrace,
                         MissingWLevel, ObservationLog, generate,
                         drift_perturbations)
 from convergema import convergence
+from tests import intersect_fixtures
 from tests.conftest import build_trace
 
 
@@ -91,6 +92,15 @@ class TestIntersect:
         ref = dense_sign_scan(c1, c2, 10.0, 1e14, cells=400_000)
         assert out.count == len(ref)
         assert out.last[0] == pytest.approx(ref[-1], rel=1e-6)
+
+    def test_intersections_frozen(self):
+        # bit for bit, so a reordered bisection step shows even where the
+        # 1e-12 tolerances of the tests above absorb it
+        got = [intersect_fixtures.as_hex(
+                   intersect(c1, c2, intersect_fixtures.X_MIN))
+               for c1, c2 in intersect_fixtures.pairs()]
+        assert got == list(intersect_fixtures.FROZEN)
+        assert {row[0] for row in got} == {0, 1, 2}
 
     def test_roots_satisfy_equation(self):
         c1 = PowerLawCurve(50.0, 0.7, 97.0)

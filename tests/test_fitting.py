@@ -19,14 +19,37 @@ def noiseless_problem(anchor=None):
 
 
 def test_problem_validation():
-    with pytest.raises(ValueError):
-        FitProblem.from_arrays([1.0, 2.0], [50.0, 60.0])
-    with pytest.raises(ValueError):
-        FitProblem.from_arrays([1.0, 2.0, 2.0], [50.0, 60.0, 61.0])
-    with pytest.raises(ValueError):
-        FitProblem.from_arrays([1.0, 2.0, 3.0], [50.0, 60.0, 160.0])
-    with pytest.raises(ValueError):
-        FitProblem.from_arrays([1.0, 2.0, 3.0], [50.0, 60.0, 70.0], anchor_weight=0.0)
+    nan, inf = float("nan"), float("inf")
+    x, y = [1.0, 2.0, 3.0], [50.0, 60.0, 70.0]
+    cases = [
+        (([1.0, 2.0], [50.0, 60.0]), {}, "at least 3 observations"),
+        ((x, [50.0, 60.0]), {}, "equal length"),
+        (([1.0, 2.0, 2.0], [50.0, 60.0, 61.0]), {}, "strictly increasing"),
+        (([3.0, 2.0, 1.0], y), {}, "strictly increasing"),
+        (([-1.0, 2.0, 3.0], y), {}, "x must be positive"),
+        (([0.0, 2.0, 3.0], y), {}, "x must be positive"),
+        ((x, [50.0, 60.0, 160.0]), {}, r"\(0, 100\]"),
+        ((x, [0.0, 60.0, 70.0]), {}, r"\(0, 100\]"),
+        (([1.0, nan, 3.0], y), {}, "x and y must be finite"),
+        (([1.0, 2.0, inf], y), {}, "x and y must be finite"),
+        (([-inf, 2.0, 3.0], y), {}, "x and y must be finite"),
+        ((x, [50.0, nan, 70.0]), {}, "x and y must be finite"),
+        ((x, [50.0, 60.0, inf]), {}, "x and y must be finite"),
+        ((x, [-inf, 60.0, 70.0]), {}, "x and y must be finite"),
+        ((x, y), {"anchor": nan}, "anchor must be finite"),
+        ((x, y), {"anchor": inf}, "anchor must be finite"),
+        ((x, y), {"anchor_weight": nan}, "anchor_weight must be finite"),
+        ((x, y), {"anchor_weight": inf}, "anchor_weight must be finite"),
+        ((x, y), {"anchor_weight": 0.0}, "anchor_weight must be positive"),
+        ((x, y), {"anchor_weight": -1.0}, "anchor_weight must be positive"),
+    ]
+    for (xs, ys), kwargs, message in cases:
+        with pytest.raises(ValueError, match=message):
+            FitProblem.from_arrays(xs, ys, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            FitProblem(tuple(xs), tuple(ys), **kwargs)
+    FitProblem.from_arrays(x, [50.0, 60.0, 100.0], anchor=100.0,
+                           anchor_weight=0.5)
 
 
 def test_noiseless_recovery():

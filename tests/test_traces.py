@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
-                        FrameSpec, GeneratorSpec, Horizon, LearningScheme,
-                        LearningTrace, Observation, ObservationLog,
+                        FitProblem, FrameSpec, GeneratorSpec, Horizon,
+                        LearningScheme, LearningTrace, Observation,
+                        ObservationLog,
                         PowerLawCurve, ProximityCondition, TraceParams,
                         build_frame, clevel, drift_perturbations,
                         epsilon_sequence, evaluation, find_optimal_look_ahead,
@@ -37,6 +38,35 @@ class TestScheme:
         with pytest.raises(ValueError):
             log.append(Observation(2, 145, 51.0))
 
+    @pytest.mark.parametrize("bad_step", [0, -10])
+    def test_log_rejects_non_positive_step(self, bad_step):
+        scheme = LearningScheme(kernel_size=100,
+                                step=lambda i: bad_step if i == 3 else 10)
+        log = ObservationLog(scheme=scheme)
+        log.append(Observation(1, 100, 50.0))
+        log.append(Observation(2, 110, 51.0))
+        with pytest.raises(ValueError, match="step function must be positive"):
+            log.append(Observation(3, 120, 52.0))
+        assert len(log) == 2
+
+    def test_log_follows_positions_one_step_per_append(self):
+        calls = []
+
+        def step(i):
+            calls.append(i)
+            return 10 * i
+
+        scheme = LearningScheme(kernel_size=100, step=step)
+        sizes = scheme.positions(40)
+        calls.clear()
+        log = ObservationLog.from_arrays(sizes, [50.0 + 0.1 * i
+                                                 for i in range(40)],
+                                         scheme=scheme)
+        assert [o.x for o in log] == sizes
+        assert calls == list(range(2, 41))
+        with pytest.raises(ValueError, match=f"expected {sizes[-1] + 410}"):
+            log.append(Observation(41, sizes[-1] + 400, 55.0))
+
 
 class TestObservationLog:
     def test_contiguous_levels(self):
@@ -51,6 +81,18 @@ class TestObservationLog:
             log.append(Observation(1, 100, 0.0))
         with pytest.raises(ValueError):
             log.append(Observation(1, 100, 100.5))
+
+    def test_problem_equals_from_arrays(self):
+        log = ObservationLog.from_arrays([100, 200, 300, 400],
+                                         [50.0, np.float64(55.5), 58, 60.25])
+        for level in (3, 4):
+            sub = log.entries[:level]
+            for anchor, weight in ((None, 1.0), (np.float64(99.5), 2)):
+                want = FitProblem.from_arrays(
+                    [o.x for o in sub], [o.accuracy for o in sub],
+                    anchor=anchor, anchor_weight=weight)
+                got = log.problem(level, anchor, weight)
+                assert got == want and repr(got) == repr(want)
 
 
 class TestNormalizedSlope:
