@@ -26,13 +26,6 @@ from .traces import LearningScheme, LearningTrace, TraceParams
 SEED_ENV = "CONVERGEMA_SEED"
 
 
-def _params(nu, slowdown, look_ahead, anchor_weight,
-            plevel_source) -> TraceParams:
-    return TraceParams(nu=nu, slowdown=slowdown, look_ahead=look_ahead,
-                       anchor_weight=anchor_weight,
-                       plevel_source=plevel_source)
-
-
 def _scheme(kernel, step):
     if kernel is None and step is None:
         return None
@@ -97,7 +90,7 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
             nu, slowdown, look_ahead, anchor_weight, plevel_source):
     """Stream a CSV of observations through a trace and report the stop
     decision.  Exits 0 when converged, 2 when not yet."""
-    params = _params(nu, slowdown, look_ahead, anchor_weight, plevel_source)
+    params = TraceParams(nu, slowdown, look_ahead, anchor_weight, plevel_source)
     strat = AnchoringStrategy.parse(strategy)
     cond = ProximityCondition(condition, tau)
     log = read_observations(observations, scheme=_scheme(kernel, step))
@@ -145,17 +138,13 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
         write_json(report, out)
     if series:
         rows = []
-        put_cond = cond if cond.kind == "absolute" else None
         for rec in records:
             put_val = ""
-            if (put_cond is not None
-                    and trace.strategy.kind in ("fixed", "fixed_look_ahead")
-                    and trace.plevel is not None
-                    and rec.level > trace.plevel + 1):
+            if cond.kind == "absolute":
                 try:
-                    put_val = put(trace, put_cond, rec.level, records)
-                except ConvergemaError:
-                    put_val = ""
+                    put_val = put(trace, cond, rec.level, records)
+                except (ValueError, ConvergemaError):
+                    pass    # PUT is not defined at this level
             rows.append({"level": rec.level, "epsilon": repr(rec.epsilon),
                          "is_rupture": int(rec.is_rupture), "put": put_val})
         write_series_csv(rows, ("level", "epsilon", "is_rupture", "put"), series)
@@ -185,7 +174,7 @@ def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
          slowdown, look_ahead, anchor_weight, plevel_source):
     """Sweep tentative PUT values (100 down to 0, step 10) and pick the
     look-ahead with the turning-point relative cost."""
-    params = _params(nu, slowdown, look_ahead, anchor_weight, plevel_source)
+    params = TraceParams(nu, slowdown, look_ahead, anchor_weight, plevel_source)
     scheme = _scheme(kernel, step)
     obs_log = read_observations(observations, scheme=scheme)
     hor_log = read_observations(horizon_path, scheme=scheme)

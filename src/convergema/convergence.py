@@ -170,7 +170,8 @@ def epsilon_sequence(trace: LearningTrace) -> list[EpsilonRecord]:
     intersection count and epsilon), never on later levels.  So the fold is
     kept on the trace and resumed: a call intersects only the pairs added
     since the last call, provided the levels folded then are still the
-    first levels of the trace, each with the very same FitResult object;
+    first levels of the trace, each with an equal FitResult (one tuple
+    comparison, which passes the same object without comparing fields);
     otherwise it starts over.  The returned list is the caller's own.
     """
     omega = trace.wlevel
@@ -186,9 +187,7 @@ def epsilon_sequence(trace: LearningTrace) -> list[EpsilonRecord]:
     done = 0
     if trace._epsilon_fold is not None:
         folded, memo_records, memo_count, memo_eps = trace._epsilon_fold
-        if len(folded) <= len(pairs) and all(
-                old[0] == new[0] and old[1] is new[1]
-                for old, new in zip(folded, pairs)):
+        if folded == tuple(pairs[:len(folded)]):
             records = list(memo_records)
             prev_count, prev_eps = memo_count, memo_eps
             done = len(folded)
@@ -204,17 +203,14 @@ def epsilon_sequence(trace: LearningTrace) -> list[EpsilonRecord]:
         try:
             inter = intersect(prev_fit.curve, fit.curve, x_min)
         except CoincidentCurves:
-            eps = prev_eps if prev_eps is not None else 0.0
-            records.append(EpsilonRecord(level=level, epsilon=eps, q=None,
-                                         is_rupture=True))
-            prev_eps = eps
-            continue
-        if inter.count == 0:
-            eps = prev_eps if prev_eps is not None else 0.0
-            records.append(EpsilonRecord(level=level, epsilon=eps, q=None,
-                                         is_rupture=True))
-            prev_eps = eps
-            prev_count = 0
+            inter = None        # the previous count carries over
+        if inter is None or inter.count == 0:
+            # no crossing to bound by: a rupture, carrying epsilon forward
+            prev_eps = prev_eps if prev_eps is not None else 0.0
+            records.append(EpsilonRecord(level=level, epsilon=prev_eps,
+                                         q=None, is_rupture=True))
+            if inter is not None:
+                prev_count = 0
             continue
         rupture = anchor_changed or (prev_count is not None
                                      and inter.count != prev_count)
@@ -247,11 +243,10 @@ def clevel(trace: LearningTrace, condition: ProximityCondition) -> Optional[int]
     plevel = trace.plevel
     if plevel is None:
         return None
-    entries = [e for e in trace.backbone()]
+    entries = trace.backbone()
     look = trace.params.look_ahead
-    gaps = []
-    for prev, cur in zip(entries, entries[1:]):
-        gaps.append((cur.level, abs(cur.alpha - prev.alpha)))
+    gaps = [(cur.level, abs(cur.alpha - prev.alpha))
+            for prev, cur in zip(entries, entries[1:])]
     for idx, (level, _) in enumerate(gaps):
         if level <= plevel:
             continue
@@ -269,24 +264,24 @@ def normalize_threshold(trace: LearningTrace, tau_r: float) -> float:
     stop = clevel(trace, ProximityCondition("relative", tau_r))
     if stop is None:
         raise NotReached("relative condition does not stop within the trace")
-    records = epsilon_sequence(trace)
+    return _epsilon_at(epsilon_sequence(trace), stop)
+
+
+def _epsilon_at(records: list[EpsilonRecord], level: int) -> float:
+    """Epsilon of the first record at or after `level`."""
     for rec in records:
-        if rec.level >= stop:
+        if rec.level >= level:
             return rec.epsilon
-    raise NotReached(f"no epsilon available at or after level {stop}")
+    raise NotReached(f"no epsilon record at or after level {level}")
 
 
 def _distance_estimate(trace: LearningTrace, condition: ProximityCondition,
                        level: int,
-                       records: Optional[list[EpsilonRecord]] = None) -> float:
-    """The condition's estimate of the remaining distance to final accuracy."""
+                       records: Optional[list[EpsilonRecord]]) -> float:
+    """The condition's estimate of the remaining distance to final accuracy;
+    `records` is the epsilon sequence under the absolute condition."""
     if condition.kind == "absolute":
-        if records is None:
-            records = epsilon_sequence(trace)
-        for rec in records:
-            if rec.level >= level:
-                return rec.epsilon
-        raise NotReached(f"no epsilon record at or after level {level}")
+        return _epsilon_at(records, level)
     entries = trace.backbone()
     for prev, cur in zip(entries, entries[1:]):
         if cur.level >= level:
@@ -296,7 +291,9 @@ def _distance_estimate(trace: LearningTrace, condition: ProximityCondition,
 
 def put(trace: LearningTrace, condition: ProximityCondition, level: int,
         records: Optional[list[EpsilonRecord]] = None) -> float:
-    """Percentage of uncovered threshold at `level`, in [0, 100]."""
+    """Percentage of uncovered threshold at `level`, in [0, 100].  It is
+    defined on fixed anchoring traces past plevel + 1: elsewhere this raises
+    ValueError, or NotReached while the prediction level is unresolved."""
     if trace.strategy.kind not in ("fixed", "fixed_look_ahead"):
         raise ValueError("PUT is defined for fixed anchoring traces")
     plevel = trace.plevel

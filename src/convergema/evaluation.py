@@ -201,17 +201,15 @@ class LocalTestingFrame:
                     rp_e = a_e / rc
                 except ConvergemaError:
                     pass
+            # PUT at the look-ahead switch, where `put` defines it
             look = run.strategy.look_ahead
-            if (run.strategy.kind == "fixed_look_ahead"
-                    and run.trace.plevel is not None):
-                switch = run.trace.plevel + run.strategy.look_ahead
-                if switch > run.trace.plevel + 1:
-                    try:
-                        put_val = put(run.trace,
-                                      ProximityCondition("absolute", self.tau_a),
-                                      switch)
-                    except (ValueError, ConvergemaError):
-                        put_val = None
+            if look is not None and run.plevel is not None:
+                try:
+                    put_val = put(run.trace,
+                                  ProximityCondition("absolute", self.tau_a),
+                                  run.plevel + look)
+                except (ValueError, ConvergemaError):
+                    pass
             out.append(FrameRow(strategy=run.strategy.spec_string(),
                                 condition=run.condition.kind,
                                 tau=run.condition.tau,

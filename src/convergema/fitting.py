@@ -122,8 +122,8 @@ class _Profile:
     The model is linear in (a, c) once b is fixed; the constant column is
     orthogonalised out of the decaying one, which keeps the solve stable
     even when x**-b barely varies over the data.  The b-independent terms
-    (log x, the weighted mean of y and y centred on it) are computed once
-    per fit.
+    (log x, the weighted mean of y, y centred on it and the anchor gap) are
+    computed once per fit, for the grid `scan` and the point `solve` alike.
 
     A fit solves the profile about 47 times, so `solve` is written for
     call overhead at small n: `ndarray.dot` for its 1-D products runs the
@@ -133,7 +133,7 @@ class _Profile:
     """
 
     def __init__(self, x, y, anchor, weight):
-        self.y, self.anchor, self.weight = y, anchor, weight
+        self.x, self.y, self.anchor, self.weight = x, y, anchor, weight
         self.lx = np.log(x)
         n = x.size
         if anchor is not None:
@@ -172,33 +172,26 @@ class _Profile:
         # d r_i / d b = -a * ln(x_i) * x_i**-b  (anchor row is b-independent)
         return sse, a, c, -2.0 * a * float(resid.dot(self.lx * g))
 
-
-def _scan_profile(grid, x, y, anchor, weight):
-    """SSE*(b) over a whole b grid in one vectorised pass."""
-    g = np.power.outer(x, -grid)                      # n x m
-    n = x.size
-    if anchor is not None:
-        w_tot = n + weight
-        g_mean = g.sum(axis=0) / w_tot
-        y_mean = (float(np.sum(y)) + weight * anchor) / w_tot
-    else:
-        g_mean = g.mean(axis=0)
-        y_mean = float(np.mean(y))
-    g_cent = g - g_mean
-    y_cent = y - y_mean
-    denom = np.einsum("ij,ij->j", g_cent, g_cent)
-    num = y_cent @ g_cent
-    if anchor is not None:
-        denom = denom + weight * g_mean * g_mean
-        num = num + weight * (-g_mean) * (anchor - y_mean)
-    safe = denom > 0.0
-    a = np.where(safe, -num / np.where(safe, denom, 1.0), 0.0)
-    c = y_mean + a * g_mean
-    resid = y[:, None] - c + a * g
-    sse = np.einsum("ij,ij->j", resid, resid)
-    if anchor is not None:
-        sse = sse + weight * (anchor - c) ** 2
-    return sse
+    def scan(self, grid):
+        """SSE*(b) over a whole b grid in one vectorised pass: `solve`'s
+        algebra with x**-b from `np.power` and plain reductions."""
+        anchor, weight, y_mean = self.anchor, self.weight, self.y_mean
+        g = np.power.outer(self.x, -grid)                 # n x m
+        g_mean = g.sum(axis=0) / self.w_tot
+        g_cent = g - g_mean
+        denom = np.einsum("ij,ij->j", g_cent, g_cent)
+        num = self.y_cent @ g_cent
+        if anchor is not None:
+            denom = denom + weight * g_mean * g_mean
+            num = num + weight * (-g_mean) * self.anchor_gap
+        safe = denom > 0.0
+        a = np.where(safe, -num / np.where(safe, denom, 1.0), 0.0)
+        c = y_mean + a * g_mean
+        resid = self.y[:, None] - c + a * g
+        sse = np.einsum("ij,ij->j", resid, resid)
+        if anchor is not None:
+            sse = sse + weight * (anchor - c) ** 2
+        return sse
 
 
 _SQRT_EPS = sqrt(2.2e-16)
@@ -371,7 +364,10 @@ def _trust_region(residuals, jacobian, x0):
     ported step for step from scipy's `least_squares(method="trf")`
     (`trf_no_bounds` with linear loss and unit variable scale) at
     _TRUST_FTOL, _TRUST_XTOL, _TRUST_GTOL and _TRUST_MAX_NFEV, so it returns
-    the same point bit for bit.
+    the same point bit for bit.  It stops on the step that meets a step
+    test without evaluating the Jacobian there, which scipy evaluates only
+    to return it and to test the gradient, so where that gradient also
+    vanishes scipy reports status 1 for the same point.
 
     Returns (x, sse, status); status is 0 when the evaluation budget ran
     out, 1 for a vanishing gradient, 2 for a small relative SSE decrease,
@@ -443,6 +439,8 @@ def _trust_region(residuals, jacobian, x0):
             delta = delta_new
         if actual_reduction > 0:
             x, f, cost = x_new, f_new, cost_new
+            if status is not None:
+                break       # nothing reads the Jacobian at the final point
             J = jacobian(x)
             g = J.T.dot(f)
     return x, 2.0 * float(cost), 0 if status is None else status
@@ -495,7 +493,7 @@ def fit(problem: FitProblem) -> FitResult:
         return jac
 
     best = None                      # (sse, a, b, c)
-    sse_grid = _scan_profile(_B_GRID, x, y, anchor, weight)
+    sse_grid = profile.scan(_B_GRID)
     order = np.argsort(sse_grid)
     interior = set((np.nonzero((sse_grid[1:-1] <= sse_grid[:-2]) &
                                (sse_grid[1:-1] <= sse_grid[2:]))[0] + 1))

@@ -25,12 +25,8 @@ def read_observations(path, scheme: Optional[LearningScheme] = None) -> Observat
             if len(row) != 3:
                 raise ValueError(f"{path}:{line_no}: expected 3 fields, got {len(row)}")
             try:
-                obs = Observation(level=int(row[0]), x=int(row[1]),
-                                  accuracy=float(row[2]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from None
-            try:
-                log.append(obs)
+                log.append(Observation(level=int(row[0]), x=int(row[1]),
+                                       accuracy=float(row[2])))
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from None
     if len(log) == 0:

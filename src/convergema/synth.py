@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import PowerLawCurve, evaluate
-from .traces import LearningScheme, Observation, ObservationLog
+from .traces import LearningScheme, ObservationLog
 
 _FLOOR = 1e-6
 
@@ -50,11 +50,8 @@ def generate(spec: GeneratorSpec) -> ObservationLog:
         ys = ys + rng.normal(0.0, spec.noise_sd, size=spec.levels)
     for level, delta in spec.perturbations:
         ys[level - 1] += delta
-    ys = np.clip(ys, _FLOOR, 100.0)
-    log = ObservationLog(scheme=spec.scheme)
-    for i, (x, y) in enumerate(zip(xs, ys), start=1):
-        log.append(Observation(level=i, x=int(x), accuracy=float(y)))
-    return log
+    return ObservationLog.from_arrays(xs, np.clip(ys, _FLOOR, 100.0),
+                                      scheme=spec.scheme)
 
 
 def drift_perturbations(spec_levels: int, scale: float, decay: float,

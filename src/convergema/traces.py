@@ -39,23 +39,25 @@ class LearningScheme:
 
     kernel_size: int
     step: Callable[[int], int]
-    description: str = ""
+
+    def next_size(self, size: int, level: int) -> int:
+        """The size at `level`, one step past `size` at the level before."""
+        delta = self.step(level)
+        if delta <= 0:
+            raise ValueError("step function must be positive")
+        return size + delta
 
     def positions(self, levels: int) -> list[int]:
         if levels < 1:
             return []
         out = [self.kernel_size]
         for i in range(2, levels + 1):
-            delta = self.step(i)
-            if delta <= 0:
-                raise ValueError("step function must be positive")
-            out.append(out[-1] + delta)
+            out.append(self.next_size(out[-1], i))
         return out
 
     @staticmethod
-    def uniform(kernel: int, step: int, description: str = "") -> "LearningScheme":
-        return LearningScheme(kernel_size=kernel, step=lambda i: step,
-                              description=description or f"uniform({kernel},{step})")
+    def uniform(kernel: int, step: int) -> "LearningScheme":
+        return LearningScheme(kernel_size=kernel, step=lambda i: step)
 
 
 class _FitStore(dict):
@@ -119,13 +121,8 @@ class ObservationLog:
         if not (0.0 < obs.accuracy <= ACCURACY_CEILING):
             raise ValueError("accuracy must lie in (0, 100]")
         if self.scheme is not None:
-            if self._position is None:
-                want = self.scheme.kernel_size
-            else:
-                delta = self.scheme.step(obs.level)
-                if delta <= 0:
-                    raise ValueError("step function must be positive")
-                want = self._position + delta
+            want = (self.scheme.kernel_size if self._position is None
+                    else self.scheme.next_size(self._position, obs.level))
             if obs.x != want:
                 raise ValueError(
                     f"size {obs.x} at level {obs.level} disagrees with the "
@@ -385,18 +382,17 @@ class LearningTrace:
         self._settle()
         return self._skipped
 
+    def _backbone(self, trends: dict[int, FitResult]) -> list[BackboneEntry]:
+        entries = self.observations.entries
+        return [BackboneEntry(level, trends[level].curve.c, entries[level - 1].x)
+                for level in sorted(trends)]
+
     def reference_backbone(self) -> list[BackboneEntry]:
-        xs = {o.level: o.x for o in self.observations}
-        return [BackboneEntry(level, self.reference_trends[level].curve.c, xs[level])
-                for level in sorted(self.reference_trends)]
+        return self._backbone(self.reference_trends)
 
     def backbone(self) -> list[BackboneEntry]:
         """Active backbone: anchored trends when anchoring, else reference."""
-        if self.strategy.kind == "none":
-            return self.reference_backbone()
-        xs = {o.level: o.x for o in self.observations}
-        return [BackboneEntry(level, self.anchored_trends[level].curve.c, xs[level])
-                for level in sorted(self.anchored_trends)]
+        return self._backbone(self.trends())
 
     def trends(self) -> dict[int, FitResult]:
         if self.strategy.kind == "none":

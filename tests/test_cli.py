@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -139,6 +140,43 @@ class TestAnalyze:
         assert result.exit_code == 0
         header = series.read_text().splitlines()[0]
         assert header == "level,epsilon,is_rupture,put"
+
+    def test_series_put_only_where_defined(self, runner, tmp_path):
+        # a drift that keeps the first asymptotes above 100, so the
+        # prediction level falls past the first epsilon record
+        spec = GeneratorSpec(truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85,
+                                                 99.5),
+                             levels=40, seed=1,
+                             perturbations=drift_perturbations(40, 3.0, 0.15))
+        obs = tmp_path / "drift.csv"
+        write_observations(generate(spec), obs)
+
+        def analyze(*options):
+            series, report = tmp_path / "series.csv", tmp_path / "report.json"
+            result = runner.invoke(main, ["analyze", str(obs), "--tau", "0.01",
+                                          "--series", str(series),
+                                          "--out", str(report), *options])
+            assert result.exit_code in (0, 2), result.output
+            with open(series, newline="") as handle:
+                rows = list(csv.DictReader(handle))
+            assert rows
+            return rows, json.loads(report.read_text())["trace"]
+
+        # PUT is defined past plevel + 1 on a fixed anchoring trace
+        rows, trace = analyze("--strategy", "fixed:100")
+        plevel = trace["plevel_reference"]
+        levels = [int(row["level"]) for row in rows]
+        assert min(levels) <= plevel + 1 < max(levels)
+        for level, row in zip(levels, rows):
+            if level <= plevel + 1:
+                assert row["put"] == ""
+            else:
+                float(row["put"])
+        # and nowhere without anchoring, nor for the relative condition
+        for options in (["--strategy", "none"],
+                        ["--strategy", "fixed:100", "--condition", "relative"]):
+            rows, _ = analyze(*options)
+            assert all(row["put"] == "" for row in rows)
 
     def test_validation_rejects_bad_nu(self, runner, tmp_path):
         obs = observations_csv(tmp_path, levels=12)

@@ -277,6 +277,31 @@ def test_trust_region_port_matches_scipy(monkeypatch):
             solve(residuals, lambda p: np.array([[np.nan]]), np.array([0.0]))
 
 
+def test_trust_region_skips_jacobian_at_final_point(monkeypatch):
+    # a Jacobian 1.5 times too steep: each accepted step removes two thirds
+    # of the residual, until a step is below the step tolerance (status 3);
+    # the solve stops on that step and takes no Jacobian there
+    residuals, jacobian, _ = _linear([1.0], slope=1.5)
+    evaluations = []
+    svd = np.linalg.svd
+
+    def counted_jacobian(p):
+        evaluations.append("jacobian")
+        return jacobian(p)
+
+    def counted_svd(*args, **kwargs):
+        evaluations.append("svd")
+        return svd(*args, **kwargs)
+
+    x0 = np.array([2.0])
+    ref = _scipy_solve(residuals, jacobian, x0)
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    x, sse, status = _trust_region(residuals, counted_jacobian, x0)
+    assert (x == ref.x).all() and sse == 2.0 * ref.cost
+    assert status == ref.status == 3
+    assert evaluations.count("jacobian") == evaluations.count("svd") > 1
+
+
 def test_fit_outputs_frozen():
     got = [tuple(float.hex(v) for v in (r.curve.a, r.curve.b, r.curve.c, r.sse))
            for r in (fit(fit_fixtures.problem(case))
