@@ -143,13 +143,18 @@ def intersect(c1: PowerLawCurve, c2: PowerLawCurve,
     return IntersectionSet(first=pts[0], last=pts[-1], count=len(pts))
 
 
+def _working_level(trace: LearningTrace) -> int:
+    """The trace's working level; MissingWLevel while it is unresolved."""
+    if trace.wlevel is None:
+        raise MissingWLevel("epsilon sequence needs a resolved working level")
+    return trace.wlevel
+
+
 def _check_decreasing(trace: LearningTrace) -> None:
     """Raise NotDecreasing when the active backbone rises past omega+1."""
     if trace.strategy.kind in ("fixed", "fixed_look_ahead"):
         return
-    omega = trace.wlevel
-    if omega is None:
-        raise MissingWLevel("epsilon sequence needs a resolved working level")
+    omega = _working_level(trace)
     entries = [e for e in trace.backbone() if e.level > omega + 1]
     for prev, cur in zip(entries, entries[1:]):
         if cur.alpha - prev.alpha > _DECREASING_TOL:
@@ -168,17 +173,22 @@ def epsilon_sequence(trace: LearningTrace) -> list[EpsilonRecord]:
     The sequence is a left-to-right fold: a level's record depends only on
     its pair of trends and on the fold state before it (the previous
     intersection count and epsilon), never on later levels.  So the fold is
-    kept on the trace and resumed: a call intersects only the pairs added
-    since the last call, provided the levels folded then are still the
-    first levels of the trace, each with an equal FitResult (one tuple
-    comparison, which passes the same object without comparing fields);
-    otherwise it starts over.  The returned list is the caller's own.
+    kept on the trace and resumed (`_fold`).  The returned list is the
+    caller's own.
     """
-    omega = trace.wlevel
-    if omega is None:
-        raise MissingWLevel("epsilon sequence needs a resolved working level")
+    _working_level(trace)
     _check_decreasing(trace)
-    trends = trace.trends()
+    return list(_fold(trace, trace.trends()))
+
+
+def _fold(trace: LearningTrace, trends: dict) -> tuple[EpsilonRecord, ...]:
+    """The epsilon records of `trends` (level -> FitResult), the trace's
+    trends fitted so far, from the fold kept on the trace.
+
+    A call intersects only the pairs added since the last call, provided
+    the levels folded then are still the first levels of `trends`, each
+    with an equal FitResult (one tuple comparison, which passes the same
+    object without comparing fields); otherwise it starts over."""
     pairs = [(level, trends[level]) for level in sorted(trends)]
 
     records: list[EpsilonRecord] = []
@@ -193,13 +203,14 @@ def epsilon_sequence(trace: LearningTrace) -> list[EpsilonRecord]:
             done = len(folded)
 
     x_min = trace.observations.entries[0].x * _X_MIN_FACTOR
-    start = max(4, omega + 2)
+    start = max(4, trace.wlevel + 2)
     first = max(done, 1)
     for (prev_level, prev_fit), (level, fit) in zip(pairs[first - 1:],
                                                     pairs[first:]):
         if level < start:
             continue
-        anchor_changed = trace.anchors.get(level) != trace.anchors.get(prev_level)
+        anchor_changed = (trace._anchors.get(level)
+                          != trace._anchors.get(prev_level))
         try:
             inter = intersect(prev_fit.curve, fit.curve, x_min)
         except CoincidentCurves:
@@ -221,7 +232,7 @@ def epsilon_sequence(trace: LearningTrace) -> list[EpsilonRecord]:
         prev_count = inter.count
         prev_eps = eps
     trace._epsilon_fold = (tuple(pairs), tuple(records), prev_count, prev_eps)
-    return records
+    return trace._epsilon_fold[1]
 
 
 def threshold_level(records: list[EpsilonRecord], tau: float,
@@ -234,8 +245,17 @@ def threshold_level(records: list[EpsilonRecord], tau: float,
 
 
 def clevel(trace: LearningTrace, condition: ProximityCondition) -> Optional[int]:
-    """Level at which the proximity condition first holds; None if not yet."""
+    """Level at which the proximity condition first holds; None if not yet.
+
+    Under fixed anchoring an absolute stop is final: no epsilon record
+    depends on a later level and no backbone rise is checked.  So the
+    fold kept on the trace answers once it holds a qualifying record, and
+    until then the pending anchored levels are fitted and folded one at a
+    time.  Other strategies read every level: a later rise must still
+    raise NotDecreasing."""
     if condition.kind == "absolute":
+        if trace.strategy.kind in ("fixed", "fixed_look_ahead"):
+            return _final_stop(trace, condition.tau)
         records = epsilon_sequence(trace)
         omega = trace.wlevel
         return threshold_level(records, condition.tau, omega)
@@ -256,6 +276,25 @@ def clevel(trace: LearningTrace, condition: ProximityCondition) -> Optional[int]
         if all(g <= condition.tau for _, g in window):
             return level
     return None
+
+
+def _final_stop(trace: LearningTrace, tau: float) -> Optional[int]:
+    """The absolute clevel of a fixed-anchoring trace, fitting no anchored
+    level past it."""
+    omega = _working_level(trace)
+    if trace._epsilon_fold is not None:
+        stop = threshold_level(trace._epsilon_fold[1], tau, omega)
+        if stop is not None:
+            return stop
+    # the pending levels one at a time, the last one with the whole sequence
+    for level in range(max(trace._anchored_level, omega) + 1,
+                       len(trace.observations)):
+        trace._fit_anchored(level)
+        stop = threshold_level(_fold(trace, trace._anchored_trends), tau,
+                               omega)
+        if stop is not None:
+            return stop
+    return threshold_level(epsilon_sequence(trace), tau, omega)
 
 
 def normalize_threshold(trace: LearningTrace, tau_r: float) -> float:

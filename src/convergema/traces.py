@@ -8,10 +8,10 @@ window, and the prediction level is the first level from there whose
 asymptote does not exceed the 100% accuracy ceiling.
 
 Anchored strategies re-fit levels past the working level with an extra
-observation at infinity; the reference (plain) trends are kept, and fitted
-on demand past the prediction level, both because the working/prediction
-levels are defined on them and because the anchoring strategies draw their
-anchor values from them.
+observation at infinity, on demand; the reference (plain) trends are kept,
+and fitted on demand past the prediction level, both because the
+working/prediction levels are defined on them and because the anchoring
+strategies draw their anchor values from them.
 """
 from __future__ import annotations
 
@@ -236,13 +236,16 @@ def prediction_level(backbone: list[BackboneEntry], omega: int) -> Optional[int]
 class LearningTrace:
     """Single-writer incremental trace; snapshots are plain data.
 
-    Once the reference prediction level is set, an anchored trace's
-    `extend` fits the anchored level only: no decision reads a new plain
-    fit.  Reading `reference_trends` or `skipped` fits the deferred plain
-    levels first (`_settle`), so both hold what an eager trace holds.  An
-    anchored level is fitted even if its plain fit was skipped; only a
-    plain "fit diverged" then differs, keeping the anchored trend while
-    `skipped` names the level.
+    On an anchored trace, `extend` fits the plain levels up to the
+    reference prediction level and no anchored level; the other fits wait
+    until a view reads them.  Reading `reference_trends` fits the deferred
+    plain levels (`_settle`); reading `anchored_trends`, `anchors`,
+    `plevel_anchored` or `trends()` fits the deferred anchored levels in
+    level order (`_fit_anchored`); `skipped` fits both.  A level's fit
+    depends only on its prefix and on the levels below it, so every view
+    holds what an eager trace holds.  An anchored level is fitted even if
+    its plain fit was skipped; only a plain "fit diverged" then differs,
+    keeping the anchored trend while `skipped` names the level.
     """
 
     def __init__(self, strategy: AnchoringStrategy,
@@ -252,17 +255,20 @@ class LearningTrace:
         self.params = params
         self.observations = ObservationLog(scheme=scheme)
         self._reference_trends: dict[int, FitResult] = {}
-        self.anchored_trends: dict[int, FitResult] = {}
-        self.anchors: dict[int, float] = {}
+        self._anchored_trends: dict[int, FitResult] = {}
+        self._anchors: dict[int, float] = {}
         self._skipped: dict[int, str] = {}
         # the last level whose plain fit, and whose anchored fit, was made
         self._plain_level = 2
         self._anchored_level = 0
+        # set while anchored levels are fitted: the views then show the
+        # trace as it stands, which holds every level an anchor reads
+        self._fitting = False
         self.wlevel: Optional[int] = None
         self.plevel_reference: Optional[int] = None
-        self.plevel_anchored: Optional[int] = None
-        # epsilon fold state kept by convergence.epsilon_sequence so that a
-        # query resumes it: (level, FitResult) pairs, records, count, epsilon
+        self._plevel_anchored: Optional[int] = None
+        # epsilon fold state kept by convergence._fold so that a query
+        # resumes it: (level, FitResult) pairs, records, count, epsilon
         self._epsilon_fold: Optional[tuple] = None
         # the log this trace follows, and that log's fit store (see _fit)
         self._stream = self.observations
@@ -301,16 +307,16 @@ class LearningTrace:
         n = len(self.observations)
         if (self._stream is not self.observations
                 and self._stream.entries[n - 1:n] != [obs]):
-            # the trace leaves its log: its deferred plain fits go to the
-            # log's store, and from here on it fits its own prefixes
+            # the trace leaves its log: its deferred fits go to the log's
+            # store, and from here on it fits its own prefixes
             self._settle(n - 1)
+            self._fit_anchored(n - 1)
             self._stream = self.observations
             self._store = self._stream._fit_store()
-        if n >= 3:
-            if self.strategy.kind == "none" or self.plevel_reference is None:
-                self._settle()
-                self._update_levels()
-            self._fit_pending_anchored()
+        if n >= 3 and (self.strategy.kind == "none"
+                       or self.plevel_reference is None):
+            self._settle()
+            self._update_levels()
         return self
 
     # -- fitting ----------------------------------------------------------
@@ -329,6 +335,8 @@ class LearningTrace:
     def _settle(self, upto: Optional[int] = None) -> None:
         """Fit the plain levels not yet fitted, in order, up to `upto`
         (default: the last observed level)."""
+        if self._fitting:
+            return
         if upto is None:
             upto = len(self.observations)
         for level in range(self._plain_level + 1, upto + 1):
@@ -339,23 +347,33 @@ class LearningTrace:
                 self._reference_trends[level] = result
             self._plain_level = level
 
-    def _fit_pending_anchored(self) -> None:
-        """Fit the anchored levels not yet fitted, in order."""
-        if self.strategy.kind == "none" or self.wlevel is None:
+    def _fit_anchored(self, upto: Optional[int] = None) -> None:
+        """Fit the anchored levels not yet fitted, in order, up to `upto`
+        (default: the last observed level).  A level's anchor reads only
+        the trace below that level (`anchor_for_level`), through views
+        that fit nothing while this runs, so it is the anchor an eager
+        trace would have used."""
+        if self._fitting or self.strategy.kind == "none" or self.wlevel is None:
             return
-        start = max(self._anchored_level, self.wlevel) + 1
-        for level in range(start, len(self.observations) + 1):
-            anchor = anchor_for_level(self.strategy, level, self)
-            result = self._fit(level, anchor)
-            if isinstance(result, str):
-                self._skipped[level] = result
-            else:
-                self.anchored_trends[level] = result
-                self.anchors[level] = float(anchor)
-                if (self.plevel_anchored is None
-                        and result.curve.c <= ACCURACY_CEILING):
-                    self.plevel_anchored = level
-            self._anchored_level = level
+        if upto is None:
+            upto = len(self.observations)
+        self._fitting = True
+        try:
+            for level in range(max(self._anchored_level, self.wlevel) + 1,
+                               upto + 1):
+                anchor = anchor_for_level(self.strategy, level, self)
+                result = self._fit(level, anchor)
+                if isinstance(result, str):
+                    self._skipped[level] = result
+                else:
+                    self._anchored_trends[level] = result
+                    self._anchors[level] = float(anchor)
+                    if (self._plevel_anchored is None
+                            and result.curve.c <= ACCURACY_CEILING):
+                        self._plevel_anchored = level
+                self._anchored_level = level
+        finally:
+            self._fitting = False
 
     # -- levels -----------------------------------------------------------
 
@@ -378,8 +396,24 @@ class LearningTrace:
         return self._reference_trends
 
     @property
+    def anchored_trends(self) -> dict[int, FitResult]:
+        self._fit_anchored()
+        return self._anchored_trends
+
+    @property
+    def anchors(self) -> dict[int, float]:
+        self._fit_anchored()
+        return self._anchors
+
+    @property
+    def plevel_anchored(self) -> Optional[int]:
+        self._fit_anchored()
+        return self._plevel_anchored
+
+    @property
     def skipped(self) -> dict[int, str]:
         self._settle()
+        self._fit_anchored()
         return self._skipped
 
     def _backbone(self, trends: dict[int, FitResult]) -> list[BackboneEntry]:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -285,6 +287,44 @@ class TestCLevel:
         trace = fixed_trace(levels=20)
         assert clevel(trace, ProximityCondition("relative", 1e-15)) is None
 
+    @pytest.mark.parametrize("strategy", [AnchoringStrategy.none(),
+                                          AnchoringStrategy.canonical()],
+                             ids=lambda s: s.spec_string())
+    def test_rise_after_the_stop_still_raises(self, monkeypatch, strategy):
+        # these strategies read every level: a backbone rise after the first
+        # qualifying record raises, although that record stands
+        from convergema import traces
+        entries = generate(GeneratorSpec(
+            truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=30,
+            perturbations=drift_perturbations(30, 0.8, 0.15), seed=7)).entries
+        real_fit = traces.fit
+
+        def rise_at_last(problem):
+            result = real_fit(problem)
+            if (problem.anchor is None) != (strategy.kind == "none"):
+                return result
+            c = result.curve.c
+            if problem.anchor is not None:
+                # the canonical anchor is the previous asymptote, so a
+                # moving asymptote makes every record a rupture; held at
+                # its anchor, it leaves records to stop at
+                c = problem.anchor
+            if len(problem.x) == len(entries):
+                c += 1.0
+            curve = dataclasses.replace(result.curve, c=c)
+            return dataclasses.replace(result, curve=curve)
+
+        monkeypatch.setattr(traces, "fit", rise_at_last)
+        trace = LearningTrace.from_log(ObservationLog(entries[:-1]), strategy)
+        records = epsilon_sequence(trace)
+        condition = ProximityCondition("absolute",
+                                       records[len(records) // 2].epsilon)
+        stop = clevel(trace, condition)
+        assert stop is not None and stop < len(entries) - 1
+        trace.extend(entries[-1])
+        with pytest.raises(NotDecreasing):
+            clevel(trace, condition)
+
 
 class TestNormalizeThreshold:
     @staticmethod
@@ -420,6 +460,28 @@ class TestTuningSweepReuse:
     @pytest.mark.parametrize("plevel_source", ["reference", "anchored"])
     def test_candidates_match_full_runs(self, monkeypatch, noise_sd,
                                         plevel_source):
+        _, stops = self.check_sweep(monkeypatch, noise_sd, plevel_source,
+                                    share=0.3)
+        assert len(stops) > 1
+
+    @pytest.mark.parametrize("plevel_source", ["reference", "anchored"])
+    def test_early_stop_fits_nothing_past_it(self, monkeypatch, plevel_source):
+        # at the first epsilon, candidates stop before their working level
+        # resolves; the levels up to it are fitted one at a time from there
+        log, stops = self.check_sweep(monkeypatch, 0.0, plevel_source,
+                                      share=0.0)
+        trace = LearningTrace(AnchoringStrategy.fixed(100.0))
+        for obs in log:
+            trace.extend(obs)
+            if trace.wlevel is not None:
+                break
+        assert any(stop is not None and stop < len(trace.observations)
+                   for stop in stops.values())
+
+    @staticmethod
+    def check_sweep(monkeypatch, noise_sd, plevel_source, share):
+        """Every candidate's stop equals a full run's, and the sweep fits
+        exactly each candidate's levels from its switch to its stop."""
         from convergema import traces
         log = generate(GeneratorSpec(
             truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=60,
@@ -430,7 +492,7 @@ class TestTuningSweepReuse:
         base = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
                                       params, reference=plain)
         records = epsilon_sequence(base)
-        tau = records[int(len(records) * 0.3)].epsilon
+        tau = records[int(len(records) * share)].epsilon
 
         fits = []
         real_fit = traces.fit
@@ -444,14 +506,14 @@ class TestTuningSweepReuse:
                                          reference=plain)
         monkeypatch.undo()
 
-        condition = ProximityCondition("absolute", tau)
         stops = {}
         for cand in result.candidates:
             full = LearningTrace.from_log(
                 log, AnchoringStrategy.fixed_with_look_ahead(100.0,
                                                              cand.look_ahead),
                 params, reference=plain)
-            assert cand.clevel == clevel(full, condition)
+            assert cand.clevel == threshold_level(epsilon_sequence(full),
+                                                  tau, full.wlevel)
             stops[cand.look_ahead] = cand.clevel
         # the sweep's base takes every anchored fit from `base`, built on the
         # same log; a candidate fits only the levels from its switch (where
@@ -464,7 +526,7 @@ class TestTuningSweepReuse:
             end = len(log) if stop is None else stop
             expected += sum(1 for lv in levels if switch <= lv <= end)
         assert len(fits) == expected
-        assert len(stops) > 1
+        return log, stops
 
 
 class TestDegenerateAndInvariants:

@@ -1,4 +1,5 @@
 import dataclasses
+import operator
 
 import numpy as np
 import pytest
@@ -469,18 +470,58 @@ class TestDeferredReference:
     def test_extend_fits_once_per_level(self, monkeypatch):
         keys = TestFitStore.counting(monkeypatch)
         trace = LearningTrace(AnchoringStrategy.fixed(100.0))
-        deferred = 0
+        condition = ProximityCondition("absolute", 0.6)
+        deferred = after = 0
+        stop = None
         for obs in self.stream():
             resolved = trace.plevel_reference is not None
             before = len(keys)
             trace.extend(obs)
-            if resolved:
-                assert keys[before:] == [(obs.level, 100.0, 1.0)]
-                deferred += 1
-        assert deferred >= 30
+            if trace.wlevel is not None:
+                decided, stop = stop, clevel(trace, condition)
+                if decided is not None:
+                    # the stop is final: no fit at all
+                    assert stop == decided and keys[before:] == []
+                    after += 1
+                elif resolved:
+                    assert keys[before:] == [(obs.level, 100.0, 1.0)]
+                    deferred += 1
+        assert deferred >= 20 and after >= 15
         trace.snapshot()
         # plain levels 3..60 and anchored levels wlevel+1..60, each once
         assert len(keys) == len(set(keys)) == 58 + 60 - trace.wlevel
+
+    @pytest.mark.parametrize("view", ["snapshot", "skipped", "anchors",
+                                      "plevel_anchored"])
+    @pytest.mark.parametrize("plevel_source", ["reference", "anchored"])
+    @pytest.mark.parametrize("strategy", STRATEGIES[2:],
+                             ids=lambda s: s.spec_string())
+    def test_final_stop_defers_every_fit(self, monkeypatch, strategy,
+                                         plevel_source, view):
+        keys = TestFitStore.counting(monkeypatch)
+        params = TraceParams(plevel_source=plevel_source)
+        condition = ProximityCondition("absolute", 0.6)
+        trace = LearningTrace(strategy, params)
+        stop = None
+        after = 0
+        for obs in self.stream():
+            before = len(keys)
+            trace.extend(obs)
+            if stop is not None:
+                assert clevel(trace, condition) == stop
+                assert keys[before:] == []
+                after += 1
+            elif trace.wlevel is not None:
+                stop = clevel(trace, condition)
+        assert after >= 15
+        replay = LearningTrace.from_log(
+            ObservationLog(trace.observations.entries), strategy, params)
+        read = operator.attrgetter(view)
+        if view == "snapshot":
+            read = operator.methodcaller(view)
+        assert read(trace) == read(replay)
+        assert trace.snapshot() == replay.snapshot()
+        assert trace.plevel == replay.plevel
 
     @pytest.mark.parametrize("strategy", STRATEGIES,
                              ids=lambda s: s.spec_string())
@@ -571,9 +612,10 @@ def test_unconverged_fit_skipped_not_raised(monkeypatch):
 
     monkeypatch.setattr(traces, "fit", unconverged_at)
     trace = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+    skipped = trace.skipped     # a view fits the deferred levels
     assert set(failed) == targets and len(failed) == 2
-    assert trace.skipped == {plain_level: "fit diverged",
-                             anchored_level: "fit diverged"}
+    assert skipped == {plain_level: "fit diverged",
+                       anchored_level: "fit diverged"}
     assert plain_level not in trace.reference_trends
     assert anchored_level in trace.reference_trends
     assert anchored_level not in trace.anchored_trends
