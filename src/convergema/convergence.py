@@ -24,7 +24,7 @@ from .anchoring import AnchoringStrategy
 from .curves import PowerLawCurve, evaluate
 from .errors import (CoincidentCurves, MissingWLevel, NotDecreasing,
                      NotReached)
-from .traces import LearningTrace, ObservationLog
+from .traces import LearningTrace
 
 _COINCIDENT_TOL = 1e-12
 _X_MIN_FACTOR = 1e-3
@@ -398,11 +398,11 @@ def find_optimal_look_ahead(log, params, tau: float, beta: float,
     sequence: the candidate that starts the longest strictly increasing RC
     window (ties to the smallest look-ahead).
 
-    A candidate run replays the log with the fixed-anchor base trace as
-    its reference, so it takes over the base's fits below its switch level,
-    where both anchor at beta, and it stops at its convergence level: a
-    level's epsilon record depends on no later level, so that level is the
-    one the full run would report."""
+    A candidate run is a replay of the log with the fixed-anchor base trace
+    as its reference, so it shares the base's fits, among them those below
+    its switch level, where both anchor at beta.  Its one `clevel` call
+    fits the anchored levels only up to its convergence level (see
+    `clevel`)."""
     condition = ProximityCondition("absolute", tau)
     base = LearningTrace.from_log(log, AnchoringStrategy.fixed(beta), params,
                                   reference=reference)
@@ -418,16 +418,9 @@ def find_optimal_look_ahead(log, params, tau: float, beta: float,
             continue
         if look not in by_look:
             trace = LearningTrace.from_log(
-                ObservationLog(scheme=log.scheme),
-                AnchoringStrategy.fixed_with_look_ahead(beta, look), params,
-                reference=base)
-            stop = None
-            for obs in log:
-                trace.extend(obs)
-                if trace.wlevel is not None:
-                    stop = clevel(trace, condition)
-                    if stop is not None:
-                        break
+                log, AnchoringStrategy.fixed_with_look_ahead(beta, look),
+                params, reference=base)
+            stop = clevel(trace, condition)
             rc = None if stop is None else stop / baseline_clevel
             by_look[look] = (stop, rc)
         stop, rc = by_look[look]

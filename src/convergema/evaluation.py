@@ -13,8 +13,8 @@ from enum import Enum
 from typing import Optional
 
 from .anchoring import AnchoringStrategy
-from .convergence import (ProximityCondition, clevel, epsilon_sequence,
-                          normalize_threshold, put, threshold_level)
+from .convergence import (ProximityCondition, clevel, normalize_threshold,
+                          put)
 from .curves import evaluate
 from .errors import (ConvergemaError, MissingHorizon, NotDecreasing,
                      NotReached, UnresolvedCLevel)
@@ -79,9 +79,8 @@ def relative_cost(run: Run, baseline: Run) -> float:
 
 
 def _threshold_level_for(run: Run) -> int:
-    records = epsilon_sequence(run.trace)
-    omega = run.trace.wlevel
-    iota = threshold_level(records, run.eval_tau, omega)
+    """The absolute stop of the run's trace at the frame's threshold."""
+    iota = clevel(run.trace, ProximityCondition("absolute", run.eval_tau))
     if iota is None:
         raise NotReached("threshold level for the evaluation tau not reached")
     return iota

@@ -8,10 +8,16 @@ window, and the prediction level is the first level from there whose
 asymptote does not exceed the 100% accuracy ceiling.
 
 Anchored strategies re-fit levels past the working level with an extra
-observation at infinity, on demand; the reference (plain) trends are kept,
-and fitted on demand past the prediction level, both because the
-working/prediction levels are defined on them and because the anchoring
-strategies draw their anchor values from them.
+observation at infinity; the reference (plain) trends are kept, both
+because the working/prediction levels are defined on them and because the
+anchoring strategies draw their anchor values from them.  `extend` fits
+a new level's plain problem only until the reference prediction level is
+known; every other fit is made when a view reads it.
+
+A fit lives in a store keyed by its problem.  A log only grows, so the
+fits of its prefixes never go stale: the levels a trace replays from a log
+use that log's store, shared by every trace replayed on it, and the levels
+it is extended by later use the trace's own.
 """
 from __future__ import annotations
 
@@ -236,16 +242,17 @@ def prediction_level(backbone: list[BackboneEntry], omega: int) -> Optional[int]
 class LearningTrace:
     """Single-writer incremental trace; snapshots are plain data.
 
-    On an anchored trace, `extend` fits the plain levels up to the
+    Whatever the strategy, `extend` fits the plain levels up to the
     reference prediction level and no anchored level; the other fits wait
     until a view reads them.  Reading `reference_trends` fits the deferred
-    plain levels (`_settle`); reading `anchored_trends`, `anchors`,
-    `plevel_anchored` or `trends()` fits the deferred anchored levels in
-    level order (`_fit_anchored`); `skipped` fits both.  A level's fit
-    depends only on its prefix and on the levels below it, so every view
-    holds what an eager trace holds.  An anchored level is fitted even if
-    its plain fit was skipped; only a plain "fit diverged" then differs,
-    keeping the anchored trend while `skipped` names the level.
+    plain levels (`_settle`); reading `anchored_trends`, `anchors` or
+    `plevel_anchored` fits the deferred anchored levels in level order
+    (`_fit_anchored`); `trends()` fits those of the active backbone and
+    `skipped` fits both.  A level's fit depends only on its prefix and on
+    the levels below it, so every view holds what an eager trace holds.
+    An anchored level is fitted even if its plain fit was skipped; only a
+    plain "fit diverged" then differs, keeping the anchored trend while
+    `skipped` names the level.
     """
 
     def __init__(self, strategy: AnchoringStrategy,
@@ -270,9 +277,11 @@ class LearningTrace:
         # epsilon fold state kept by convergence._fold so that a query
         # resumes it: (level, FitResult) pairs, records, count, epsilon
         self._epsilon_fold: Optional[tuple] = None
-        # the log this trace follows, and that log's fit store (see _fit)
-        self._stream = self.observations
-        self._store = self._stream._fit_store()
+        # the fits of the first `_replayed` levels live in the store of the
+        # log they were replayed from, the others in the trace's own (_fit)
+        self._replayed = 0
+        self._own_store = self.observations._fit_store()
+        self._log_store = self._own_store
 
     # -- construction -----------------------------------------------------
 
@@ -282,64 +291,56 @@ class LearningTrace:
                  reference: "LearningTrace | None" = None) -> "LearningTrace":
         """Build a trace by replaying the log through `extend`.
 
-        The trace uses the log's fit store, which every trace replayed on
-        that log shares; with `reference` (a trace with the same parameters
-        whose observations start with the log's) it uses the reference's
-        store instead.  It keeps the store for as long as it follows the
-        observations the store belongs to, also when it is extended later
-        (see `_fit`); `fit` is deterministic, so a stored FitResult is the
-        one a refit would return.
+        A log only grows, so the fits of its prefixes never go stale: the
+        replayed levels use the log's fit store, which every trace replayed
+        on that log shares.  With `reference` (a trace with the same
+        parameters whose observations start with the log's) they use the
+        store the reference uses at level len(log) instead.  Levels the
+        trace is extended by later go to its own store (see `_fit`).
         """
         trace = LearningTrace(strategy, params, scheme=log.scheme)
-        stream = log
-        if reference is not None:
+        if reference is None:
+            store = log._fit_store()
+        else:
             prefix = reference.observations.entries[:len(log)]
             if reference.params != params or log.entries != prefix:
                 raise ValueError("reference trace does not match the log/params")
-            stream = reference._stream
-        trace._stream, trace._store = stream, stream._fit_store()
+            store = reference._store_of(len(log))
+        trace._replayed, trace._log_store = len(log), store
         for obs in log:
             trace.extend(obs)
         return trace
 
     def extend(self, obs: Observation) -> "LearningTrace":
         self.observations.append(obs)
-        n = len(self.observations)
-        if (self._stream is not self.observations
-                and self._stream.entries[n - 1:n] != [obs]):
-            # the trace leaves its log: its deferred fits go to the log's
-            # store, and from here on it fits its own prefixes
-            self._settle(n - 1)
-            self._fit_anchored(n - 1)
-            self._stream = self.observations
-            self._store = self._stream._fit_store()
-        if n >= 3 and (self.strategy.kind == "none"
-                       or self.plevel_reference is None):
+        if len(self.observations) >= 3 and self.plevel_reference is None:
             self._settle()
             self._update_levels()
         return self
 
     # -- fitting ----------------------------------------------------------
 
+    def _store_of(self, level: int) -> _FitStore:
+        """The store that holds the fits of the first `level` observations."""
+        return self._log_store if level <= self._replayed else self._own_store
+
     def _fit(self, level: int, anchor: Optional[float]) -> "FitResult | str":
         """The fit of the first `level` observations with `anchor` (None:
         plain), or the reason the level is skipped.  It is looked up in the
-        store of the log the trace follows, or else fitted and recorded
-        there, so no trace of that log fits the same problem twice."""
+        store of that level (`_store_of`), or else fitted and recorded
+        there, so no trace sharing the store fits the same problem twice."""
         weight = None if anchor is None else self.params.anchor_weight
-        return self._store.lookup(
+        return self._store_of(level).lookup(
             (level, anchor, weight),
             lambda: self.observations.problem(level, anchor,
                                               self.params.anchor_weight))
 
-    def _settle(self, upto: Optional[int] = None) -> None:
-        """Fit the plain levels not yet fitted, in order, up to `upto`
-        (default: the last observed level)."""
+    def _settle(self) -> None:
+        """Fit the plain levels not yet fitted, in order."""
         if self._fitting:
             return
-        if upto is None:
-            upto = len(self.observations)
-        for level in range(self._plain_level + 1, upto + 1):
+        for level in range(self._plain_level + 1,
+                           len(self.observations) + 1):
             result = self._fit(level, None)
             if isinstance(result, str):
                 self._skipped[level] = result
@@ -378,8 +379,6 @@ class LearningTrace:
     # -- levels -----------------------------------------------------------
 
     def _update_levels(self) -> None:
-        if self.plevel_reference is not None:
-            return      # both levels are final once set
         backbone = self.reference_backbone()
         if self.wlevel is None:
             self.wlevel = working_level(backbone, self.params.nu,

@@ -287,6 +287,18 @@ class TestCLevel:
         trace = fixed_trace(levels=20)
         assert clevel(trace, ProximityCondition("relative", 1e-15)) is None
 
+    def test_canonical_absolute_never_stops(self):
+        # the canonical anchor is the previous anchored asymptote, which
+        # moves at every level, and every anchor change is a rupture
+        trace = LearningTrace.from_log(generate(GeneratorSpec(
+            truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=60,
+            perturbations=drift_perturbations(60, 0.8, 0.15), seed=7)),
+            AnchoringStrategy.canonical())
+        records = epsilon_sequence(trace)
+        assert len(records) == 56 and all(r.is_rupture for r in records)
+        assert max(r.epsilon for r in records) < 10.0
+        assert clevel(trace, ProximityCondition("absolute", 10.0)) is None
+
     @pytest.mark.parametrize("strategy", [AnchoringStrategy.none(),
                                           AnchoringStrategy.canonical()],
                              ids=lambda s: s.spec_string())

@@ -261,8 +261,9 @@ class TestTraceBuilding:
 
 
 class TestReferenceReuse:
-    """A trace built with `reference=` takes over the reference's fits for
-    as long as its observations follow the reference's."""
+    """A trace built with `reference=` takes over the fits the reference
+    holds for the levels it replays; the levels it is extended by later
+    are its own."""
 
     @staticmethod
     def stream(levels=20):
@@ -283,22 +284,6 @@ class TestReferenceReuse:
             LearningTrace.from_log(ObservationLog(moved), fixed, reference=ref)
         with pytest.raises(ValueError):    # longer than the reference
             LearningTrace.from_log(log, fixed, reference=ref)
-
-    def test_following_extension_reuses_reference_fits(self):
-        log = self.stream()
-        ref = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
-        trace = LearningTrace.from_log(ObservationLog(log.entries[:10]),
-                                       AnchoringStrategy.fixed(100.0),
-                                       reference=ref)
-        for obs in ref.observations.entries[10:]:
-            trace.extend(obs)
-        assert max(trace.anchored_trends) == len(log)
-        assert trace.reference_trends.keys() == ref.reference_trends.keys()
-        assert all(trace.reference_trends[lv] is fit
-                   for lv, fit in ref.reference_trends.items())
-        assert trace.anchored_trends.keys() == ref.anchored_trends.keys()
-        assert all(trace.anchored_trends[lv] is fit
-                   for lv, fit in ref.anchored_trends.items())
 
     def test_diverging_extension_refits_from_there(self):
         log = self.stream()
@@ -405,15 +390,15 @@ class TestFitStore:
     def test_horizon_takes_the_plain_trace_fit(self, monkeypatch):
         log = self.stream()
         plain = LearningTrace.from_log(log, AnchoringStrategy.none())
+        trends = plain.reference_trends     # a view fits the deferred levels
 
         def no_fit(problem):
             raise AssertionError("the horizon refitted a stored problem")
 
         monkeypatch.setattr(traces, "fit", no_fit)
         monkeypatch.setattr(evaluation, "fit", no_fit)
-        assert Horizon.from_log(log).limit_trend is plain.reference_trends[60]
-        assert (Horizon.from_log(log, 30).limit_trend
-                is plain.reference_trends[30])
+        assert Horizon.from_log(log).limit_trend is trends[60]
+        assert Horizon.from_log(log, 30).limit_trend is trends[30]
 
     def test_horizon_on_a_stored_skip_still_raises(self):
         flat = ObservationLog.from_arrays([5000, 10000, 15000, 20000],
@@ -453,8 +438,8 @@ class TestFitStore:
 
 
 class TestDeferredReference:
-    """Past the reference prediction level an anchored trace fits its
-    anchored levels only; its plain levels are fitted when they are read."""
+    """Past the reference prediction level `extend` makes no fit, whatever
+    the strategy; the deferred levels are fitted when a view reads them."""
 
     STRATEGIES = [AnchoringStrategy.none(), AnchoringStrategy.canonical(),
                   AnchoringStrategy.fixed(100.0),
@@ -490,6 +475,22 @@ class TestDeferredReference:
         trace.snapshot()
         # plain levels 3..60 and anchored levels wlevel+1..60, each once
         assert len(keys) == len(set(keys)) == 58 + 60 - trace.wlevel
+
+    def test_plain_trace_defers_past_the_prediction_level(self, monkeypatch):
+        log = self.stream()
+        online = LearningTrace(AnchoringStrategy.none())
+        for obs in log:
+            online.extend(obs)
+            if online.plevel_reference is not None:
+                break
+        resolved = len(online.observations)     # the level that set it
+        assert resolved < len(log) - 10
+        keys = TestFitStore.counting(monkeypatch)
+        trace = LearningTrace.from_log(log, AnchoringStrategy.none())
+        assert trace.plevel_reference == online.plevel_reference
+        assert keys == [(level, None, 1.0) for level in range(3, resolved + 1)]
+        trace.snapshot()
+        assert keys == [(level, None, 1.0) for level in range(3, len(log) + 1)]
 
     @pytest.mark.parametrize("view", ["snapshot", "skipped", "anchors",
                                       "plevel_anchored"])
@@ -564,7 +565,7 @@ class TestDeferredReference:
         assert trace.anchored_trends == base.anchored_trends
         assert trace.anchors == base.anchors
 
-    def test_leaving_the_log_settles_in_its_store(self):
+    def test_replayed_levels_share_the_log_store(self):
         log = TestReferenceReuse.stream()
         fixed = AnchoringStrategy.fixed(100.0)
         ref = LearningTrace.from_log(log, fixed)
