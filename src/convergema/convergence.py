@@ -251,8 +251,9 @@ def clevel(trace: LearningTrace, condition: ProximityCondition) -> Optional[int]
     depends on a later level and no backbone rise is checked.  So the
     fold kept on the trace answers once it holds a qualifying record, and
     until then the pending anchored levels are fitted and folded one at a
-    time.  Other strategies read every level: a later rise must still
-    raise NotDecreasing."""
+    time; the stop found is kept on the trace per tau, and a later query
+    at that tau reads it back without a fit or a fold.  Other strategies
+    read every level: a later rise must still raise NotDecreasing."""
     if condition.kind == "absolute":
         if trace.strategy.kind in ("fixed", "fixed_look_ahead"):
             return _final_stop(trace, condition.tau)
@@ -280,7 +281,23 @@ def clevel(trace: LearningTrace, condition: ProximityCondition) -> Optional[int]
 
 def _final_stop(trace: LearningTrace, tau: float) -> Optional[int]:
     """The absolute clevel of a fixed-anchoring trace, fitting no anchored
-    level past it."""
+    level past it.
+
+    Records are only appended, omega is fixed once known and the first
+    qualifying record stays first, so a stop found once is kept on the
+    trace (`_stops`) and a later query at that tau is one dict lookup.  No
+    stop yet is not kept: a longer trace may still stop."""
+    stop = trace._stops.get(tau)
+    if stop is None:
+        stop = _find_stop(trace, tau)
+        if stop is not None:
+            trace._stops[tau] = stop
+    return stop
+
+
+def _find_stop(trace: LearningTrace, tau: float) -> Optional[int]:
+    """The first qualifying level of the fold kept on the trace, or else of
+    the pending anchored levels fitted and folded one at a time."""
     omega = _working_level(trace)
     if trace._epsilon_fold is not None:
         stop = threshold_level(trace._epsilon_fold[1], tau, omega)

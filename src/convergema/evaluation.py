@@ -36,7 +36,16 @@ class Horizon:
     @staticmethod
     def from_log(log: ObservationLog,
                  length: Optional[int] = None) -> "Horizon":
-        entries = log.entries if length is None else log.entries[:length]
+        """The first `length` observations of `log` (default: all of them)
+        and their plain fit; a length past the log raises MissingHorizon."""
+        if length is None:
+            length = len(log)
+        elif length < 1:
+            raise ValueError(f"horizon length must be at least 1, got {length}")
+        elif length > len(log):
+            raise MissingHorizon(f"horizon length {length} exceeds the "
+                                 f"{len(log)} observations of the log")
+        entries = log.entries[:length]
         if len(entries) < 3:
             raise MissingHorizon("horizon needs at least 3 observations")
         sub = ObservationLog(entries)

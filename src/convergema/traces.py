@@ -277,6 +277,9 @@ class LearningTrace:
         # epsilon fold state kept by convergence._fold so that a query
         # resumes it: (level, FitResult) pairs, records, count, epsilon
         self._epsilon_fold: Optional[tuple] = None
+        # tau -> the absolute stop of a fixed-anchoring trace, kept by
+        # convergence._final_stop once found: such a stop is final
+        self._stops: dict[float, int] = {}
         # the fits of the first `_replayed` levels live in the store of the
         # log they were replayed from, the others in the trace's own (_fit)
         self._replayed = 0

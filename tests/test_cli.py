@@ -281,6 +281,26 @@ class TestEvaluate:
         assert csv_lines[0].startswith("strategy,condition,tau,plevel,clevel")
         assert len(csv_lines) == 7
 
+    def test_negative_horizon_len_is_error(self, tmp_path, monkeypatch,
+                                           capsys):
+        log = generate(GeneratorSpec(
+            truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=30,
+            seed=5))
+        obs_path = tmp_path / "obs.csv"
+        write_observations(log, obs_path)
+        frame_path = tmp_path / "frame.json"
+        frame_path.write_text(json.dumps({
+            "observations": str(obs_path), "tau_r": 0.1,
+            "strategies": ["none"], "horizon_len": -5}))
+        monkeypatch.setattr("sys.argv",
+                            ["convergema", "evaluate", str(frame_path)])
+        with pytest.raises(SystemExit) as stop:
+            _entry()
+        assert stop.value.code == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "horizon length must be at least 1, got -5" in err
+
 
 @pytest.mark.parametrize("command,payload,key", [
     ("simulate", {"a": None, "b": 0.6, "c": 96.0, "levels": 20}, "a"),

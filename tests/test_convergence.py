@@ -181,6 +181,17 @@ def noisy_log(levels=40, noise=0.05, seed=1):
     return generate(spec)
 
 
+def jump_log():
+    """A decreasing drift with a jump at level 20, which makes the canonical
+    backbone rise a few levels after its fold has started.  Under fixed:100
+    tau 7.5 stops at level 15 and tau 6.2 at level 29."""
+    pert = dict(drift_perturbations(30, 1.5, 0.15))
+    pert[20] += 1.0
+    return generate(GeneratorSpec(
+        truth=PowerLawCurve(8.0 * 5000.0 ** 0.7, 0.7, 97.0), levels=30,
+        noise_sd=1e-3, seed=1, perturbations=tuple(sorted(pert.items()))))
+
+
 def outcome(fn, *args):
     """The value of fn(*args), or the type of the ConvergemaError it raises."""
     try:
@@ -208,30 +219,77 @@ class TestEpsilonFold:
             outcome(clevel, trace, cond)
         assert len(calls) == len(epsilon_sequence(trace)) > 0
 
-    @pytest.mark.parametrize("strategy, outcomes", [
-        (AnchoringStrategy.fixed(100.0), {MissingWLevel, list}),
-        (AnchoringStrategy.canonical(), {MissingWLevel, list, NotDecreasing}),
+    @pytest.mark.parametrize("strategy, outcomes, stops", [
+        (AnchoringStrategy.fixed(100.0), {MissingWLevel, list}, {15}),
+        (AnchoringStrategy.canonical(), {MissingWLevel, list, NotDecreasing},
+         set()),
     ], ids=["fixed:100", "canonical"])
-    def test_online_matches_batch_replay(self, strategy, outcomes):
-        # a decreasing drift with a jump at level 20, which makes the
-        # canonical backbone rise a few levels after its fold has started
-        pert = dict(drift_perturbations(30, 1.5, 0.15))
-        pert[20] += 1.0
-        log = generate(GeneratorSpec(
-            truth=PowerLawCurve(8.0 * 5000.0 ** 0.7, 0.7, 97.0), levels=30,
-            noise_sd=1e-3, seed=1, perturbations=tuple(sorted(pert.items()))))
-        cond = ProximityCondition("absolute", 6.0)
+    def test_online_matches_batch_replay(self, strategy, outcomes, stops):
+        # two taus, asked in alternating order after every observation: the
+        # stop one keeps on the trace must not answer for the other
+        log = jump_log()
+        conds = [ProximityCondition("absolute", tau) for tau in (6.0, 7.5)]
         online = LearningTrace(strategy)
-        seen = set()
+        seen, stopped = set(), set()
         for k, obs in enumerate(log, start=1):
             online.extend(obs)
             batch = LearningTrace.from_log(ObservationLog(log.entries[:k]),
                                            strategy)
             got = outcome(epsilon_sequence, online)
             assert got == outcome(epsilon_sequence, batch)
-            assert outcome(clevel, online, cond) == outcome(clevel, batch, cond)
+            for cond in conds[::1 if k % 2 else -1]:
+                answer = outcome(clevel, online, cond)
+                replay = LearningTrace.from_log(
+                    ObservationLog(log.entries[:k]), strategy)
+                assert answer == outcome(clevel, replay, cond)
+                if isinstance(answer, int):
+                    stopped.add(answer)
             seen.add(type(got) if isinstance(got, list) else got)
         assert seen == outcomes
+        assert stopped == stops
+
+    def test_final_stop_is_read_back(self, monkeypatch):
+        # under fixed anchoring a stop is final: once found it is kept per
+        # tau, and a later query at that tau intersects, folds and fits
+        # nothing; a tau that has not stopped yet is not kept
+        from convergema import traces
+        log = jump_log()
+        early, late = (ProximityCondition("absolute", tau)
+                       for tau in (7.5, 6.2))
+        replay = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+        records = epsilon_sequence(replay)
+        want = {cond.tau: threshold_level(records, cond.tau, replay.wlevel)
+                for cond in (early, late)}
+        assert want == {7.5: 15, 6.2: 29}
+
+        calls = []
+        for module, name in ((convergence, "threshold_level"),
+                             (convergence, "intersect"), (traces, "fit")):
+            def counting(*args, _real=getattr(module, name), _name=name):
+                calls.append(_name)
+                return _real(*args)
+            monkeypatch.setattr(module, name, counting)
+
+        trace = LearningTrace(AnchoringStrategy.fixed(100.0))
+        after = 0
+        for obs in log:
+            trace.extend(obs)
+            if early.tau in trace._stops:
+                before = len(calls)
+                assert clevel(trace, early) == want[early.tau]
+                assert calls[before:] == []
+                after += 1
+            elif trace.wlevel is not None:
+                assert clevel(trace, early) in (None, want[early.tau])
+            if trace.wlevel is None:
+                continue
+            answer = clevel(trace, late)
+            if len(trace.observations) < want[late.tau]:
+                assert answer is None and late.tau not in trace._stops
+            else:
+                assert answer == want[late.tau]
+        assert after == len(log) - want[early.tau]
+        assert trace._stops == want
 
     def test_returned_list_is_the_callers_own(self):
         trace = fixed_trace(levels=25)

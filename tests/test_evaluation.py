@@ -163,3 +163,24 @@ class TestHorizon:
         log = ObservationLog([Observation(1, 100, 50.0), Observation(2, 200, 60.0)])
         with pytest.raises(MissingHorizon):
             Horizon.from_log(log)
+
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_length_below_one_rejected(self, length):
+        log = synthetic_frame_log()
+        with pytest.raises(ValueError, match=f"at least 1, got {length}"):
+            Horizon.from_log(log, length=length)
+
+    def test_length_past_the_log_rejected(self):
+        from convergema import MissingHorizon
+        log = synthetic_frame_log()
+        with pytest.raises(MissingHorizon,
+                           match=f"length {len(log) + 1} exceeds the "
+                                 f"{len(log)} observations"):
+            Horizon.from_log(log, length=len(log) + 1)
+
+    def test_full_length_is_the_whole_log(self):
+        log = synthetic_frame_log()
+        horizon = Horizon.from_log(log, length=len(log))
+        whole = Horizon.from_log(log)
+        assert horizon.observations.entries == whole.observations.entries
+        assert horizon.limit_trend == whole.limit_trend
