@@ -34,6 +34,32 @@ def _scheme(kernel, step):
     return LearningScheme.uniform(kernel, step)
 
 
+def _read_spec(path) -> dict:
+    """The JSON object in the spec file at `path`; a file that holds any
+    other JSON value becomes a ClickException."""
+    with open(path) as handle:
+        raw = json.load(handle)
+    if not isinstance(raw, dict):
+        raise click.ClickException(
+            f"spec {path} must hold a JSON object, not {type(raw).__name__}")
+    return raw
+
+
+def _items(convert):
+    """A converter of a JSON list, `convert` applied item by item; any
+    other value (a string too, which would split into letters) fails."""
+    def items(value):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"expected a list, got {type(value).__name__}")
+        return tuple(convert(item) for item in value)
+    return items
+
+
+def _perturbation(pair):
+    level, delta = pair
+    return int(level), float(delta)
+
+
 def _spec_value(raw: dict, key: str, convert, *default):
     """`convert` applied to a JSON spec's value for `key`, or to the default
     when the key is absent; a missing key that has no default, or a value
@@ -225,20 +251,19 @@ def evaluate(frame_spec, out_prefix, error_target):
     """Evaluate a local testing frame described by a JSON spec with keys:
     observations (CSV path), tau_r, strategies, conditions, and optional
     nu/slowdown/lambda/horizon_len/anchor_weight/plevel_source."""
-    with open(frame_spec) as handle:
-        raw = json.load(handle)
+    raw = _read_spec(frame_spec)
     params = TraceParams(
         nu=_spec_value(raw, "nu", float, 2e-5),
         slowdown=_spec_value(raw, "slowdown", int, 1),
         look_ahead=_spec_value(raw, "lambda", int, 5),
         anchor_weight=_spec_value(raw, "anchor_weight", float, 1.0),
-        plevel_source=raw.get("plevel_source", "reference"))
+        plevel_source=_spec_value(raw, "plevel_source", str, "reference"))
     spec = FrameSpec(
         tau_r=_spec_value(raw, "tau_r", float),
         strategies=_spec_value(
             raw, "strategies",
-            lambda v: tuple(AnchoringStrategy.parse(str(s)) for s in v)),
-        conditions=_spec_value(raw, "conditions", tuple,
+            _items(lambda s: AnchoringStrategy.parse(str(s)))),
+        conditions=_spec_value(raw, "conditions", _items(str),
                                ("absolute", "relative")),
         params=params,
         horizon_len=_spec_value(raw, "horizon_len",
@@ -286,8 +311,7 @@ def simulate(spec_path, out):
     """Generate a synthetic observation stream from a JSON generator spec
     with keys a, b, c, levels and optional kernel/step/noise_sd/
     perturbations/seed.  CONVERGEMA_SEED overrides the seed."""
-    with open(spec_path) as handle:
-        raw = json.load(handle)
+    raw = _read_spec(spec_path)
     seed = (int(os.environ[SEED_ENV]) if SEED_ENV in os.environ
             else _spec_value(raw, "seed", int, 0))
     scheme = LearningScheme.uniform(_spec_value(raw, "kernel", int, 5000),
@@ -299,9 +323,8 @@ def simulate(spec_path, out):
         levels=_spec_value(raw, "levels", int),
         scheme=scheme,
         noise_sd=_spec_value(raw, "noise_sd", float, 0.0),
-        perturbations=_spec_value(
-            raw, "perturbations",
-            lambda v: tuple((int(lv), float(d)) for lv, d in v), ()),
+        perturbations=_spec_value(raw, "perturbations",
+                                  _items(_perturbation), ()),
         seed=seed)
     write_observations(generate(spec), out)
     click.echo(f"wrote {spec.levels} observations to {out}")

@@ -6,8 +6,10 @@ class ConvergemaError(Exception):
 
 
 class DegenerateData(ConvergemaError):
-    """All observed accuracies are identical; the power-law family cannot
-    represent flat data (a -> 0 lies outside the family)."""
+    """No valid pattern (a > 0, b > 0) fits the observations; the message
+    names why: all observed accuracies are identical (the flat limit
+    a -> 0 lies outside the family), or no b in the profile scan gives
+    a > 0 (the least-squares trend of every basin is flat or falling)."""
 
 
 class CoincidentCurves(ConvergemaError):

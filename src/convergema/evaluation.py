@@ -16,9 +16,9 @@ from .anchoring import AnchoringStrategy
 from .convergence import (ProximityCondition, clevel, normalize_threshold,
                           put)
 from .curves import evaluate
-from .errors import (ConvergemaError, MissingHorizon, NotDecreasing,
-                     NotReached, UnresolvedCLevel)
-from .fitting import FitResult, fit
+from .errors import (ConvergemaError, DegenerateData, MissingHorizon,
+                     NotDecreasing, NotReached, UnresolvedCLevel)
+from .fitting import FitResult
 from .traces import LearningTrace, ObservationLog, TraceParams
 
 
@@ -37,7 +37,8 @@ class Horizon:
     def from_log(log: ObservationLog,
                  length: Optional[int] = None) -> "Horizon":
         """The first `length` observations of `log` (default: all of them)
-        and their plain fit; a length past the log raises MissingHorizon."""
+        and their plain fit; a length past the log raises MissingHorizon,
+        and a degenerate fit DegenerateData with its reason."""
         if length is None:
             length = len(log)
         elif length < 1:
@@ -49,12 +50,11 @@ class Horizon:
         if len(entries) < 3:
             raise MissingHorizon("horizon needs at least 3 observations")
         sub = ObservationLog(entries)
-        # the plain fit of this prefix, shared with the log's traces; on a
-        # skip reason, fitting again raises or returns what it always did
+        # the plain fit of this prefix, shared with the log's traces
         limit = log._fit_store().lookup((len(sub), None, None),
                                         lambda: sub.problem(len(sub)))
         if isinstance(limit, str):
-            limit = fit(sub.problem(len(sub)))
+            raise DegenerateData(limit)
         return Horizon(observations=sub, limit_trend=limit)
 
 

@@ -84,16 +84,21 @@ class FitProblem:
             raise _invalid_data(x, y)
         if self.anchor is not None and not isfinite(self.anchor):
             raise ValueError("anchor must be finite")
-        if not isfinite(self.anchor_weight):
-            raise ValueError("anchor_weight must be finite")
-        if self.anchor_weight <= 0.0:
-            raise ValueError("anchor_weight must be positive")
+        check_anchor_weight(self.anchor_weight)
 
     @staticmethod
     def from_arrays(x, y, anchor=None, anchor_weight=1.0) -> "FitProblem":
         return FitProblem(tuple(float(v) for v in x), tuple(float(v) for v in y),
                           anchor=None if anchor is None else float(anchor),
                           anchor_weight=float(anchor_weight))
+
+
+def check_anchor_weight(weight: float) -> None:
+    """Raise ValueError unless the weight of an anchor is finite and > 0."""
+    if not isfinite(weight):
+        raise ValueError("anchor_weight must be finite")
+    if weight <= 0.0:
+        raise ValueError("anchor_weight must be positive")
 
 
 def _invalid_data(x, y) -> ValueError:
@@ -113,7 +118,6 @@ class FitResult:
     residuals: tuple[float, ...]          # observed - fitted, per finite point
     residual_at_infinity: Optional[float]  # anchor - c, when anchored
     sse: float
-    converged: bool
 
 
 class _Profile:
@@ -446,21 +450,14 @@ def _trust_region(residuals, jacobian, x0):
     return x, 2.0 * float(cost), 0 if status is None else status
 
 
-def _initial_guess(x, y, anchor):
-    y_max = float(np.max(y))
-    c0 = y_max + 0.5 * (y_max - float(np.median(y)))
-    if anchor is not None:
-        c0 = min(c0, anchor)
-    b0 = 0.5
-    a0 = max((c0 - y[0]) * x[0] ** b0, 1e-12)
-    return np.array([np.log(a0), np.log(b0), c0])
-
-
 def fit(problem: FitProblem) -> FitResult:
-    """Minimise the (optionally anchored) SSE; deterministic.
+    """The valid pattern (a > 0, b > 0) of lowest (optionally anchored)
+    SSE that the stages found; deterministic.
 
-    Raises DegenerateData when every accuracy is identical: the flat limit
-    a -> 0 lies outside the pattern family.
+    Raises DegenerateData, before the trust region runs, when no valid
+    pattern fits: when every accuracy is identical (the flat limit a -> 0
+    lies outside the family), or when no basin of the profile scan gives
+    a > 0.
     """
     x = np.asarray(problem.x, dtype=float)
     y = np.asarray(problem.y, dtype=float)
@@ -508,21 +505,20 @@ def fit(problem: FitProblem) -> FitResult:
         br, sse_r, ar, cr = _refine_basin(lo, hi, profile)
         if ar > 0.0 and (best is None or sse_r < best[0]):
             best = (sse_r, ar, br, cr)
-    start = (_initial_guess(x, y, anchor) if best is None
-             else np.array([np.log(best[1]), np.log(best[2]), best[3]]))
+    if best is None:
+        raise DegenerateData("no b in the profile scan gives a > 0")
 
-    p, sse_trust, status = _trust_region(residuals, jacobian, start)
+    start = np.array([np.log(best[1]), np.log(best[2]), best[3]])
+    p, sse, _ = _trust_region(residuals, jacobian, start)
     a, b, c = float(np.exp(p[0])), float(np.exp(p[1])), float(p[2])
-    converged = status > 0
 
-    # re-pin full stationarity: (a, c) solved exactly at the final b
+    # re-pin full stationarity: (a, c) solved exactly at the final b; of
+    # the three valid patterns the lowest SSE wins, on a tie the later one
     br, sse_r, ar, cr = _refine_basin(b * 0.995, b * 1.005, profile)
-    if ar > 0.0 and sse_r <= sse_trust:
-        a, b, c = ar, br, cr
-        converged = True
-    if best is not None and best[0] < min(sse_trust, sse_r):
+    if ar > 0.0 and sse_r <= sse:
+        a, b, c, sse = ar, br, cr, sse_r
+    if best[0] < sse:
         _, a, b, c = best
-        converged = True
 
     curve = PowerLawCurve(a=a, b=b, c=c)
     fitted = -a * np.power(x, -b) + c
@@ -533,5 +529,5 @@ def fit(problem: FitProblem) -> FitResult:
         rinf = float(anchor - c)
         sse += weight * rinf * rinf
     return FitResult(curve=curve, residuals=tuple(res.tolist()),
-                     residual_at_infinity=rinf, sse=sse, converged=converged)
+                     residual_at_infinity=rinf, sse=sse)
 

@@ -27,7 +27,7 @@ from typing import Callable, Iterable, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
 from .errors import DegenerateData
-from .fitting import FitProblem, FitResult, fit
+from .fitting import FitProblem, FitResult, check_anchor_weight, fit
 
 ACCURACY_CEILING = 100.0
 
@@ -75,14 +75,11 @@ class _FitStore(dict):
     def lookup(self, key: tuple,
                problem: Callable[[], FitProblem]) -> "FitResult | str":
         """The stored fit under `key`, or else the fit of `problem()`
-        recorded there; a degenerate or unconverged fit is recorded as the
-        reason its level is skipped."""
+        recorded there; a degenerate fit is recorded as its reason."""
         result = self.get(key)
         if result is None:
             try:
                 result = fit(problem())
-                if not result.converged:
-                    result = "fit diverged"
             except DegenerateData as exc:
                 result = str(exc)
             self[key] = result
@@ -183,6 +180,7 @@ class TraceParams:
             raise ValueError("slowdown must be >= 1")
         if self.look_ahead < 0:
             raise ValueError("look_ahead must be >= 0")
+        check_anchor_weight(self.anchor_weight)
         if self.plevel_source not in ("reference", "anchored"):
             raise ValueError("plevel_source must be 'reference' or 'anchored'")
 
@@ -250,9 +248,8 @@ class LearningTrace:
     (`_fit_anchored`); `trends()` fits those of the active backbone and
     `skipped` fits both.  A level's fit depends only on its prefix and on
     the levels below it, so every view holds what an eager trace holds.
-    An anchored level is fitted even if its plain fit was skipped; only a
-    plain "fit diverged" then differs, keeping the anchored trend while
-    `skipped` names the level.
+    A level whose plain or anchored fit is degenerate is listed in
+    `skipped` with its reason, and the other fit of that level stays.
     """
 
     def __init__(self, strategy: AnchoringStrategy,
@@ -327,16 +324,22 @@ class LearningTrace:
         """The store that holds the fits of the first `level` observations."""
         return self._log_store if level <= self._replayed else self._own_store
 
-    def _fit(self, level: int, anchor: Optional[float]) -> "FitResult | str":
+    def _fit(self, level: int,
+             anchor: Optional[float]) -> Optional[FitResult]:
         """The fit of the first `level` observations with `anchor` (None:
-        plain), or the reason the level is skipped.  It is looked up in the
-        store of that level (`_store_of`), or else fitted and recorded
-        there, so no trace sharing the store fits the same problem twice."""
+        plain), or None with the reason recorded in `_skipped`.  It is
+        looked up in the store of that level (`_store_of`), or else fitted
+        and recorded there, so no trace sharing the store fits the same
+        problem twice."""
         weight = None if anchor is None else self.params.anchor_weight
-        return self._store_of(level).lookup(
+        result = self._store_of(level).lookup(
             (level, anchor, weight),
             lambda: self.observations.problem(level, anchor,
                                               self.params.anchor_weight))
+        if isinstance(result, str):
+            self._skipped[level] = result
+            return None
+        return result
 
     def _settle(self) -> None:
         """Fit the plain levels not yet fitted, in order."""
@@ -345,9 +348,7 @@ class LearningTrace:
         for level in range(self._plain_level + 1,
                            len(self.observations) + 1):
             result = self._fit(level, None)
-            if isinstance(result, str):
-                self._skipped[level] = result
-            else:
+            if result is not None:
                 self._reference_trends[level] = result
             self._plain_level = level
 
@@ -367,9 +368,7 @@ class LearningTrace:
                                upto + 1):
                 anchor = anchor_for_level(self.strategy, level, self)
                 result = self._fit(level, anchor)
-                if isinstance(result, str):
-                    self._skipped[level] = result
-                else:
+                if result is not None:
                     self._anchored_trends[level] = result
                     self._anchors[level] = float(anchor)
                     if (self._plevel_anchored is None

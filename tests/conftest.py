@@ -44,6 +44,33 @@ def build_trace(a, b, c, levels, strategy, noise_sd=0.0, seed=0,
                                   reference=reference)
 
 
+# -- numpy SIMD target ----------------------------------------------------
+
+def simd_targets() -> tuple[list[str], list[str]]:
+    """numpy's compiled-in SIMD baseline, and the dispatch targets of its
+    vectorised kernels that this host supports."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:                 # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    found = [t for t in umath.__cpu_dispatch__ if umath.__cpu_features__.get(t)]
+    return list(umath.__cpu_baseline__), found
+
+
+# The bit pins compare float.hex output frozen where numpy dispatches to
+# AVX-512; another SIMD target rounds some kernels differently, so there a
+# failure need not be a fault.
+BIT_PIN_NOTE = ("bits frozen where numpy dispatches to AVX-512 (ROADMAP, "
+                "Known defects); this host dispatches to "
+                f"{' '.join(simd_targets()[1]) or 'its baseline only'}")
+
+
+def pytest_report_header(config):
+    baseline, found = simd_targets()
+    return (f"numpy {np.__version__} SIMD: baseline {' '.join(baseline)}; "
+            f"dispatched {' '.join(found) or 'none'}")
+
+
 # -- acceptance criterion reporting --------------------------------------
 
 _CRITERION_RESULTS = {}

@@ -87,4 +87,4 @@ def oracle_fit(problem: FitProblem, grid: GridSpec) -> FitResult:
         rinf = float(anchor - curve.c)
         sse += weight * rinf * rinf
     return FitResult(curve=curve, residuals=tuple(float(v) for v in res),
-                     residual_at_infinity=rinf, sse=sse, converged=True)
+                     residual_at_infinity=rinf, sse=sse)

@@ -313,6 +313,16 @@ class TestEvaluate:
 ])
 def test_bad_spec_value_is_error_naming_key(tmp_path, monkeypatch, capsys,
                                             command, payload, key):
+    code, out, err = run_on_spec(tmp_path, monkeypatch, capsys, command,
+                                 payload)
+    assert code == 1
+    assert "Traceback" not in err
+    assert repr(key) in err
+
+
+def run_on_spec(tmp_path, monkeypatch, capsys, command, payload):
+    """(exit code, stdout, stderr) of the console entry point running
+    `command` on a spec file holding `payload` as JSON."""
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps(payload))
     args = [command, str(spec)]
@@ -321,10 +331,36 @@ def test_bad_spec_value_is_error_naming_key(tmp_path, monkeypatch, capsys,
     monkeypatch.setattr("sys.argv", ["convergema"] + args)
     with pytest.raises(SystemExit) as stop:
         _entry()
-    assert stop.value.code == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err
-    assert repr(key) in err
+    return (stop.value.code,) + tuple(capsys.readouterr())
+
+
+_FRAME = {"observations": "obs.csv", "tau_r": 0.1, "strategies": ["none"]}
+_GENERATOR = {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20}
+
+
+@pytest.mark.parametrize("command,payload,message", [
+    ("evaluate", [1, 2], "must hold a JSON object, not list"),
+    ("simulate", [1, 2], "must hold a JSON object, not list"),
+    ("evaluate", "none", "must hold a JSON object, not str"),
+    ("simulate", None, "must hold a JSON object, not NoneType"),
+    ("evaluate", dict(_FRAME, strategies="none"),
+     "spec key 'strategies' has a bad value 'none': expected a list, got str"),
+    ("evaluate", dict(_FRAME, conditions="absolute"),
+     "spec key 'conditions' has a bad value 'absolute': expected a list"),
+    ("evaluate", dict(_FRAME, strategies={"none": 1}),
+     "spec key 'strategies' has a bad value {'none': 1}: expected a list"),
+    ("simulate", dict(_GENERATOR, perturbations="5"),
+     "spec key 'perturbations' has a bad value '5': expected a list"),
+    ("evaluate", dict(_FRAME, plevel_source=5),
+     "plevel_source must be 'reference' or 'anchored'"),
+])
+def test_malformed_spec_is_error_not_traceback(tmp_path, monkeypatch, capsys,
+                                               command, payload, message):
+    code, out, err = run_on_spec(tmp_path, monkeypatch, capsys, command,
+                                 payload)
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert message in err
 
 
 def test_import_pulls_no_scipy():

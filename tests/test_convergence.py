@@ -14,7 +14,7 @@ from convergema import (ConvergemaError, GeneratorSpec, LearningTrace,
                         drift_perturbations)
 from convergema import convergence
 from tests import intersect_fixtures
-from tests.conftest import build_trace
+from tests.conftest import BIT_PIN_NOTE, build_trace
 
 
 def dense_sign_scan(c1, c2, x_lo, x_hi, cells=2_000_000):
@@ -101,7 +101,7 @@ class TestIntersect:
         got = [intersect_fixtures.as_hex(
                    intersect(c1, c2, intersect_fixtures.X_MIN))
                for c1, c2 in intersect_fixtures.pairs()]
-        assert got == list(intersect_fixtures.FROZEN)
+        assert got == list(intersect_fixtures.FROZEN), BIT_PIN_NOTE
         assert {row[0] for row in got} == {0, 1, 2}
 
     def test_roots_satisfy_equation(self):

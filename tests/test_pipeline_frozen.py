@@ -14,6 +14,7 @@ from convergema import (AnchoringStrategy, FrameSpec, GeneratorSpec,
                         drift_perturbations, epsilon_sequence,
                         find_optimal_look_ahead, generate)
 from convergema.errors import ConvergemaError
+from tests.conftest import BIT_PIN_NOTE
 
 FROZEN_SHA256 = (
     "a9cc01a706493ac259882104aaa530009a93540cf18ad2558df2802221ee927a")
@@ -59,4 +60,5 @@ def test_pipeline_outputs_frozen():
     text = "".join(pipeline_repr(noise_sd, source)
                    for noise_sd in (0.0, 0.05)
                    for source in ("reference", "anchored"))
-    assert hashlib.sha256(text.encode()).hexdigest() == FROZEN_SHA256
+    assert (hashlib.sha256(text.encode()).hexdigest()
+            == FROZEN_SHA256), BIT_PIN_NOTE

@@ -12,7 +12,7 @@ from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
                         ObservationLog,
                         PowerLawCurve, ProximityCondition, TraceParams,
                         build_frame, clevel, drift_perturbations,
-                        epsilon_sequence, evaluation, find_optimal_look_ahead,
+                        epsilon_sequence, find_optimal_look_ahead,
                         generate, normalized_slope, prediction_level, traces,
                         verticality_threshold, working_level)
 from tests.conftest import build_trace
@@ -227,7 +227,7 @@ class TestTraceBuilding:
         level = sorted(fixed.anchored_trends)[len(fixed.anchored_trends) // 2]
         assert level in plain.reference_trends
         del fixed.anchored_trends[level], fixed.anchors[level]
-        fixed.skipped[level] = "fit diverged"
+        fixed.skipped[level] = "no b in the profile scan gives a > 0"
 
         shared = LearningTrace.from_log(log, strategy, reference=fixed)
         expected = LearningTrace.from_log(log, strategy, reference=plain)
@@ -396,7 +396,6 @@ class TestFitStore:
             raise AssertionError("the horizon refitted a stored problem")
 
         monkeypatch.setattr(traces, "fit", no_fit)
-        monkeypatch.setattr(evaluation, "fit", no_fit)
         assert Horizon.from_log(log).limit_trend is trends[60]
         assert Horizon.from_log(log, 30).limit_trend is trends[30]
 
@@ -543,7 +542,7 @@ class TestDeferredReference:
         assert all(replay.reference_trends[lv] is fit
                    for lv, fit in online.reference_trends.items())
 
-    def test_diverged_plain_fit_keeps_the_anchored_trend(self, monkeypatch):
+    def test_degenerate_plain_fit_keeps_the_anchored_trend(self, monkeypatch):
         log = self.stream()
         fixed = AnchoringStrategy.fixed(100.0)
         base = LearningTrace.from_log(ObservationLog(log.entries), fixed)
@@ -551,16 +550,15 @@ class TestDeferredReference:
         level = base.plevel_reference + 20
         real_fit = traces.fit
 
-        def diverged_at(problem):
-            result = real_fit(problem)
+        def degenerate_at(problem):
             if len(problem.x) == level and problem.anchor is None:
-                return dataclasses.replace(result, converged=False)
-            return result
+                raise DegenerateData("no valid pattern here")
+            return real_fit(problem)
 
-        monkeypatch.setattr(traces, "fit", diverged_at)
+        monkeypatch.setattr(traces, "fit", degenerate_at)
         trace = LearningTrace.from_log(log, fixed)
         assert base.skipped == {}
-        assert trace.skipped == {level: "fit diverged"}
+        assert trace.skipped == {level: "no valid pattern here"}
         assert level not in trace.reference_trends
         assert trace.anchored_trends == base.anchored_trends
         assert trace.anchors == base.anchors
@@ -591,11 +589,17 @@ class TestParamsValidation:
             TraceParams(look_ahead=-1)
         with pytest.raises(ValueError):
             TraceParams(plevel_source="nowhere")
+        for weight, message in [(float("nan"), "finite"),
+                                (float("inf"), "finite"),
+                                (0.0, "positive"), (-1.0, "positive")]:
+            with pytest.raises(ValueError,
+                               match=f"anchor_weight must be {message}"):
+                TraceParams(anchor_weight=weight)
 
 
-def test_unconverged_fit_skipped_not_raised(monkeypatch):
-    # one plain fit and one anchored fit come back unconverged; each level
-    # is recorded as skipped and the replay carries on
+def test_degenerate_fit_skipped_not_raised(monkeypatch):
+    # one plain fit and one anchored fit are degenerate; each level is
+    # recorded as skipped with its reason and the replay carries on
     log = generate(GeneratorSpec(truth=PowerLawCurve(300.0, 0.6, 96.0),
                                  levels=15, noise_sd=0.005, seed=8))
     plain_level, anchored_level = 4, len(log)
@@ -603,23 +607,37 @@ def test_unconverged_fit_skipped_not_raised(monkeypatch):
     real_fit = traces.fit
     failed = []
 
-    def unconverged_at(problem):
-        result = real_fit(problem)
+    def degenerate_at(problem):
         key = (len(problem.x), problem.anchor is not None)
         if key in targets:
             failed.append(key)
-            return dataclasses.replace(result, converged=False)
-        return result
+            raise DegenerateData(f"degenerate {key}")
+        return real_fit(problem)
 
-    monkeypatch.setattr(traces, "fit", unconverged_at)
+    monkeypatch.setattr(traces, "fit", degenerate_at)
     trace = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
     skipped = trace.skipped     # a view fits the deferred levels
     assert set(failed) == targets and len(failed) == 2
-    assert skipped == {plain_level: "fit diverged",
-                       anchored_level: "fit diverged"}
+    assert skipped == {plain_level: f"degenerate {(plain_level, False)}",
+                       anchored_level: f"degenerate {(anchored_level, True)}"}
     assert plain_level not in trace.reference_trends
     assert anchored_level in trace.reference_trends
     assert anchored_level not in trace.anchored_trends
     assert anchored_level not in trace.anchors
     assert trace.wlevel is not None and trace.wlevel < anchored_level - 1
     assert anchored_level - 1 in trace.anchored_trends
+
+
+def test_no_rising_basin_skips_the_level_by_name():
+    # the study truth at noise sd 0.5: the first three accuracies rise and
+    # fall (97.83, 99.08, 97.24), so no b in the scan gives a > 0; the
+    # plain fit of level 3 is skipped by name, and the working, prediction
+    # and convergence levels do not depend on it
+    truth = PowerLawCurve(a=2.0 * 5000.0 ** 0.85, b=0.85, c=99.3)
+    log = generate(GeneratorSpec(truth=truth, levels=120, noise_sd=0.5,
+                                 seed=6))
+    trace = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+    assert trace.skipped == {3: "no b in the profile scan gives a > 0"}
+    assert 3 not in trace.reference_trends and 4 in trace.reference_trends
+    assert (trace.wlevel, trace.plevel) == (26, 26)
+    assert clevel(trace, ProximityCondition("absolute", 0.25)) == 56
