@@ -168,6 +168,14 @@ class FrameSpec:
     horizon_len: Optional[int] = None
     error_target: str = "raw"
 
+    def __post_init__(self):
+        # the baseline is the fastest anchor-free run, under some condition
+        if not any(s.kind == "none" for s in self.strategies):
+            raise ValueError("frame needs the anchor-free strategy 'none', "
+                             "whose runs give the baseline")
+        if not self.conditions:
+            raise ValueError("frame needs at least one condition")
+
 
 @dataclass
 class FrameRow:

@@ -18,12 +18,24 @@ A fit lives in a store keyed by its problem.  A log only grows, so the
 fits of its prefixes never go stale: the levels a trace replays from a log
 use that log's store, shared by every trace replayed on it, and the levels
 it is extended by later use the trace's own.
+
+The fits of one view that do not depend on each other (the plain levels,
+and the anchored levels under `fixed` anchoring) go to the store as one
+batch.  Where the process may run on two CPUs and has no other thread, a
+forked helper fits every other problem of a batch (`_fit_in_two`); the
+store records the same fits in the same order either way.
 """
 from __future__ import annotations
 
+import os
+import pickle
+import signal
+import threading
 import weakref
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from functools import partial
+from itertools import groupby
+from typing import Callable, Iterable, Iterator, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
 from .errors import DegenerateData
@@ -72,18 +84,107 @@ class _FitStore(dict):
     weakly.  A plain problem is keyed (level, None, None): `fit` reads the
     anchor weight only when there is an anchor."""
 
+    def record(self, items: list) -> Iterator["FitResult | str"]:
+        """Yield the stored fit of each `(key, problem)` of `items` in
+        order, recording first the fit of `problem()` under a missing key;
+        a degenerate fit is recorded as its reason.  Any other exception is
+        raised at its item, after the items before it are recorded.
+
+        When `_helper_allowed`, a forked helper fits every other missing
+        problem (`_fit_in_two`) before the first item is yielded; what it
+        does not return is fitted here."""
+        problems = {key: problem() for key, problem in items
+                    if key not in self}
+        done = (_fit_in_two(list(problems.items()))
+                if _helper_allowed(len(problems)) else {})
+        for key, _ in items:
+            if key not in self:
+                result = done[key] if key in done else _outcome(problems[key])
+                if isinstance(result, Exception):
+                    raise result
+                self[key] = result
+            yield self[key]
+
     def lookup(self, key: tuple,
                problem: Callable[[], FitProblem]) -> "FitResult | str":
         """The stored fit under `key`, or else the fit of `problem()`
         recorded there; a degenerate fit is recorded as its reason."""
-        result = self.get(key)
-        if result is None:
-            try:
-                result = fit(problem())
-            except DegenerateData as exc:
-                result = str(exc)
-            self[key] = result
-        return result
+        return next(self.record([(key, problem)]))
+
+
+def _outcome(problem: FitProblem) -> "FitResult | str":
+    """The fit of `problem`, or the reason it is degenerate."""
+    try:
+        return fit(problem)
+    except DegenerateData as exc:
+        return str(exc)
+
+
+def _helper_allowed(missing: int) -> bool:
+    """Whether `missing` fits are shared with a forked helper: at least
+    two, in a process that may run on two CPUs and has no other Python
+    thread, since a fork copies only the calling thread."""
+    return (missing >= 2 and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and threading.active_count() == 1)
+
+
+def _fit_half(pending: list, first: int) -> dict:
+    """key -> outcome of `pending[first::2]`, fitted in order until one
+    raises other than `DegenerateData`; that exception is its outcome, to
+    be raised at its item by `_FitStore.record`."""
+    done = {}
+    for key, problem in pending[first::2]:
+        try:
+            done[key] = _outcome(problem)
+        except Exception as exc:
+            done[key] = exc
+            break
+    return done
+
+
+def _fit_in_two(pending: list) -> dict:
+    """key -> outcome of the `(key, problem)` pairs of `pending`: this
+    process fits the even positions and a forked helper the odd ones.
+
+    The helper runs the same code on the same process image, so its fits
+    are the ones this process would make, bit for bit.  It sends them
+    pickled down a pipe and leaves by `os._exit`, so no exit handler or
+    buffered output of this process runs in it.  It is always reaped
+    before this returns, and killed first when this process's half raises.
+    A helper that cannot start, dies or sends a short result just returns
+    less."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return {}
+    if pid == 0:
+        try:
+            os.close(read_fd)
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(_fit_half(pending, 1), pipe)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            done = _fit_half(pending, 0)
+            data = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.waitpid(pid, 0)
+    try:
+        done.update(pickle.loads(data))
+    except Exception:
+        # a helper that died sent a short result, or none: whatever went
+        # wrong there, the caller fits its half again and meets it itself
+        pass
+    return done
 
 
 class ObservationLog:
@@ -278,7 +379,7 @@ class LearningTrace:
         # convergence._final_stop once found: such a stop is final
         self._stops: dict[float, int] = {}
         # the fits of the first `_replayed` levels live in the store of the
-        # log they were replayed from, the others in the trace's own (_fit)
+        # log they were replayed from, the others in the trace's own (_fits)
         self._replayed = 0
         self._own_store = self.observations._fit_store()
         self._log_store = self._own_store
@@ -296,7 +397,7 @@ class LearningTrace:
         on that log shares.  With `reference` (a trace with the same
         parameters whose observations start with the log's) they use the
         store the reference uses at level len(log) instead.  Levels the
-        trace is extended by later go to its own store (see `_fit`).
+        trace is extended by later go to its own store (see `_fits`).
         """
         trace = LearningTrace(strategy, params, scheme=log.scheme)
         if reference is None:
@@ -324,30 +425,37 @@ class LearningTrace:
         """The store that holds the fits of the first `level` observations."""
         return self._log_store if level <= self._replayed else self._own_store
 
-    def _fit(self, level: int,
-             anchor: Optional[float]) -> Optional[FitResult]:
-        """The fit of the first `level` observations with `anchor` (None:
-        plain), or None with the reason recorded in `_skipped`.  It is
-        looked up in the store of that level (`_store_of`), or else fitted
-        and recorded there, so no trace sharing the store fits the same
-        problem twice."""
-        weight = None if anchor is None else self.params.anchor_weight
-        result = self._store_of(level).lookup(
-            (level, anchor, weight),
-            lambda: self.observations.problem(level, anchor,
-                                              self.params.anchor_weight))
-        if isinstance(result, str):
-            self._skipped[level] = result
-            return None
-        return result
+    def _fits(self, levels: Iterable[int],
+              anchors: Iterable[Optional[float]]
+              ) -> Iterator[Optional[FitResult]]:
+        """Yield, level by level, the fit of the first `level` observations
+        with its anchor (None: plain), or None with the reason recorded in
+        `_skipped`.  Each is looked up in the store of its level
+        (`_store_of`), or else fitted and recorded there, so no trace
+        sharing the store fits the same problem twice; the levels of one
+        store are passed to it as one batch (`_FitStore.record`)."""
+        weight = self.params.anchor_weight
+        pairs = zip(levels, anchors)
+        for _, part in groupby(pairs, lambda pair: pair[0] <= self._replayed):
+            part = list(part)
+            items = [((level, anchor, None if anchor is None else weight),
+                      partial(self.observations.problem, level, anchor,
+                              weight))
+                     for level, anchor in part]
+            results = self._store_of(part[0][0]).record(items)
+            for (level, _), result in zip(part, results):
+                if isinstance(result, str):
+                    self._skipped[level] = result
+                    result = None
+                yield result
 
     def _settle(self) -> None:
-        """Fit the plain levels not yet fitted, in order."""
+        """Fit the plain levels not yet fitted, as one batch."""
         if self._fitting:
             return
-        for level in range(self._plain_level + 1,
-                           len(self.observations) + 1):
-            result = self._fit(level, None)
+        levels = range(self._plain_level + 1, len(self.observations) + 1)
+        for level, result in zip(levels,
+                                 self._fits(levels, [None] * len(levels))):
             if result is not None:
                 self._reference_trends[level] = result
             self._plain_level = level
@@ -357,17 +465,16 @@ class LearningTrace:
         (default: the last observed level).  A level's anchor reads only
         the trace below that level (`anchor_for_level`), through views
         that fit nothing while this runs, so it is the anchor an eager
-        trace would have used."""
+        trace would have used (`_anchored_fits`)."""
         if self._fitting or self.strategy.kind == "none" or self.wlevel is None:
             return
         if upto is None:
             upto = len(self.observations)
         self._fitting = True
         try:
-            for level in range(max(self._anchored_level, self.wlevel) + 1,
-                               upto + 1):
-                anchor = anchor_for_level(self.strategy, level, self)
-                result = self._fit(level, anchor)
+            for level, anchor, result in self._anchored_fits(
+                    range(max(self._anchored_level, self.wlevel) + 1,
+                          upto + 1)):
                 if result is not None:
                     self._anchored_trends[level] = result
                     self._anchors[level] = float(anchor)
@@ -377,6 +484,20 @@ class LearningTrace:
                 self._anchored_level = level
         finally:
             self._fitting = False
+
+    def _anchored_fits(self, levels: range) -> Iterator[tuple]:
+        """(level, anchor, fit or None) of `levels`, in order.  A `fixed`
+        anchor is beta, so all are taken first and fitted as one batch;
+        another strategy's anchor may read the fits below it, so it is
+        taken only once the levels below it are recorded."""
+        if self.strategy.kind == "fixed":
+            anchors = [anchor_for_level(self.strategy, level, self)
+                       for level in levels]
+            yield from zip(levels, anchors, self._fits(levels, anchors))
+            return
+        for level in levels:
+            anchor = anchor_for_level(self.strategy, level, self)
+            yield level, anchor, next(self._fits([level], [anchor]))
 
     # -- levels -----------------------------------------------------------
 

@@ -353,6 +353,12 @@ _GENERATOR = {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20}
      "spec key 'perturbations' has a bad value '5': expected a list"),
     ("evaluate", dict(_FRAME, plevel_source=5),
      "plevel_source must be 'reference' or 'anchored'"),
+    ("evaluate", dict(_FRAME, strategies=[]),
+     "frame needs the anchor-free strategy 'none'"),
+    ("evaluate", dict(_FRAME, strategies=["fixed:100"]),
+     "frame needs the anchor-free strategy 'none'"),
+    ("evaluate", dict(_FRAME, conditions=[]),
+     "frame needs at least one condition"),
 ])
 def test_malformed_spec_is_error_not_traceback(tmp_path, monkeypatch, capsys,
                                                command, payload, message):

@@ -1,5 +1,8 @@
+import ast
 import dataclasses
+import errno
 import operator
+import os
 
 import numpy as np
 import pytest
@@ -16,6 +19,27 @@ from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
                         generate, normalized_slope, prediction_level, traces,
                         verticality_threshold, working_level)
 from tests.conftest import build_trace
+
+
+class SharedLog:
+    """Lines appended by this process and by any process forked from it
+    (a file opened with O_APPEND takes each write whole), read back as the
+    Python literals they were written as."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def add(self, item) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, (repr(item) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def read(self) -> list:
+        return [ast.literal_eval(line)
+                for line in self.path.read_text().splitlines()]
 
 
 def entries(levels, alphas, xs=None):
@@ -333,26 +357,28 @@ class TestFitStore:
             perturbations=drift_perturbations(60, 0.8, 0.15), seed=7))
 
     @staticmethod
-    def counting(monkeypatch):
-        """Record the (level, anchor, anchor_weight) of every fit made."""
-        keys = []
+    def counting(monkeypatch, tmp_path):
+        """Record the (level, anchor, anchor_weight) of every fit made, by
+        this process or a forked helper; the returned function reads them
+        back, each process's fits in the order that process made them."""
+        keys = SharedLog(tmp_path / "fits.log")
         real_fit = traces.fit
 
         def counted(problem):
-            keys.append((len(problem.x), problem.anchor, problem.anchor_weight))
+            keys.add((len(problem.x), problem.anchor, problem.anchor_weight))
             return real_fit(problem)
 
         monkeypatch.setattr(traces, "fit", counted)
-        return keys
+        return keys.read
 
     @staticmethod
     def fresh(log, strategy, params=TraceParams()):
         return LearningTrace.from_log(ObservationLog(log.entries, log.scheme),
                                       strategy, params).snapshot()
 
-    def test_study_never_fits_a_problem_twice(self, monkeypatch):
+    def test_study_never_fits_a_problem_twice(self, monkeypatch, tmp_path):
         log = self.stream()
-        keys = self.counting(monkeypatch)
+        fits = self.counting(monkeypatch, tmp_path)
         params = TraceParams()
         plain = LearningTrace.from_log(log, AnchoringStrategy.none(), params)
         fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
@@ -372,20 +398,21 @@ class TestFitStore:
                         strategy.fixed(100.0),
                         strategy.fixed_with_look_ahead(100.0,
                                                        tuning.look_ahead))))
+        keys = fits()
         assert len(keys) > len(log)
         assert len(keys) == len(set(keys))
 
-    def test_store_dies_with_its_last_trace(self, monkeypatch):
+    def test_store_dies_with_its_last_trace(self, monkeypatch, tmp_path):
         log = self.stream()
-        keys = self.counting(monkeypatch)
+        fits = self.counting(monkeypatch, tmp_path)
         first = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
         snapshot = first.snapshot()     # a full view fits the deferred levels
-        count = len(keys)
+        count = len(fits())
         again = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
-        assert again.snapshot() == snapshot and len(keys) == count
+        assert again.snapshot() == snapshot and len(fits()) == count
         del first, again
         LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0)).snapshot()
-        assert len(keys) == 2 * count
+        assert len(fits()) == 2 * count
 
     def test_horizon_takes_the_plain_trace_fit(self, monkeypatch):
         log = self.stream()
@@ -451,31 +478,33 @@ class TestDeferredReference:
             noise_sd=0.05, perturbations=drift_perturbations(60, 0.8, 0.15),
             seed=3))
 
-    def test_extend_fits_once_per_level(self, monkeypatch):
-        keys = TestFitStore.counting(monkeypatch)
+    def test_extend_fits_once_per_level(self, monkeypatch, tmp_path):
+        fits = TestFitStore.counting(monkeypatch, tmp_path)
         trace = LearningTrace(AnchoringStrategy.fixed(100.0))
         condition = ProximityCondition("absolute", 0.6)
         deferred = after = 0
         stop = None
         for obs in self.stream():
             resolved = trace.plevel_reference is not None
-            before = len(keys)
+            before = len(fits())
             trace.extend(obs)
             if trace.wlevel is not None:
                 decided, stop = stop, clevel(trace, condition)
                 if decided is not None:
                     # the stop is final: no fit at all
-                    assert stop == decided and keys[before:] == []
+                    assert stop == decided and fits()[before:] == []
                     after += 1
                 elif resolved:
-                    assert keys[before:] == [(obs.level, 100.0, 1.0)]
+                    assert fits()[before:] == [(obs.level, 100.0, 1.0)]
                     deferred += 1
         assert deferred >= 20 and after >= 15
         trace.snapshot()
         # plain levels 3..60 and anchored levels wlevel+1..60, each once
+        keys = fits()
         assert len(keys) == len(set(keys)) == 58 + 60 - trace.wlevel
 
-    def test_plain_trace_defers_past_the_prediction_level(self, monkeypatch):
+    def test_plain_trace_defers_past_the_prediction_level(self, monkeypatch,
+                                                          tmp_path):
         log = self.stream()
         online = LearningTrace(AnchoringStrategy.none())
         for obs in log:
@@ -484,32 +513,38 @@ class TestDeferredReference:
                 break
         resolved = len(online.observations)     # the level that set it
         assert resolved < len(log) - 10
-        keys = TestFitStore.counting(monkeypatch)
+        fits = TestFitStore.counting(monkeypatch, tmp_path)
         trace = LearningTrace.from_log(log, AnchoringStrategy.none())
         assert trace.plevel_reference == online.plevel_reference
-        assert keys == [(level, None, 1.0) for level in range(3, resolved + 1)]
+        assert fits() == [(level, None, 1.0)
+                          for level in range(3, resolved + 1)]
         trace.snapshot()
-        assert keys == [(level, None, 1.0) for level in range(3, len(log) + 1)]
+        # each level fitted once; the store records them in level order,
+        # whichever process fitted them
+        assert sorted(fits()) == [(level, None, 1.0)
+                                  for level in range(3, len(log) + 1)]
+        assert list(log._fit_store()) == [(level, None, None)
+                                          for level in range(3, len(log) + 1)]
 
     @pytest.mark.parametrize("view", ["snapshot", "skipped", "anchors",
                                       "plevel_anchored"])
     @pytest.mark.parametrize("plevel_source", ["reference", "anchored"])
     @pytest.mark.parametrize("strategy", STRATEGIES[2:],
                              ids=lambda s: s.spec_string())
-    def test_final_stop_defers_every_fit(self, monkeypatch, strategy,
-                                         plevel_source, view):
-        keys = TestFitStore.counting(monkeypatch)
+    def test_final_stop_defers_every_fit(self, monkeypatch, tmp_path,
+                                         strategy, plevel_source, view):
+        fits = TestFitStore.counting(monkeypatch, tmp_path)
         params = TraceParams(plevel_source=plevel_source)
         condition = ProximityCondition("absolute", 0.6)
         trace = LearningTrace(strategy, params)
         stop = None
         after = 0
         for obs in self.stream():
-            before = len(keys)
+            before = len(fits())
             trace.extend(obs)
             if stop is not None:
                 assert clevel(trace, condition) == stop
-                assert keys[before:] == []
+                assert fits()[before:] == []
                 after += 1
             elif trace.wlevel is not None:
                 stop = clevel(trace, condition)
@@ -597,7 +632,7 @@ class TestParamsValidation:
                 TraceParams(anchor_weight=weight)
 
 
-def test_degenerate_fit_skipped_not_raised(monkeypatch):
+def test_degenerate_fit_skipped_not_raised(monkeypatch, tmp_path):
     # one plain fit and one anchored fit are degenerate; each level is
     # recorded as skipped with its reason and the replay carries on
     log = generate(GeneratorSpec(truth=PowerLawCurve(300.0, 0.6, 96.0),
@@ -605,19 +640,19 @@ def test_degenerate_fit_skipped_not_raised(monkeypatch):
     plain_level, anchored_level = 4, len(log)
     targets = {(plain_level, False), (anchored_level, True)}
     real_fit = traces.fit
-    failed = []
+    failed = SharedLog(tmp_path / "failed.log")    # a forked helper's too
 
     def degenerate_at(problem):
         key = (len(problem.x), problem.anchor is not None)
         if key in targets:
-            failed.append(key)
+            failed.add(key)
             raise DegenerateData(f"degenerate {key}")
         return real_fit(problem)
 
     monkeypatch.setattr(traces, "fit", degenerate_at)
     trace = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
     skipped = trace.skipped     # a view fits the deferred levels
-    assert set(failed) == targets and len(failed) == 2
+    assert set(failed.read()) == targets and len(failed.read()) == 2
     assert skipped == {plain_level: f"degenerate {(plain_level, False)}",
                        anchored_level: f"degenerate {(anchored_level, True)}"}
     assert plain_level not in trace.reference_trends
@@ -641,3 +676,137 @@ def test_no_rising_basin_skips_the_level_by_name():
     assert 3 not in trace.reference_trends and 4 in trace.reference_trends
     assert (trace.wlevel, trace.plevel) == (26, 26)
     assert clevel(trace, ProximityCondition("absolute", 0.25)) == 56
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the helper is forked only where affinity is known")
+class TestTwoProcessFill:
+    """A batch of pending fits is split between this process and one forked
+    helper; the store records the same fits, in the same order, as when
+    this process fits them all, and no helper outlives the call."""
+
+    STRATEGIES = TestDeferredReference.STRATEGIES
+
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def cpus(monkeypatch, count):
+        """Let the process run on `count` CPUs and count its forks."""
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)))
+        forks = []
+        real_fork = os.fork
+
+        def fork():
+            forks.append(1)
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return forks
+
+    @staticmethod
+    def replay(log, strategy):
+        """The snapshot of a replay on a copy of `log`, and the `repr` of
+        every fit in its store, in the order the store recorded them."""
+        copy = ObservationLog(log.entries, log.scheme)
+        snapshot = LearningTrace.from_log(copy, strategy).snapshot()
+        return snapshot, [(key, repr(fit))
+                          for key, fit in copy._fit_store().items()]
+
+    @pytest.mark.parametrize("strategy", STRATEGIES,
+                             ids=lambda s: s.spec_string())
+    def test_helper_replay_equals_one_process(self, monkeypatch, strategy):
+        log = TestDeferredReference.stream()
+        forks = self.cpus(monkeypatch, 1)
+        alone, alone_fits = self.replay(log, strategy)
+        assert forks == []
+        forks = self.cpus(monkeypatch, 2)
+        shared, shared_fits = self.replay(log, strategy)
+        # the plain levels past the prediction level are one batch, and
+        # under fixed anchoring so are the anchored levels
+        assert len(forks) == (2 if strategy.kind == "fixed" else 1)
+        assert shared == alone
+        assert shared_fits == alone_fits
+
+    @pytest.mark.parametrize("half", ["helper", "caller"])
+    def test_error_is_raised_at_its_level(self, monkeypatch, tmp_path, half):
+        log = TestDeferredReference.stream()
+        probe = LearningTrace.from_log(ObservationLog(log.entries),
+                                       AnchoringStrategy.none())
+        # from_log leaves the plain levels past this one to a view, which
+        # fits them as one batch: the helper takes its odd positions, this
+        # process the even ones
+        first = probe._plain_level + 1
+        level = first + 11 + (half == "caller")
+        raised_on = SharedLog(tmp_path / "raised.log")
+        real_fit = traces.fit
+
+        def fails_at(problem):
+            if len(problem.x) == level:
+                raised_on.add(os.getpid())
+                raise ValueError(f"injected at level {level}")
+            return real_fit(problem)
+
+        monkeypatch.setattr(traces, "fit", fails_at)
+        stored = {}
+        for cpus in (1, 2):
+            self.cpus(monkeypatch, cpus)
+            copy = ObservationLog(log.entries, log.scheme)
+            trace = LearningTrace.from_log(copy, AnchoringStrategy.none())
+            with pytest.raises(ValueError, match=f"at level {level}$"):
+                trace.reference_trends
+            stored[cpus] = [(key, repr(fit))
+                            for key, fit in copy._fit_store().items()]
+            assert [key for key, _ in stored[cpus]] == [
+                (lv, None, None) for lv in range(3, level)]
+            assert sorted(trace._reference_trends) == list(range(3, level))
+        assert stored[1] == stored[2]
+        pids = raised_on.read()
+        assert pids[0] == os.getpid()
+        assert (pids[1] != os.getpid()) == (half == "helper")
+
+    @pytest.mark.parametrize("how", ["dies", "cannot start"])
+    def test_failed_helper_gives_the_sequential_result(self, monkeypatch,
+                                                       how):
+        log = TestDeferredReference.stream()
+        fixed = AnchoringStrategy.fixed(100.0)
+        self.cpus(monkeypatch, 1)
+        alone, alone_fits = self.replay(log, fixed)
+        parent = os.getpid()
+        real_fit = traces.fit
+
+        def dies_in_helper(problem):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real_fit(problem)
+
+        def no_process():
+            forks.append(1)
+            raise BlockingIOError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(traces, "fit", dies_in_helper)
+        forks = self.cpus(monkeypatch, 2)
+        if how == "cannot start":
+            monkeypatch.setattr(os, "fork", no_process)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        shared, shared_fits = self.replay(log, fixed)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert len(forks) == 2
+        assert shared == alone and shared_fits == alone_fits
+
+    @pytest.mark.parametrize("strategy", STRATEGIES,
+                             ids=lambda s: s.spec_string())
+    def test_monitor_never_forks(self, monkeypatch, strategy):
+        forks = self.cpus(monkeypatch, 2)
+        trace = LearningTrace(strategy)
+        condition = ProximityCondition("absolute", 0.25)
+        for obs in TestFitStore.stream():
+            trace.extend(obs)
+            if trace.wlevel is not None:
+                clevel(trace, condition)
+        assert trace.plevel_reference is not None
+        assert forks == []
