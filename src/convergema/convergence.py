@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 from .anchoring import AnchoringStrategy
 from .curves import PowerLawCurve, evaluate
 from .errors import (CoincidentCurves, MissingWLevel, NotDecreasing,
                      NotReached)
-from .traces import LearningTrace
+from .traces import LearningTrace, run_jobs
 
 _COINCIDENT_TOL = 1e-12
 _X_MIN_FACTOR = 1e-3
@@ -419,28 +420,37 @@ def find_optimal_look_ahead(log, params, tau: float, beta: float,
     as its reference, so it shares the base's fits, among them those below
     its switch level, where both anchor at beta.  Its one `clevel` call
     fits the anchored levels only up to its convergence level (see
-    `clevel`)."""
+    `clevel`).  The distinct look-aheads are taken from the base first,
+    with no fit; their candidate runs depend on no other and share one
+    store, so they run as the jobs of `run_jobs`."""
     condition = ProximityCondition("absolute", tau)
     base = LearningTrace.from_log(log, AnchoringStrategy.fixed(beta), params,
                                   reference=reference)
     base_records = epsilon_sequence(base)
 
-    candidates: list[TuningCandidate] = []
-    by_look: dict[int, tuple[Optional[int], Optional[float]]] = {}
+    looks: dict[float, Optional[int]] = {}
     for zeta in _TUNING_ZETAS:
         try:
-            look = minimal_look_ahead(base, condition, zeta, base_records)
+            looks[zeta] = minimal_look_ahead(base, condition, zeta,
+                                             base_records)
         except NotReached:
-            candidates.append(TuningCandidate(zeta, None, None, None))
-            continue
-        if look not in by_look:
-            trace = LearningTrace.from_log(
-                log, AnchoringStrategy.fixed_with_look_ahead(beta, look),
-                params, reference=base)
-            stop = clevel(trace, condition)
-            rc = None if stop is None else stop / baseline_clevel
-            by_look[look] = (stop, rc)
-        stop, rc = by_look[look]
+            looks[zeta] = None
+
+    def candidate_stop(look: int) -> Optional[int]:
+        trace = LearningTrace.from_log(
+            log, AnchoringStrategy.fixed_with_look_ahead(beta, look),
+            params, reference=base)
+        return clevel(trace, condition)
+
+    distinct = [look for look in dict.fromkeys(looks.values())
+                if look is not None]
+    stops = dict(zip(distinct, run_jobs(
+        base._store_of(len(log)),
+        [partial(candidate_stop, look) for look in distinct])))
+    candidates: list[TuningCandidate] = []
+    for zeta, look in looks.items():
+        stop = None if look is None else stops[look]
+        rc = None if stop is None else stop / baseline_clevel
         candidates.append(TuningCandidate(zeta, look, stop, rc))
 
     chosen = _select_turning_point(candidates)

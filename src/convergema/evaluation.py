@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Optional
 
 from .anchoring import AnchoringStrategy
@@ -19,7 +20,7 @@ from .curves import evaluate
 from .errors import (ConvergemaError, DegenerateData, MissingHorizon,
                      NotDecreasing, NotReached, UnresolvedCLevel)
 from .fitting import FitResult
-from .traces import LearningTrace, ObservationLog, TraceParams
+from .traces import LearningTrace, ObservationLog, TraceParams, run_jobs
 
 
 @dataclass(frozen=True)
@@ -238,17 +239,20 @@ class LocalTestingFrame:
 def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
     """Build all runs, normalise the absolute threshold from the relative
     one on the anchor-free reference, and pick the baseline (the anchor-free
-    run of the fastest condition)."""
+    run of the fastest condition).
+
+    The runs of one strategy depend on no other strategy's and replay the
+    same log, so each strategy's runs are one job of `run_jobs`."""
     reference = LearningTrace.from_log(log, AnchoringStrategy.none(), spec.params)
     horizon = Horizon.from_log(log, spec.horizon_len)
     tau_a = normalize_threshold(reference, spec.tau_r)
 
-    runs: list[Run] = []
-    for strategy in spec.strategies:
+    def strategy_runs(strategy: AnchoringStrategy) -> list[Run]:
         if strategy.kind == "none":
             trace = reference
         else:
             trace = LearningTrace.from_log(log, strategy, spec.params)
+        runs = []
         for kind in spec.conditions:
             tau = tau_a if kind == "absolute" else spec.tau_r
             condition = ProximityCondition(kind, tau)
@@ -259,6 +263,13 @@ def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
             except NotDecreasing as exc:
                 run.note = f"inapplicable: {exc}"
             runs.append(run)
+        return runs
+
+    runs = [run for part in run_jobs(
+                log._fit_store(),
+                [partial(strategy_runs, strategy)
+                 for strategy in spec.strategies])
+            for run in part]
 
     candidates = [r for r in runs if r.strategy.kind == "none"
                   and r.clevel is not None]

@@ -23,7 +23,11 @@ The fits of one view that do not depend on each other (the plain levels,
 and the anchored levels under `fixed` anchoring) go to the store as one
 batch.  Where the process may run on two CPUs and has no other thread, a
 forked helper fits every other problem of a batch (`_fit_in_two`); the
-store records the same fits in the same order either way.
+store records the same fits in the same order either way.  Replays of one
+log that do not depend on each other (a look-ahead sweep's candidates, a
+frame's strategies) are jobs that this process shares with a forked
+helper in the same way (`run_jobs`): the helper's fits warm the log's
+store, and this process computes every answer from it.
 """
 from __future__ import annotations
 
@@ -34,7 +38,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
+from itertools import groupby, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
@@ -108,8 +112,11 @@ class _FitStore(dict):
     def lookup(self, key: tuple,
                problem: Callable[[], FitProblem]) -> "FitResult | str":
         """The stored fit under `key`, or else the fit of `problem()`
-        recorded there; a degenerate fit is recorded as its reason."""
-        return next(self.record([(key, problem)]))
+        recorded there: the one-item case of `record`, read directly."""
+        result = self.get(key)
+        if result is None:
+            result = self[key] = _outcome(problem())
+        return result
 
 
 def _outcome(problem: FitProblem) -> "FitResult | str":
@@ -120,11 +127,17 @@ def _outcome(problem: FitProblem) -> "FitResult | str":
         return str(exc)
 
 
-def _helper_allowed(missing: int) -> bool:
-    """Whether `missing` fits are shared with a forked helper: at least
-    two, in a process that may run on two CPUs and has no other Python
-    thread, since a fork copies only the calling thread."""
-    return (missing >= 2 and hasattr(os, "sched_getaffinity")
+# set while `run_jobs` shares its jobs with a helper: neither process
+# forks again, so the two of them run on two CPUs, not three
+_warming = False
+
+
+def _helper_allowed(count: int) -> bool:
+    """Whether `count` fits or jobs are shared with a forked helper: at
+    least two, in a process that may run on two CPUs, has no other Python
+    thread (a fork copies only the calling thread) and is not running a
+    warm-up already."""
+    return (count >= 2 and not _warming and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2
             and threading.active_count() == 1)
 
@@ -143,35 +156,34 @@ def _fit_half(pending: list, first: int) -> dict:
     return done
 
 
-def _fit_in_two(pending: list) -> dict:
-    """key -> outcome of the `(key, problem)` pairs of `pending`: this
-    process fits the even positions and a forked helper the odd ones.
+def _with_helper(helper_part: Callable, own_part: Callable) -> tuple:
+    """(own_part(), helper_part() or None), the second run by a forked
+    helper while this process runs the first.
 
-    The helper runs the same code on the same process image, so its fits
-    are the ones this process would make, bit for bit.  It sends them
+    The helper runs the same code on the same process image, so what it
+    computes is what this process would, bit for bit.  It sends its result
     pickled down a pipe and leaves by `os._exit`, so no exit handler or
     buffered output of this process runs in it.  It is always reaped
-    before this returns, and killed first when this process's half raises.
-    A helper that cannot start, dies or sends a short result just returns
-    less."""
+    before this returns, and killed first when `own_part` raises.  A
+    helper that cannot start, dies or sends a short result gives None."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return {}
+        return own_part(), None
     if pid == 0:
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(_fit_half(pending, 1), pipe)
+                pickle.dump(helper_part(), pipe)
         finally:
             os._exit(0)
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as pipe:
-            done = _fit_half(pending, 0)
+            own = own_part()
             data = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -179,12 +191,78 @@ def _fit_in_two(pending: list) -> dict:
     finally:
         os.waitpid(pid, 0)
     try:
-        done.update(pickle.loads(data))
+        return own, pickle.loads(data)
     except Exception:
         # a helper that died sent a short result, or none: whatever went
-        # wrong there, the caller fits its half again and meets it itself
-        pass
+        # wrong there, the caller does its part again and meets it itself
+        return own, None
+
+
+def _fit_in_two(pending: list) -> dict:
+    """key -> outcome of the `(key, problem)` pairs of `pending`: this
+    process fits the even positions and a forked helper the odd ones
+    (`_with_helper`); what a failed helper does not return is missing."""
+    done, theirs = _with_helper(partial(_fit_half, pending, 1),
+                                partial(_fit_half, pending, 0))
+    done.update(theirs or {})
     return done
+
+
+def run_jobs(store: _FitStore, jobs: list[Callable]) -> list:
+    """`[job() for job in jobs]`, for jobs whose only side effect is to
+    fill `store`: the same results, and the first exception in job order
+    raised as that loop raises it.
+
+    When `_helper_allowed`, this process and a forked helper claim the
+    jobs from a pipe of job indices, one byte per claim (so at most 256
+    jobs are shared), and jobs of unequal size balance; neither process
+    forks again meanwhile.  The helper sends back
+    the store entries it added.  They are merged here, and this process
+    then computes the helper's jobs itself, finding every fit stored."""
+    global _warming
+    if not _helper_allowed(len(jobs)) or len(jobs) > 256:
+        return [job() for job in jobs]
+    claims, fill = os.pipe()
+    os.write(fill, bytes(range(len(jobs))))
+    os.close(fill)
+    known = len(store)
+
+    def claimed() -> Iterator[int]:
+        while claim := os.read(claims, 1):
+            yield claim[0]
+
+    def helper_part() -> list:
+        for index in claimed():
+            try:
+                jobs[index]()
+            except Exception:
+                break       # this process meets it again, in job order
+        return list(islice(store.items(), known, None))
+
+    def own_part() -> tuple:
+        done = {}
+        for index in claimed():
+            try:
+                done[index] = jobs[index]()
+            except Exception as exc:
+                os.read(claims, len(jobs))      # no later job is needed
+                return done, (index, exc)
+        return done, None
+
+    _warming = True
+    try:
+        (done, failed), entries = _with_helper(helper_part, own_part)
+    finally:
+        _warming = False
+        os.close(claims)
+    for key, result in entries or ():
+        store.setdefault(key, result)
+    out = []
+    for index, job in enumerate(jobs):
+        if failed is not None and failed[0] == index:
+            raise failed[1]
+        out.append(done[index] if index in done else job())
+    return out
 
 
 class ObservationLog:
@@ -425,37 +503,58 @@ class LearningTrace:
         """The store that holds the fits of the first `level` observations."""
         return self._log_store if level <= self._replayed else self._own_store
 
+    def _key(self, level: int, anchor: Optional[float]) -> tuple:
+        """The store key of a level's problem: a plain problem is keyed
+        (level, None, None), since `fit` reads the anchor weight only when
+        there is an anchor."""
+        return (level, anchor,
+                None if anchor is None else self.params.anchor_weight)
+
+    def _kept(self, level: int,
+              result: "FitResult | str") -> Optional[FitResult]:
+        """A stored fit of `level`, or None with its reason in `_skipped`."""
+        if isinstance(result, str):
+            self._skipped[level] = result
+            return None
+        return result
+
+    def _fit(self, level: int, anchor: Optional[float]) -> Optional[FitResult]:
+        """The fit of the first `level` observations with `anchor` (None:
+        plain), or None with the reason recorded in `_skipped`.  It is
+        looked up in the store of its level (`_store_of`), or else fitted
+        and recorded there, so no trace sharing the store fits the same
+        problem twice."""
+        return self._kept(level, self._store_of(level).lookup(
+            self._key(level, anchor),
+            partial(self.observations.problem, level, anchor,
+                    self.params.anchor_weight)))
+
     def _fits(self, levels: Iterable[int],
               anchors: Iterable[Optional[float]]
               ) -> Iterator[Optional[FitResult]]:
-        """Yield, level by level, the fit of the first `level` observations
-        with its anchor (None: plain), or None with the reason recorded in
-        `_skipped`.  Each is looked up in the store of its level
-        (`_store_of`), or else fitted and recorded there, so no trace
-        sharing the store fits the same problem twice; the levels of one
-        store are passed to it as one batch (`_FitStore.record`)."""
+        """Yield `_fit` of each level with its anchor, in order; the
+        levels of one store are passed to it as one batch
+        (`_FitStore.record`)."""
         weight = self.params.anchor_weight
         pairs = zip(levels, anchors)
         for _, part in groupby(pairs, lambda pair: pair[0] <= self._replayed):
             part = list(part)
-            items = [((level, anchor, None if anchor is None else weight),
+            items = [(self._key(level, anchor),
                       partial(self.observations.problem, level, anchor,
                               weight))
                      for level, anchor in part]
             results = self._store_of(part[0][0]).record(items)
             for (level, _), result in zip(part, results):
-                if isinstance(result, str):
-                    self._skipped[level] = result
-                    result = None
-                yield result
+                yield self._kept(level, result)
 
     def _settle(self) -> None:
-        """Fit the plain levels not yet fitted, as one batch."""
+        """Fit the plain levels not yet fitted, more than one as a batch."""
         if self._fitting:
             return
         levels = range(self._plain_level + 1, len(self.observations) + 1)
-        for level, result in zip(levels,
-                                 self._fits(levels, [None] * len(levels))):
+        results = (self._fits(levels, [None] * len(levels)) if len(levels) > 1
+                   else [self._fit(level, None) for level in levels])
+        for level, result in zip(levels, results):
             if result is not None:
                 self._reference_trends[level] = result
             self._plain_level = level
@@ -487,17 +586,17 @@ class LearningTrace:
 
     def _anchored_fits(self, levels: range) -> Iterator[tuple]:
         """(level, anchor, fit or None) of `levels`, in order.  A `fixed`
-        anchor is beta, so all are taken first and fitted as one batch;
-        another strategy's anchor may read the fits below it, so it is
-        taken only once the levels below it are recorded."""
-        if self.strategy.kind == "fixed":
+        anchor is beta, so more than one are taken first and fitted as one
+        batch; another strategy's anchor may read the fits below it, so it
+        is taken only once the levels below it are recorded."""
+        if self.strategy.kind == "fixed" and len(levels) > 1:
             anchors = [anchor_for_level(self.strategy, level, self)
                        for level in levels]
             yield from zip(levels, anchors, self._fits(levels, anchors))
             return
         for level in levels:
             anchor = anchor_for_level(self.strategy, level, self)
-            yield level, anchor, next(self._fits([level], [anchor]))
+            yield level, anchor, self._fit(level, anchor)
 
     # -- levels -----------------------------------------------------------
 

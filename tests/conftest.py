@@ -1,9 +1,12 @@
 """Shared fixtures and the acceptance pass/fail reporter."""
+import ast
+import os
+
 import numpy as np
 import pytest
 
 from convergema import (GeneratorSpec, LearningTrace, PowerLawCurve,
-                        TraceParams, generate)
+                        TraceParams, generate, traces)
 
 KERNEL = 5000
 STEP = 5000
@@ -42,6 +45,42 @@ def build_trace(a, b, c, levels, strategy, noise_sd=0.0, seed=0,
     log = generate(spec)
     return LearningTrace.from_log(log, strategy, params or TraceParams(),
                                   reference=reference)
+
+
+class SharedLog:
+    """Lines appended by this process and by any process forked from it
+    (a file opened with O_APPEND takes each write whole), read back as the
+    Python literals they were written as."""
+
+    def __init__(self, path):
+        self.path = path
+        path.touch()
+
+    def add(self, item) -> None:
+        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
+        try:
+            os.write(fd, (repr(item) + "\n").encode())
+        finally:
+            os.close(fd)
+
+    def read(self) -> list:
+        return [ast.literal_eval(line)
+                for line in self.path.read_text().splitlines()]
+
+
+def count_fits(monkeypatch, tmp_path):
+    """Record the (level, anchor, anchor_weight) of every fit made, by this
+    process or a forked helper; the returned function reads them back, each
+    process's fits in the order that process made them."""
+    keys = SharedLog(tmp_path / "fits.log")
+    real_fit = traces.fit
+
+    def counted(problem):
+        keys.add((len(problem.x), problem.anchor, problem.anchor_weight))
+        return real_fit(problem)
+
+    monkeypatch.setattr(traces, "fit", counted)
+    return keys.read
 
 
 # -- numpy SIMD target ----------------------------------------------------

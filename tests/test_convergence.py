@@ -14,7 +14,7 @@ from convergema import (ConvergemaError, GeneratorSpec, LearningTrace,
                         drift_perturbations)
 from convergema import convergence
 from tests import intersect_fixtures
-from tests.conftest import BIT_PIN_NOTE, build_trace
+from tests.conftest import BIT_PIN_NOTE, build_trace, count_fits
 
 
 def dense_sign_scan(c1, c2, x_lo, x_hi, cells=2_000_000):
@@ -528,18 +528,19 @@ class TestTuningSweepReuse:
 
     @pytest.mark.parametrize("noise_sd", [0.0, 0.05], ids=["clean", "noisy"])
     @pytest.mark.parametrize("plevel_source", ["reference", "anchored"])
-    def test_candidates_match_full_runs(self, monkeypatch, noise_sd,
-                                        plevel_source):
-        _, stops = self.check_sweep(monkeypatch, noise_sd, plevel_source,
-                                    share=0.3)
+    def test_candidates_match_full_runs(self, monkeypatch, tmp_path,
+                                        noise_sd, plevel_source):
+        _, stops = self.check_sweep(monkeypatch, tmp_path, noise_sd,
+                                    plevel_source, share=0.3)
         assert len(stops) > 1
 
     @pytest.mark.parametrize("plevel_source", ["reference", "anchored"])
-    def test_early_stop_fits_nothing_past_it(self, monkeypatch, plevel_source):
+    def test_early_stop_fits_nothing_past_it(self, monkeypatch, tmp_path,
+                                             plevel_source):
         # at the first epsilon, candidates stop before their working level
         # resolves; the levels up to it are fitted one at a time from there
-        log, stops = self.check_sweep(monkeypatch, 0.0, plevel_source,
-                                      share=0.0)
+        log, stops = self.check_sweep(monkeypatch, tmp_path, 0.0,
+                                      plevel_source, share=0.0)
         trace = LearningTrace(AnchoringStrategy.fixed(100.0))
         for obs in log:
             trace.extend(obs)
@@ -549,10 +550,10 @@ class TestTuningSweepReuse:
                    for stop in stops.values())
 
     @staticmethod
-    def check_sweep(monkeypatch, noise_sd, plevel_source, share):
+    def check_sweep(monkeypatch, tmp_path, noise_sd, plevel_source, share):
         """Every candidate's stop equals a full run's, and the sweep fits
-        exactly each candidate's levels from its switch to its stop."""
-        from convergema import traces
+        exactly each candidate's levels from its switch to its stop, in
+        this process or in the helper it shares its candidates with."""
         log = generate(GeneratorSpec(
             truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=60,
             perturbations=drift_perturbations(60, 0.8, 0.15),
@@ -564,17 +565,11 @@ class TestTuningSweepReuse:
         records = epsilon_sequence(base)
         tau = records[int(len(records) * share)].epsilon
 
-        fits = []
-        real_fit = traces.fit
-
-        def counting(problem):
-            fits.append(problem)
-            return real_fit(problem)
-
-        monkeypatch.setattr(traces, "fit", counting)
+        counted = count_fits(monkeypatch, tmp_path)
         result = find_optimal_look_ahead(log, params, tau, 100.0, 30,
                                          reference=plain)
         monkeypatch.undo()
+        fits = counted()
 
         stops = {}
         for cand in result.candidates:

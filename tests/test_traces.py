@@ -1,8 +1,8 @@
-import ast
 import dataclasses
 import errno
 import operator
 import os
+import select
 
 import numpy as np
 import pytest
@@ -18,28 +18,7 @@ from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
                         epsilon_sequence, find_optimal_look_ahead,
                         generate, normalized_slope, prediction_level, traces,
                         verticality_threshold, working_level)
-from tests.conftest import build_trace
-
-
-class SharedLog:
-    """Lines appended by this process and by any process forked from it
-    (a file opened with O_APPEND takes each write whole), read back as the
-    Python literals they were written as."""
-
-    def __init__(self, path):
-        self.path = path
-        path.touch()
-
-    def add(self, item) -> None:
-        fd = os.open(self.path, os.O_WRONLY | os.O_APPEND)
-        try:
-            os.write(fd, (repr(item) + "\n").encode())
-        finally:
-            os.close(fd)
-
-    def read(self) -> list:
-        return [ast.literal_eval(line)
-                for line in self.path.read_text().splitlines()]
+from tests.conftest import SharedLog, build_trace, count_fits
 
 
 def entries(levels, alphas, xs=None):
@@ -357,54 +336,26 @@ class TestFitStore:
             perturbations=drift_perturbations(60, 0.8, 0.15), seed=7))
 
     @staticmethod
-    def counting(monkeypatch, tmp_path):
-        """Record the (level, anchor, anchor_weight) of every fit made, by
-        this process or a forked helper; the returned function reads them
-        back, each process's fits in the order that process made them."""
-        keys = SharedLog(tmp_path / "fits.log")
-        real_fit = traces.fit
-
-        def counted(problem):
-            keys.add((len(problem.x), problem.anchor, problem.anchor_weight))
-            return real_fit(problem)
-
-        monkeypatch.setattr(traces, "fit", counted)
-        return keys.read
-
-    @staticmethod
     def fresh(log, strategy, params=TraceParams()):
         return LearningTrace.from_log(ObservationLog(log.entries, log.scheme),
                                       strategy, params).snapshot()
 
     def test_study_never_fits_a_problem_twice(self, monkeypatch, tmp_path):
-        log = self.stream()
-        fits = self.counting(monkeypatch, tmp_path)
-        params = TraceParams()
-        plain = LearningTrace.from_log(log, AnchoringStrategy.none(), params)
-        fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
-                                       params, reference=plain)
-        records = epsilon_sequence(fixed)
-        tau = records[int(len(records) * 0.3)].epsilon
-        stop = clevel(plain, ProximityCondition("absolute", tau))
-        tuning = find_optimal_look_ahead(log, params, tau, 100.0, stop,
-                                         reference=plain)
-        entries = plain.backbone()
-        gaps = sorted(abs(cur.alpha - prev.alpha)
-                      for prev, cur in zip(entries, entries[1:]))
-        strategy = AnchoringStrategy
-        build_frame(log, FrameSpec(
-            tau_r=gaps[int(len(gaps) * 0.6)],
-            strategies=(strategy.none(), strategy.canonical(),
-                        strategy.fixed(100.0),
-                        strategy.fixed_with_look_ahead(100.0,
-                                                       tuning.look_ahead))))
-        keys = fits()
-        assert len(keys) > len(log)
-        assert len(keys) == len(set(keys))
+        # on one CPU, and on two, where the helpers fit part of it
+        fits = count_fits(monkeypatch, tmp_path)
+        for cpus in (1, 2):
+            log = self.stream()
+            let_run_on(monkeypatch, cpus)
+            before = len(fits())
+            plain, tuning = study_sweep(log)
+            study_frame(log, plain, study_strategies(tuning.look_ahead))
+            keys = fits()[before:]
+            assert len(keys) > len(log)
+            assert len(keys) == len(set(keys))
 
     def test_store_dies_with_its_last_trace(self, monkeypatch, tmp_path):
         log = self.stream()
-        fits = self.counting(monkeypatch, tmp_path)
+        fits = count_fits(monkeypatch, tmp_path)
         first = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
         snapshot = first.snapshot()     # a full view fits the deferred levels
         count = len(fits())
@@ -479,7 +430,7 @@ class TestDeferredReference:
             seed=3))
 
     def test_extend_fits_once_per_level(self, monkeypatch, tmp_path):
-        fits = TestFitStore.counting(monkeypatch, tmp_path)
+        fits = count_fits(monkeypatch, tmp_path)
         trace = LearningTrace(AnchoringStrategy.fixed(100.0))
         condition = ProximityCondition("absolute", 0.6)
         deferred = after = 0
@@ -513,7 +464,7 @@ class TestDeferredReference:
                 break
         resolved = len(online.observations)     # the level that set it
         assert resolved < len(log) - 10
-        fits = TestFitStore.counting(monkeypatch, tmp_path)
+        fits = count_fits(monkeypatch, tmp_path)
         trace = LearningTrace.from_log(log, AnchoringStrategy.none())
         assert trace.plevel_reference == online.plevel_reference
         assert fits() == [(level, None, 1.0)
@@ -533,7 +484,7 @@ class TestDeferredReference:
                              ids=lambda s: s.spec_string())
     def test_final_stop_defers_every_fit(self, monkeypatch, tmp_path,
                                          strategy, plevel_source, view):
-        fits = TestFitStore.counting(monkeypatch, tmp_path)
+        fits = count_fits(monkeypatch, tmp_path)
         params = TraceParams(plevel_source=plevel_source)
         condition = ProximityCondition("absolute", 0.6)
         trace = LearningTrace(strategy, params)
@@ -678,8 +629,57 @@ def test_no_rising_basin_skips_the_level_by_name():
     assert clevel(trace, ProximityCondition("absolute", 0.25)) == 56
 
 
+def let_run_on(monkeypatch, count):
+    """Let the process run on `count` CPUs, as `os.sched_getaffinity` says."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
+
+
+def study_sweep(log, baseline=None):
+    """The synthetic study's look-ahead sweep on `log`, after the study's
+    fixed-anchor trace has read every level: (plain trace, TuningResult).
+    The baseline clevel is the plain trace's stop, which needs a
+    decreasing plain backbone, or else `baseline`."""
+    params = TraceParams()
+    plain = LearningTrace.from_log(log, AnchoringStrategy.none(), params)
+    fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
+                                   params, reference=plain)
+    records = epsilon_sequence(fixed)
+    tau = records[int(len(records) * 0.3)].epsilon
+    if baseline is None:
+        baseline = clevel(plain, ProximityCondition("absolute", tau))
+    return plain, find_optimal_look_ahead(log, params, tau, 100.0, baseline,
+                                          reference=plain)
+
+
+def study_strategies(look_ahead):
+    """The strategies of the synthetic study's frame."""
+    return (AnchoringStrategy.none(), AnchoringStrategy.canonical(),
+            AnchoringStrategy.fixed(100.0),
+            AnchoringStrategy.fixed_with_look_ahead(100.0, look_ahead))
+
+
+def study_frame(log, plain, strategies):
+    """The rows of a frame on `log` at the synthetic study's tau_r, read
+    off the plain trace `plain`."""
+    entries = plain.backbone()
+    gaps = sorted(abs(cur.alpha - prev.alpha)
+                  for prev, cur in zip(entries, entries[1:]))
+    return build_frame(log, FrameSpec(tau_r=gaps[int(len(gaps) * 0.6)],
+                                      strategies=strategies)).rows()
+
+
+@pytest.fixture
+def no_child_left():
+    """After the test no child process is left, running or unreaped."""
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
                     reason="the helper is forked only where affinity is known")
+@pytest.mark.usefixtures("no_child_left")
 class TestTwoProcessFill:
     """A batch of pending fits is split between this process and one forked
     helper; the store records the same fits, in the same order, as when
@@ -687,17 +687,10 @@ class TestTwoProcessFill:
 
     STRATEGIES = TestDeferredReference.STRATEGIES
 
-    @pytest.fixture(autouse=True)
-    def no_child_left(self):
-        yield
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
     @staticmethod
     def cpus(monkeypatch, count):
         """Let the process run on `count` CPUs and count its forks."""
-        monkeypatch.setattr(os, "sched_getaffinity",
-                            lambda pid: set(range(count)))
+        let_run_on(monkeypatch, count)
         forks = []
         real_fork = os.fork
 
@@ -810,3 +803,178 @@ class TestTwoProcessFill:
                 clevel(trace, condition)
         assert trace.plevel_reference is not None
         assert forks == []
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the helper is forked only where affinity is known")
+@pytest.mark.usefixtures("no_child_left")
+class TestWarmUp:
+    """A sweep's candidates and a frame's strategies are jobs that this
+    process shares with one forked helper, which warms the log's fit
+    store; the answers are those of one process, bit for bit, and no
+    helper outlives the call."""
+
+    @staticmethod
+    def stream(noise_sd):
+        return generate(GeneratorSpec(
+            truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=60,
+            noise_sd=noise_sd, perturbations=drift_perturbations(60, 0.8, 0.15),
+            seed=7))
+
+    @staticmethod
+    def cpus(monkeypatch, tmp_path, count):
+        """Let the process run on `count` CPUs; the returned function reads
+        back (pid, whether a warm-up ran) of each fork, by any process."""
+        let_run_on(monkeypatch, count)
+        made = SharedLog(tmp_path / f"forks-on-{count}.log")
+        real_fork = os.fork
+
+        def fork():
+            made.add((os.getpid(), traces._warming))
+            return real_fork()
+
+        monkeypatch.setattr(os, "fork", fork)
+        return made.read
+
+    @pytest.mark.parametrize("noise_sd", [0.0, 0.05], ids=["clean", "noisy"])
+    def test_study_equals_one_process(self, monkeypatch, tmp_path, noise_sd):
+        # noise makes the plain backbone rise, so the plain trace neither
+        # stops nor normalises a frame's threshold: on the noisy stream the
+        # sweep takes a given baseline and no frame is built
+        clean = noise_sd == 0.0
+        answers = {}
+        for count in (1, 2):
+            forks = self.cpus(monkeypatch, tmp_path, count)
+            log = self.stream(noise_sd)
+            plain, tuning = study_sweep(log, None if clean else 30)
+            swept = forks()
+            rows = (study_frame(log, plain, study_strategies(tuning.look_ahead))
+                    if clean else None)
+            # one fork per sweep and per frame, made by this process for
+            # its warm-up; the batches the sweep reads first fork on their own
+            warm = [] if count == 1 else [(os.getpid(), True)]
+            assert [fork for fork in swept if fork[1]] == warm
+            assert forks()[len(swept):] == (warm if clean else [])
+            answers[count] = tuning, rows
+        assert answers[1] == answers[2]
+
+    def test_no_fork_while_a_warm_up_runs(self, monkeypatch, tmp_path):
+        # on a new log the frame's fixed:100 run has a batch of anchored
+        # fits to make, which a helper would split were it not warming up
+        rows = {}
+        for count in (1, 2):
+            forks = self.cpus(monkeypatch, tmp_path, count)
+            log = self.stream(0.0)
+            plain = LearningTrace.from_log(log, AnchoringStrategy.none())
+            rows[count] = study_frame(log, plain, study_strategies(3))
+            assert forks() == ([] if count == 1 else
+                               [(os.getpid(), False), (os.getpid(), True)])
+        assert rows[1] == rows[2]
+
+    @staticmethod
+    def first_claim(monkeypatch, side):
+        """Let `side` ("caller" or "helper") claim a warm-up's first jobs:
+        the other side starts claiming once a fit is asked for while a
+        warm-up runs.  Returns the pipe that signals it, to be closed."""
+        go = os.pipe()
+        real_fork, real_fit = os.fork, traces.fit
+
+        def fork():
+            pid = real_fork()
+            if traces._warming and (pid == 0) == (side == "caller"):
+                select.select([go[0]], [], [], 60)
+            return pid
+
+        def fit(problem):
+            if traces._warming:
+                os.write(go[1], b".")
+            return real_fit(problem)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(traces, "fit", fit)
+        return go
+
+    @pytest.mark.parametrize("side", ["helper", "caller"])
+    @pytest.mark.parametrize("call", ["sweep", "frame"])
+    def test_error_is_raised_as_one_process_raises(self, monkeypatch,
+                                                   tmp_path, call, side):
+        # the failing job is the first to fit: the sweep's smallest
+        # look-ahead at its switch level, or the frame's canonical run (after
+        # 'none', which fits nothing) past its working level; no other job
+        # fits that level with an anchor other than beta
+        log = self.stream(0.0)
+        plain, tuning = study_sweep(log)
+        if call == "sweep":
+            look = next(c.look_ahead for c in tuning.candidates
+                        if c.look_ahead is not None)
+            level = plain.plevel + look + 1
+        else:
+            level = plain.wlevel + 5
+        strategies = (AnchoringStrategy.none(), AnchoringStrategy.canonical(),
+                      AnchoringStrategy.fixed(100.0))
+        raised_on = SharedLog(tmp_path / "raised.log")
+        real_fit = traces.fit
+
+        def fails_at(problem):
+            if len(problem.x) == level and problem.anchor not in (None, 100.0):
+                raised_on.add(os.getpid())
+                raise ValueError(f"injected at level {level}")
+            return real_fit(problem)
+
+        monkeypatch.setattr(traces, "fit", fails_at)
+        go = self.first_claim(monkeypatch, side)
+        raisers = {}
+        try:
+            for count in (1, 2):
+                let_run_on(monkeypatch, count)
+                copy = ObservationLog(log.entries, log.scheme)
+                before = len(raised_on.read())
+                with pytest.raises(ValueError, match=f"at level {level}$"):
+                    if call == "sweep":
+                        study_sweep(copy)
+                    else:
+                        study_frame(copy, LearningTrace.from_log(
+                            copy, AnchoringStrategy.none()), strategies)
+                raisers[count] = raised_on.read()[before:]
+        finally:
+            os.close(go[0])
+            os.close(go[1])
+        assert raisers[1] == [os.getpid()]
+        # a helper that meets the error leaves its job to this process,
+        # which meets it again in job order
+        assert raisers[2][-1] == os.getpid()
+        assert (len(raisers[2]) == 2) == (side == "helper")
+
+    @pytest.mark.parametrize("how", ["dies", "cannot start"])
+    def test_failed_helper_gives_the_one_process_result(self, monkeypatch,
+                                                        how):
+        log = self.stream(0.0)
+        let_run_on(monkeypatch, 1)
+        copy = ObservationLog(log.entries, log.scheme)
+        plain, tuning = study_sweep(copy)
+        alone = tuning, study_frame(copy, plain, study_strategies(3))
+        copy = ObservationLog(log.entries, log.scheme)
+        stored = LearningTrace.from_log(copy, AnchoringStrategy.fixed(100.0))
+        stored.snapshot()       # the batches the sweep reads first
+        parent = os.getpid()
+        real_fit = traces.fit
+
+        def dies_in_helper(problem):
+            if os.getpid() != parent:
+                os._exit(1)
+            return real_fit(problem)
+
+        def no_process():
+            forks.append(1)
+            raise BlockingIOError(errno.EAGAIN, "no process to spare")
+
+        monkeypatch.setattr(traces, "fit", dies_in_helper)
+        forks = TestTwoProcessFill.cpus(monkeypatch, 2)
+        if how == "cannot start":
+            monkeypatch.setattr(os, "fork", no_process)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        plain, tuning = study_sweep(copy)
+        shared = tuning, study_frame(copy, plain, study_strategies(3))
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        assert len(forks) == 2      # the sweep's warm-up and the frame's
+        assert shared == alone
