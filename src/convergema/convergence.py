@@ -59,7 +59,7 @@ class ProximityCondition:
     def __post_init__(self):
         if self.kind not in ("absolute", "relative"):
             raise ValueError("condition kind must be 'absolute' or 'relative'")
-        if self.tau <= 0.0:
+        if not self.tau > 0.0:      # NaN too
             raise ValueError("tau must be positive")
 
 

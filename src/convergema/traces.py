@@ -19,15 +19,14 @@ fits of its prefixes never go stale: the levels a trace replays from a log
 use that log's store, shared by every trace replayed on it, and the levels
 it is extended by later use the trace's own.
 
-The fits of one view that do not depend on each other (the plain levels,
-and the anchored levels under `fixed` anchoring) go to the store as one
-batch.  Where the process may run on two CPUs and has no other thread, a
-forked helper fits every other problem of a batch (`_fit_in_two`); the
-store records the same fits in the same order either way.  Replays of one
-log that do not depend on each other (a look-ahead sweep's candidates, a
-frame's strategies) are jobs that this process shares with a forked
-helper in the same way (`run_jobs`): the helper's fits warm the log's
-store, and this process computes every answer from it.
+Work that does not depend on other work of its kind is shared with one
+forked helper in one way (`run_jobs`): the two processes claim jobs from a
+pipe until none is left, the helper's fits warm the store, and the store
+is left entry for entry as one process would leave it.  The fits of one
+view that do not depend on each other (the plain levels, and the anchored
+levels under `fixed` anchoring) are such jobs, one per missing fit, run
+before the view reads them in order (`_warm`); so are the replays of one
+log that a look-ahead sweep's candidates and a frame's strategies make.
 """
 from __future__ import annotations
 
@@ -38,7 +37,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, islice
+from itertools import chain, groupby, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
@@ -88,31 +87,11 @@ class _FitStore(dict):
     weakly.  A plain problem is keyed (level, None, None): `fit` reads the
     anchor weight only when there is an anchor."""
 
-    def record(self, items: list) -> Iterator["FitResult | str"]:
-        """Yield the stored fit of each `(key, problem)` of `items` in
-        order, recording first the fit of `problem()` under a missing key;
-        a degenerate fit is recorded as its reason.  Any other exception is
-        raised at its item, after the items before it are recorded.
-
-        When `_helper_allowed`, a forked helper fits every other missing
-        problem (`_fit_in_two`) before the first item is yielded; what it
-        does not return is fitted here."""
-        problems = {key: problem() for key, problem in items
-                    if key not in self}
-        done = (_fit_in_two(list(problems.items()))
-                if _helper_allowed(len(problems)) else {})
-        for key, _ in items:
-            if key not in self:
-                result = done[key] if key in done else _outcome(problems[key])
-                if isinstance(result, Exception):
-                    raise result
-                self[key] = result
-            yield self[key]
-
     def lookup(self, key: tuple,
                problem: Callable[[], FitProblem]) -> "FitResult | str":
         """The stored fit under `key`, or else the fit of `problem()`
-        recorded there: the one-item case of `record`, read directly."""
+        recorded there; a degenerate fit is recorded as its reason, and any
+        other exception is raised with nothing recorded."""
         result = self.get(key)
         if result is None:
             result = self[key] = _outcome(problem())
@@ -131,29 +110,19 @@ def _outcome(problem: FitProblem) -> "FitResult | str":
 # forks again, so the two of them run on two CPUs, not three
 _warming = False
 
+# the most jobs `run_jobs` shares: a claim is two bytes, and all claims are
+# written at once, which stays whole while it is at most PIPE_BUF (4096)
+_MAX_SHARED = 2048
+
 
 def _helper_allowed(count: int) -> bool:
-    """Whether `count` fits or jobs are shared with a forked helper: at
-    least two, in a process that may run on two CPUs, has no other Python
-    thread (a fork copies only the calling thread) and is not running a
-    warm-up already."""
+    """Whether `count` jobs are shared with a forked helper: at least two,
+    in a process that may run on two CPUs, has no other Python thread (a
+    fork copies only the calling thread) and is not running a warm-up
+    already."""
     return (count >= 2 and not _warming and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) >= 2
             and threading.active_count() == 1)
-
-
-def _fit_half(pending: list, first: int) -> dict:
-    """key -> outcome of `pending[first::2]`, fitted in order until one
-    raises other than `DegenerateData`; that exception is its outcome, to
-    be raised at its item by `_FitStore.record`."""
-    done = {}
-    for key, problem in pending[first::2]:
-        try:
-            done[key] = _outcome(problem)
-        except Exception as exc:
-            done[key] = exc
-            break
-    return done
 
 
 def _with_helper(helper_part: Callable, own_part: Callable) -> tuple:
@@ -198,70 +167,62 @@ def _with_helper(helper_part: Callable, own_part: Callable) -> tuple:
         return own, None
 
 
-def _fit_in_two(pending: list) -> dict:
-    """key -> outcome of the `(key, problem)` pairs of `pending`: this
-    process fits the even positions and a forked helper the odd ones
-    (`_with_helper`); what a failed helper does not return is missing."""
-    done, theirs = _with_helper(partial(_fit_half, pending, 1),
-                                partial(_fit_half, pending, 0))
-    done.update(theirs or {})
-    return done
-
-
 def run_jobs(store: _FitStore, jobs: list[Callable]) -> list:
     """`[job() for job in jobs]`, for jobs whose only side effect is to
-    fill `store`: the same results, and the first exception in job order
-    raised as that loop raises it.
+    fill `store`: the same results, the first exception in job order
+    raised as that loop raises it, and `store` left as that loop leaves
+    it, entry for entry and in the same order.
 
-    When `_helper_allowed`, this process and a forked helper claim the
-    jobs from a pipe of job indices, one byte per claim (so at most 256
-    jobs are shared), and jobs of unequal size balance; neither process
-    forks again meanwhile.  The helper sends back
-    the store entries it added.  They are merged here, and this process
-    then computes the helper's jobs itself, finding every fit stored."""
+    When `_helper_allowed` and there are at most `_MAX_SHARED` jobs, this
+    process and a forked helper claim the jobs from a pipe of job indices,
+    so jobs of unequal size balance; neither process forks again
+    meanwhile.  Each side notes the store entries each of its jobs added,
+    and the helper sends its notes back.  This process then takes its own
+    entries out and puts every job's back in job order (its own fit where
+    both sides made one), and computes the helper's jobs itself, finding
+    every fit stored; a job the helper did not finish is run here."""
     global _warming
-    if not _helper_allowed(len(jobs)) or len(jobs) > 256:
+    if not _helper_allowed(len(jobs)) or len(jobs) > _MAX_SHARED:
         return [job() for job in jobs]
     claims, fill = os.pipe()
-    os.write(fill, bytes(range(len(jobs))))
+    os.write(fill, b"".join(index.to_bytes(2, "big")
+                            for index in range(len(jobs))))
     os.close(fill)
-    known = len(store)
 
-    def claimed() -> Iterator[int]:
-        while claim := os.read(claims, 1):
-            yield claim[0]
-
-    def helper_part() -> list:
-        for index in claimed():
+    def claimed() -> tuple:
+        """(index -> result, index -> the store entries its job added,
+        (index, exception) of a job that raised or None) of the jobs this
+        side claims, run in order; after a job raises none is claimed."""
+        results, added, failed = {}, {}, None
+        while claim := os.read(claims, 2):
+            index, known = int.from_bytes(claim, "big"), len(store)
             try:
-                jobs[index]()
-            except Exception:
-                break       # this process meets it again, in job order
-        return list(islice(store.items(), known, None))
-
-    def own_part() -> tuple:
-        done = {}
-        for index in claimed():
-            try:
-                done[index] = jobs[index]()
+                results[index] = jobs[index]()
             except Exception as exc:
-                os.read(claims, len(jobs))      # no later job is needed
-                return done, (index, exc)
-        return done, None
+                os.read(claims, 2 * len(jobs))      # no later job is needed
+                failed = index, exc
+            added[index] = list(islice(store.items(), known, None))
+        return results, added, failed
 
     _warming = True
     try:
-        (done, failed), entries = _with_helper(helper_part, own_part)
+        # a job that raised in the helper is met again here, in job order
+        (results, mine, failed), theirs = _with_helper(
+            lambda: claimed()[1], claimed)
     finally:
         _warming = False
         os.close(claims)
-    for key, result in entries or ():
-        store.setdefault(key, result)
+    own = dict(chain.from_iterable(mine.values()))
+    for key in own:
+        del store[key]
+    notes = {**(theirs or {}), **mine}
     out = []
     for index, job in enumerate(jobs):
+        for key, result in notes.get(index, ()):
+            store.setdefault(key, own.get(key, result))
         if failed is not None and failed[0] == index:
             raise failed[1]
-        out.append(done[index] if index in done else job())
+        out.append(results[index] if index in results else job())
     return out
 
 
@@ -457,7 +418,7 @@ class LearningTrace:
         # convergence._final_stop once found: such a stop is final
         self._stops: dict[float, int] = {}
         # the fits of the first `_replayed` levels live in the store of the
-        # log they were replayed from, the others in the trace's own (_fits)
+        # log they were replayed from, the others in the trace's own
         self._replayed = 0
         self._own_store = self.observations._fit_store()
         self._log_store = self._own_store
@@ -475,7 +436,7 @@ class LearningTrace:
         on that log shares.  With `reference` (a trace with the same
         parameters whose observations start with the log's) they use the
         store the reference uses at level len(log) instead.  Levels the
-        trace is extended by later go to its own store (see `_fits`).
+        trace is extended by later go to its own store (see `_store_of`).
         """
         trace = LearningTrace(strategy, params, scheme=log.scheme)
         if reference is None:
@@ -510,51 +471,51 @@ class LearningTrace:
         return (level, anchor,
                 None if anchor is None else self.params.anchor_weight)
 
-    def _kept(self, level: int,
-              result: "FitResult | str") -> Optional[FitResult]:
-        """A stored fit of `level`, or None with its reason in `_skipped`."""
-        if isinstance(result, str):
-            self._skipped[level] = result
-            return None
-        return result
-
     def _fit(self, level: int, anchor: Optional[float]) -> Optional[FitResult]:
         """The fit of the first `level` observations with `anchor` (None:
         plain), or None with the reason recorded in `_skipped`.  It is
         looked up in the store of its level (`_store_of`), or else fitted
         and recorded there, so no trace sharing the store fits the same
         problem twice."""
-        return self._kept(level, self._store_of(level).lookup(
+        result = self._store_of(level).lookup(
             self._key(level, anchor),
             partial(self.observations.problem, level, anchor,
-                    self.params.anchor_weight)))
+                    self.params.anchor_weight))
+        if isinstance(result, str):
+            self._skipped[level] = result
+            return None
+        return result
 
-    def _fits(self, levels: Iterable[int],
-              anchors: Iterable[Optional[float]]
-              ) -> Iterator[Optional[FitResult]]:
-        """Yield `_fit` of each level with its anchor, in order; the
-        levels of one store are passed to it as one batch
-        (`_FitStore.record`)."""
+    def _warm(self, levels: range, anchors: Iterable[Optional[float]]) -> None:
+        """Fit the problems of `levels` with `anchors` that their stores do
+        not hold yet, as the jobs of one warm-up per store (`run_jobs`), so
+        that `_fit` then finds them stored; a single level is left to
+        `_fit`.  A fit that raises is left for `_fit` to meet again at its
+        level, after the levels below it are recorded."""
+        if len(levels) < 2:
+            return
         weight = self.params.anchor_weight
-        pairs = zip(levels, anchors)
-        for _, part in groupby(pairs, lambda pair: pair[0] <= self._replayed):
-            part = list(part)
-            items = [(self._key(level, anchor),
-                      partial(self.observations.problem, level, anchor,
-                              weight))
-                     for level, anchor in part]
-            results = self._store_of(part[0][0]).record(items)
-            for (level, _), result in zip(part, results):
-                yield self._kept(level, result)
+        for replayed, part in groupby(zip(levels, anchors),
+                                      lambda pair: pair[0] <= self._replayed):
+            store = self._log_store if replayed else self._own_store
+            jobs = [partial(store.lookup, key,
+                            partial(self.observations.problem, level, anchor,
+                                    weight))
+                    for level, anchor in part
+                    if (key := self._key(level, anchor)) not in store]
+            try:
+                run_jobs(store, jobs)
+            except Exception:
+                return
 
     def _settle(self) -> None:
-        """Fit the plain levels not yet fitted, more than one as a batch."""
+        """Fit the plain levels not yet fitted, after one warm-up."""
         if self._fitting:
             return
         levels = range(self._plain_level + 1, len(self.observations) + 1)
-        results = (self._fits(levels, [None] * len(levels)) if len(levels) > 1
-                   else [self._fit(level, None) for level in levels])
-        for level, result in zip(levels, results):
+        self._warm(levels, repeat(None))
+        for level in levels:
+            result = self._fit(level, None)
             if result is not None:
                 self._reference_trends[level] = result
             self._plain_level = level
@@ -586,16 +547,18 @@ class LearningTrace:
 
     def _anchored_fits(self, levels: range) -> Iterator[tuple]:
         """(level, anchor, fit or None) of `levels`, in order.  A `fixed`
-        anchor is beta, so more than one are taken first and fitted as one
-        batch; another strategy's anchor may read the fits below it, so it
-        is taken only once the levels below it are recorded."""
-        if self.strategy.kind == "fixed" and len(levels) > 1:
+        anchor is beta, so those anchors are taken first and their levels
+        warmed up as one batch (`_warm`); another strategy's anchor may read
+        the fits below it, so it is taken only once the levels below it are
+        recorded."""
+        if self.strategy.kind == "fixed":
             anchors = [anchor_for_level(self.strategy, level, self)
                        for level in levels]
-            yield from zip(levels, anchors, self._fits(levels, anchors))
-            return
-        for level in levels:
-            anchor = anchor_for_level(self.strategy, level, self)
+            self._warm(levels, anchors)
+        else:
+            anchors = (anchor_for_level(self.strategy, level, self)
+                       for level in levels)
+        for level, anchor in zip(levels, anchors):
             yield level, anchor, self._fit(level, anchor)
 
     # -- levels -----------------------------------------------------------

@@ -302,6 +302,26 @@ class TestEvaluate:
         assert "horizon length must be at least 1, got -5" in err
 
 
+@pytest.mark.parametrize("command", ["analyze", "evaluate"])
+def test_nan_tau_is_error(tmp_path, monkeypatch, capsys, command):
+    obs_path = observations_csv(tmp_path)
+    if command == "analyze":
+        args = [str(obs_path), "--strategy", "fixed:100", "--tau", "nan"]
+    else:
+        frame_path = tmp_path / "frame.json"
+        frame_path.write_text(json.dumps({
+            "observations": str(obs_path), "tau_r": float("nan"),
+            "strategies": ["none", "fixed:100"]}))
+        args = [str(frame_path)]
+    monkeypatch.setattr("sys.argv", ["convergema", command, *args])
+    with pytest.raises(SystemExit) as stop:
+        _entry()
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "tau must be positive" in err
+
+
 @pytest.mark.parametrize("command,payload,key", [
     ("simulate", {"a": None, "b": 0.6, "c": 96.0, "levels": 20}, "a"),
     ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20,

@@ -1,12 +1,14 @@
 import dataclasses
 import errno
+import math
 import operator
 import os
 import select
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
@@ -14,8 +16,8 @@ from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
                         LearningScheme, LearningTrace, Observation,
                         ObservationLog,
                         PowerLawCurve, ProximityCondition, TraceParams,
-                        build_frame, clevel, drift_perturbations,
-                        epsilon_sequence, find_optimal_look_ahead,
+                        build_frame, clevel, convergence, drift_perturbations,
+                        epsilon_sequence, evaluation, find_optimal_look_ahead,
                         generate, normalized_slope, prediction_level, traces,
                         verticality_threshold, working_level)
 from tests.conftest import SharedLog, build_trace, count_fits
@@ -110,13 +112,23 @@ class TestNormalizedSlope:
         with pytest.raises(ValueError):
             normalized_slope(-1e-9)
 
+    # |fl(s / fl(s + 1)) - s / (s + 1)| < 2u / (1 - u) for unit roundoff
+    # u = 2**-53, so two values can be out of order by less than twice that
+    ORDER_SLACK = Fraction(4, 2 ** 53 - 1)
+
     @given(st.floats(0, 1e12), st.floats(0, 1e12))
+    @example(1.3735234521263604, math.nextafter(1.3735234521263604, math.inf))
+    @example(999966611683.0, 999966611684.0)
     @settings(max_examples=200, deadline=None)
     def test_monotone_bounded(self, s1, s2):
         n1, n2 = normalized_slope(s1), normalized_slope(s2)
         assert 0.0 <= n1 < 1.0
         if s1 < s2:
-            assert n1 < n2
+            assert n2 >= n1 - self.ORDER_SLACK
+            gap = ((Fraction(s2) - Fraction(s1))
+                   / ((Fraction(s1) + 1) * (Fraction(s2) + 1)))
+            if gap > self.ORDER_SLACK:
+                assert n1 < n2
 
 
 class TestWorkingLevel:
@@ -669,6 +681,63 @@ def study_frame(log, plain, strategies):
                                       strategies=strategies)).rows()
 
 
+def watch_warm_ups(monkeypatch, tmp_path):
+    """Wrap `os.fork` and `run_jobs` where a look-ahead sweep ("sweep"), a
+    frame ("frame") and a view's batch of fits ("batch") call it; a call
+    entered while a warm-up runs (`traces._warming`) is "nested".  Returns
+    the warm-ups running in this process, innermost last, and two readers
+    of what any process did: (pid, the innermost warm-up) of each fork,
+    and (pid, warm-up, number of jobs) of each `run_jobs` call."""
+    forks = SharedLog(tmp_path / "forks.log")
+    calls = SharedLog(tmp_path / "warm-ups.log")
+    running = []
+    for module, kind in ((convergence, "sweep"), (evaluation, "frame"),
+                         (traces, "batch")):
+        def run_jobs(store, jobs, real=module.run_jobs, kind=kind):
+            running.append("nested" if traces._warming else kind)
+            calls.add((os.getpid(), running[-1], len(jobs)))
+            try:
+                return real(store, jobs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(module, "run_jobs", run_jobs)
+    real_fork = os.fork
+
+    def fork():
+        forks.add((os.getpid(), running[-1] if running else None))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return running, forks.read, calls.read
+
+
+def first_claim(monkeypatch, running, side, kind,
+                releases=lambda problem: True):
+    """Let `side` ("caller" or "helper") claim the first jobs of a shared
+    warm-up of `kind` (see `watch_warm_ups`, whose `running` this reads):
+    the other side waits at its fork until that warm-up asks for a fit of
+    a problem `releases` accepts.  Returns the pipe that signals it, to be
+    closed."""
+    go = os.pipe()
+    real_fork, real_fit = os.fork, traces.fit
+
+    def fork():
+        pid = real_fork()
+        if running[-1:] == [kind] and (pid == 0) == (side == "caller"):
+            select.select([go[0]], [], [], 60)
+        return pid
+
+    def fit(problem):
+        if traces._warming and running[:1] == [kind] and releases(problem):
+            os.write(go[1], b".")
+        return real_fit(problem)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(traces, "fit", fit)
+    return go
+
+
 @pytest.fixture
 def no_child_left():
     """After the test no child process is left, running or unreaped."""
@@ -681,9 +750,9 @@ def no_child_left():
                     reason="the helper is forked only where affinity is known")
 @pytest.mark.usefixtures("no_child_left")
 class TestTwoProcessFill:
-    """A batch of pending fits is split between this process and one forked
-    helper; the store records the same fits, in the same order, as when
-    this process fits them all, and no helper outlives the call."""
+    """A batch of pending fits is one warm-up that this process shares with
+    one forked helper; the store records the same fits, in the same order,
+    as when this process fits them all, and no helper outlives the call."""
 
     STRATEGIES = TestDeferredReference.STRATEGIES
 
@@ -731,10 +800,10 @@ class TestTwoProcessFill:
         probe = LearningTrace.from_log(ObservationLog(log.entries),
                                        AnchoringStrategy.none())
         # from_log leaves the plain levels past this one to a view, which
-        # fits them as one batch: the helper takes its odd positions, this
-        # process the even ones
+        # fits them as one warm-up: the other side waits until `half` meets
+        # the failing level, so `half` fits every level below it
         first = probe._plain_level + 1
-        level = first + 11 + (half == "caller")
+        level = first + 11
         raised_on = SharedLog(tmp_path / "raised.log")
         real_fit = traces.fit
 
@@ -745,22 +814,30 @@ class TestTwoProcessFill:
             return real_fit(problem)
 
         monkeypatch.setattr(traces, "fit", fails_at)
-        stored = {}
-        for cpus in (1, 2):
-            self.cpus(monkeypatch, cpus)
-            copy = ObservationLog(log.entries, log.scheme)
-            trace = LearningTrace.from_log(copy, AnchoringStrategy.none())
-            with pytest.raises(ValueError, match=f"at level {level}$"):
-                trace.reference_trends
-            stored[cpus] = [(key, repr(fit))
-                            for key, fit in copy._fit_store().items()]
-            assert [key for key, _ in stored[cpus]] == [
-                (lv, None, None) for lv in range(3, level)]
-            assert sorted(trace._reference_trends) == list(range(3, level))
+        running, _, _ = watch_warm_ups(monkeypatch, tmp_path)
+        go = first_claim(monkeypatch, running, half, "batch",
+                         lambda problem: len(problem.x) == level)
+        stored, raisers = {}, {}
+        try:
+            for cpus in (1, 2):
+                let_run_on(monkeypatch, cpus)
+                copy = ObservationLog(log.entries, log.scheme)
+                trace = LearningTrace.from_log(copy, AnchoringStrategy.none())
+                before = len(raised_on.read())
+                with pytest.raises(ValueError, match=f"at level {level}$"):
+                    trace.reference_trends
+                raisers[cpus] = raised_on.read()[before:]
+                stored[cpus] = [(key, repr(fit))
+                                for key, fit in copy._fit_store().items()]
+                assert [key for key, _ in stored[cpus]] == [
+                    (lv, None, None) for lv in range(3, level)]
+                assert sorted(trace._reference_trends) == list(range(3, level))
+        finally:
+            os.close(go[0])
+            os.close(go[1])
         assert stored[1] == stored[2]
-        pids = raised_on.read()
-        assert pids[0] == os.getpid()
-        assert (pids[1] != os.getpid()) == (half == "helper")
+        assert raisers[1][0] == os.getpid()
+        assert (raisers[2][0] != os.getpid()) == (half == "helper")
 
     @pytest.mark.parametrize("how", ["dies", "cannot start"])
     def test_failed_helper_gives_the_sequential_result(self, monkeypatch,
@@ -790,6 +867,33 @@ class TestTwoProcessFill:
         assert len(os.listdir("/proc/self/fd")) == open_fds
         assert len(forks) == 2
         assert shared == alone and shared_fits == alone_fits
+
+    def test_long_batch_is_shared(self, monkeypatch):
+        # more pending levels than claims of one byte could index
+        log = generate(GeneratorSpec(
+            truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=300,
+            seed=3))
+        none = AnchoringStrategy.none()
+        forks = self.cpus(monkeypatch, 1)
+        alone, alone_fits = self.replay(log, none)
+        forks = self.cpus(monkeypatch, 2)
+        shared, shared_fits = self.replay(log, none)
+        assert len(forks) == 1
+        assert shared == alone
+        assert shared_fits == alone_fits
+
+    @pytest.mark.parametrize("strategy", STRATEGIES,
+                             ids=lambda s: s.spec_string())
+    def test_stored_batch_does_not_fork(self, monkeypatch, strategy):
+        log = TestDeferredReference.stream()
+        forks = self.cpus(monkeypatch, 2)
+        kept = LearningTrace.from_log(log, strategy)   # keeps the store
+        first = kept.snapshot()
+        assert forks        # its batches were shared
+        forks.clear()
+        again = LearningTrace.from_log(log, strategy).snapshot()
+        assert forks == []
+        assert again == first
 
     @pytest.mark.parametrize("strategy", STRATEGIES,
                              ids=lambda s: s.spec_string())
@@ -822,19 +926,9 @@ class TestWarmUp:
             seed=7))
 
     @staticmethod
-    def cpus(monkeypatch, tmp_path, count):
-        """Let the process run on `count` CPUs; the returned function reads
-        back (pid, whether a warm-up ran) of each fork, by any process."""
-        let_run_on(monkeypatch, count)
-        made = SharedLog(tmp_path / f"forks-on-{count}.log")
-        real_fork = os.fork
-
-        def fork():
-            made.add((os.getpid(), traces._warming))
-            return real_fork()
-
-        monkeypatch.setattr(os, "fork", fork)
-        return made.read
+    def store(log):
+        """The `repr` of every fit in the store of `log`, in order."""
+        return [(key, repr(fit)) for key, fit in log._fit_store().items()]
 
     @pytest.mark.parametrize("noise_sd", [0.0, 0.05], ids=["clean", "noisy"])
     def test_study_equals_one_process(self, monkeypatch, tmp_path, noise_sd):
@@ -842,57 +936,55 @@ class TestWarmUp:
         # stops nor normalises a frame's threshold: on the noisy stream the
         # sweep takes a given baseline and no frame is built
         clean = noise_sd == 0.0
+        _, forks, _ = watch_warm_ups(monkeypatch, tmp_path)
         answers = {}
         for count in (1, 2):
-            forks = self.cpus(monkeypatch, tmp_path, count)
+            let_run_on(monkeypatch, count)
+            before = len(forks())
             log = self.stream(noise_sd)
             plain, tuning = study_sweep(log, None if clean else 30)
-            swept = forks()
+            swept = forks()[before:]
             rows = (study_frame(log, plain, study_strategies(tuning.look_ahead))
                     if clean else None)
             # one fork per sweep and per frame, made by this process for
-            # its warm-up; the batches the sweep reads first fork on their own
-            warm = [] if count == 1 else [(os.getpid(), True)]
-            assert [fork for fork in swept if fork[1]] == warm
-            assert forks()[len(swept):] == (warm if clean else [])
+            # its warm-up; the batches the sweep reads first fork on their
+            # own, and no warm-up forks inside another
+            me = os.getpid()
+            assert [fork for fork in swept if fork[1] != "batch"] == (
+                [] if count == 1 else [(me, "sweep")])
+            assert forks()[before + len(swept):] == (
+                [(me, "frame")] if clean and count == 2 else [])
             answers[count] = tuning, rows
         assert answers[1] == answers[2]
 
+    def test_study_store_equals_one_process(self, monkeypatch):
+        stored = {}
+        for count in (1, 2):
+            let_run_on(monkeypatch, count)
+            log = self.stream(0.0)
+            plain, tuning = study_sweep(log)
+            study_frame(log, plain, study_strategies(tuning.look_ahead))
+            stored[count] = self.store(log)
+        assert stored[1] == stored[2]
+
     def test_no_fork_while_a_warm_up_runs(self, monkeypatch, tmp_path):
         # on a new log the frame's fixed:100 run has a batch of anchored
-        # fits to make, which a helper would split were it not warming up
+        # fits to make, which a helper would share were it not warming up
+        _, forks, calls = watch_warm_ups(monkeypatch, tmp_path)
         rows = {}
         for count in (1, 2):
-            forks = self.cpus(monkeypatch, tmp_path, count)
+            let_run_on(monkeypatch, count)
+            before = len(forks()), len(calls())
             log = self.stream(0.0)
             plain = LearningTrace.from_log(log, AnchoringStrategy.none())
             rows[count] = study_frame(log, plain, study_strategies(3))
-            assert forks() == ([] if count == 1 else
-                               [(os.getpid(), False), (os.getpid(), True)])
+            assert forks()[before[0]:] == ([] if count == 1 else
+                                           [(os.getpid(), "batch"),
+                                            (os.getpid(), "frame")])
+            nested = [size for _, kind, size in calls()[before[1]:]
+                      if kind == "nested"]
+            assert (max(nested, default=0) >= 2) == (count == 2)
         assert rows[1] == rows[2]
-
-    @staticmethod
-    def first_claim(monkeypatch, side):
-        """Let `side` ("caller" or "helper") claim a warm-up's first jobs:
-        the other side starts claiming once a fit is asked for while a
-        warm-up runs.  Returns the pipe that signals it, to be closed."""
-        go = os.pipe()
-        real_fork, real_fit = os.fork, traces.fit
-
-        def fork():
-            pid = real_fork()
-            if traces._warming and (pid == 0) == (side == "caller"):
-                select.select([go[0]], [], [], 60)
-            return pid
-
-        def fit(problem):
-            if traces._warming:
-                os.write(go[1], b".")
-            return real_fit(problem)
-
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(traces, "fit", fit)
-        return go
 
     @pytest.mark.parametrize("side", ["helper", "caller"])
     @pytest.mark.parametrize("call", ["sweep", "frame"])
@@ -922,7 +1014,8 @@ class TestWarmUp:
             return real_fit(problem)
 
         monkeypatch.setattr(traces, "fit", fails_at)
-        go = self.first_claim(monkeypatch, side)
+        running, _, _ = watch_warm_ups(monkeypatch, tmp_path)
+        go = first_claim(monkeypatch, running, side, call)
         raisers = {}
         try:
             for count in (1, 2):
