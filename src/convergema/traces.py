@@ -21,12 +21,12 @@ it is extended by later use the trace's own.
 
 Work that does not depend on other work of its kind is shared with one
 forked helper in one way (`run_jobs`): the two processes claim jobs from a
-pipe until none is left, the helper's fits warm the store, and the store
-is left entry for entry as one process would leave it.  The fits of one
-view that do not depend on each other (the plain levels, and the anchored
-levels under `fixed` anchoring) are such jobs, one per missing fit, run
-before the view reads them in order (`_warm`); so are the replays of one
-log that a look-ahead sweep's candidates and a frame's strategies make.
+pipe until none is left, and the helper's fits warm the store, under the
+keys one process would store them.  The fits of one view that do not
+depend on each other (the plain levels, and the anchored levels under
+`fixed` anchoring) are such jobs, one per missing fit, run before the view
+reads them in order (`_warm`); so are the replays of one log that a
+look-ahead sweep's candidates and a frame's strategies make.
 """
 from __future__ import annotations
 
@@ -37,7 +37,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain, groupby, islice, repeat
+from itertools import groupby, islice, repeat
 from typing import Callable, Iterable, Iterator, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
@@ -125,34 +125,33 @@ def _helper_allowed(count: int) -> bool:
             and threading.active_count() == 1)
 
 
-def _with_helper(helper_part: Callable, own_part: Callable) -> tuple:
-    """(own_part(), helper_part() or None), the second run by a forked
-    helper while this process runs the first.
+def _with_helper(part: Callable) -> tuple:
+    """(part(), part() in a forked helper or None), the two run at once.
 
     The helper runs the same code on the same process image, so what it
     computes is what this process would, bit for bit.  It sends its result
     pickled down a pipe and leaves by `os._exit`, so no exit handler or
     buffered output of this process runs in it.  It is always reaped
-    before this returns, and killed first when `own_part` raises.  A
-    helper that cannot start, dies or sends a short result gives None."""
+    before this returns, and killed first when this process's part raises.
+    A helper that cannot start, dies or sends a short result gives None."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
     except OSError:
         os.close(read_fd)
         os.close(write_fd)
-        return own_part(), None
+        return part(), None
     if pid == 0:
         try:
             os.close(read_fd)
             with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(helper_part(), pipe)
+                pickle.dump(part(), pipe)
         finally:
             os._exit(0)
     os.close(write_fd)
     try:
         with os.fdopen(read_fd, "rb") as pipe:
-            own = own_part()
+            own = part()
             data = pipe.read()
     except BaseException:
         os.kill(pid, signal.SIGKILL)
@@ -170,17 +169,18 @@ def _with_helper(helper_part: Callable, own_part: Callable) -> tuple:
 def run_jobs(store: _FitStore, jobs: list[Callable]) -> list:
     """`[job() for job in jobs]`, for jobs whose only side effect is to
     fill `store`: the same results, the first exception in job order
-    raised as that loop raises it, and `store` left as that loop leaves
-    it, entry for entry and in the same order.
+    raised as that loop raises it, and every fit that loop stores in
+    `store` under its key.  Every reader of a store looks a fit up by its
+    key, so the order of the entries is not kept; past a job that raises,
+    `store` may also hold a later job's fits.
 
     When `_helper_allowed` and there are at most `_MAX_SHARED` jobs, this
     process and a forked helper claim the jobs from a pipe of job indices,
     so jobs of unequal size balance; neither process forks again
-    meanwhile.  Each side notes the store entries each of its jobs added,
-    and the helper sends its notes back.  This process then takes its own
-    entries out and puts every job's back in job order (its own fit where
-    both sides made one), and computes the helper's jobs itself, finding
-    every fit stored; a job the helper did not finish is run here."""
+    meanwhile.  The helper sends back the store entries it added, which
+    this process adds where it holds no fit of that key yet; it then
+    computes the helper's jobs itself, finding every fit stored, and runs
+    a job the helper did not finish."""
     global _warming
     if not _helper_allowed(len(jobs)) or len(jobs) > _MAX_SHARED:
         return [job() for job in jobs]
@@ -188,40 +188,35 @@ def run_jobs(store: _FitStore, jobs: list[Callable]) -> list:
     os.write(fill, b"".join(index.to_bytes(2, "big")
                             for index in range(len(jobs))))
     os.close(fill)
+    known = len(store)
+    results, failed = {}, {}
 
-    def claimed() -> tuple:
-        """(index -> result, index -> the store entries its job added,
-        (index, exception) of a job that raised or None) of the jobs this
-        side claims, run in order; after a job raises none is claimed."""
-        results, added, failed = {}, {}, None
+    def claimed() -> list:
+        """Run the jobs this side claims, in order, into `results`, or
+        their exception into `failed`; after a job raises none is claimed.
+        Returns the store entries this side added."""
         while claim := os.read(claims, 2):
-            index, known = int.from_bytes(claim, "big"), len(store)
+            index = int.from_bytes(claim, "big")
             try:
                 results[index] = jobs[index]()
             except Exception as exc:
                 os.read(claims, 2 * len(jobs))      # no later job is needed
-                failed = index, exc
-            added[index] = list(islice(store.items(), known, None))
-        return results, added, failed
+                failed[index] = exc
+        return list(islice(store.items(), known, None))
 
     _warming = True
     try:
-        # a job that raised in the helper is met again here, in job order
-        (results, mine, failed), theirs = _with_helper(
-            lambda: claimed()[1], claimed)
+        _, theirs = _with_helper(claimed)
     finally:
         _warming = False
         os.close(claims)
-    own = dict(chain.from_iterable(mine.values()))
-    for key in own:
-        del store[key]
-    notes = {**(theirs or {}), **mine}
+    for key, result in theirs or ():
+        store.setdefault(key, result)
+    # a job that raised in the helper is met again here, in job order
     out = []
     for index, job in enumerate(jobs):
-        for key, result in notes.get(index, ()):
-            store.setdefault(key, own.get(key, result))
-        if failed is not None and failed[0] == index:
-            raise failed[1]
+        if index in failed:
+            raise failed[index]
         out.append(results[index] if index in results else job())
     return out
 

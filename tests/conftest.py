@@ -1,6 +1,8 @@
 """Shared fixtures and the acceptance pass/fail reporter."""
 import ast
+import math
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -96,12 +98,60 @@ def simd_targets() -> tuple[list[str], list[str]]:
     return list(umath.__cpu_baseline__), found
 
 
-# The bit pins compare float.hex output frozen where numpy dispatches to
-# AVX-512; another SIMD target rounds some kernels differently, so there a
-# failure need not be a fault.
-BIT_PIN_NOTE = ("bits frozen where numpy dispatches to AVX-512 (ROADMAP, "
-                "Known defects); this host dispatches to "
-                f"{' '.join(simd_targets()[1]) or 'its baseline only'}")
+def bits_comparable(frozen_on) -> bool:
+    """Whether this host's SIMD targets are those a fixture was frozen on
+    (`simd_targets()` there).  Only then are its bits compared: another
+    target rounds some numpy kernels differently, and there the fixture's
+    values are compared within the allowances below."""
+    return tuple(simd_targets()) == tuple(frozen_on)
+
+
+BIT_PIN_NOTE = ("bits frozen on the SIMD targets this host dispatches to "
+                f"({' '.join(simd_targets()[1]) or 'its baseline only'}): "
+                "a moved bit is a change of the program or of numpy")
+
+
+# -- value allowances (derived in CHANGES.md) -----------------------------
+
+# an asymptote, or anything the fit fixes only as well as it fixes c: the
+# refactor gate, relative
+C_RTOL = 1e-8
+
+
+def value_delta(*scales: float) -> float:
+    """What another SIMD target may move a value c - a*x**-b, or a residual
+    y minus it, whose terms are at most the largest of `scales` in size:
+    with the power faithfully rounded, each target is within 4 ulp of it."""
+    return 8.0 * math.ulp(max(abs(s) for s in scales))
+
+
+def sse_allowance(y, sse: float, c: float, anchor=None, weight: float = 1.0,
+                  anchor_allowance: float = 0.0) -> float:
+    """How far another SIMD target may move the SSE of a fit to `y` (with
+    `anchor` at infinity, itself known within `anchor_allowance`): each
+    residual moves by at most `value_delta`, the sum of n squares is
+    rounded in another order, and the fit's SSE moves with its anchor at
+    the rate 2*weight*(anchor - c)."""
+    rows = len(y) + (weight if anchor is not None else 0.0)
+    delta = value_delta(*y, c, *(() if anchor is None else (anchor,)))
+    out = (2.0 * math.sqrt(rows * sse) * delta + rows * delta * delta
+           + rows * sys.float_info.epsilon * sse)
+    if anchor is not None:
+        out += 2.0 * weight * abs(anchor - c) * anchor_allowance
+    return out
+
+
+def assert_values_close(got, frozen) -> None:
+    """`got` and `frozen` are lists of (name, value, allowance); the names
+    and the exact values (allowance None) match, and every other value of
+    `got` lies within the frozen allowance of the frozen value."""
+    assert [name for name, _, _ in got] == [name for name, _, _ in frozen]
+    for (name, value, _), (_, want, allowance) in zip(got, frozen):
+        if allowance is None:
+            assert value == want, name
+        else:
+            assert abs(value - want) <= allowance, (name, value, want,
+                                                    allowance)
 
 
 def pytest_report_header(config):

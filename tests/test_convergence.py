@@ -14,7 +14,9 @@ from convergema import (ConvergemaError, GeneratorSpec, LearningTrace,
                         drift_perturbations)
 from convergema import convergence
 from tests import intersect_fixtures
-from tests.conftest import BIT_PIN_NOTE, build_trace, count_fits
+from tests.conftest import (BIT_PIN_NOTE, assert_values_close,
+                            bits_comparable, build_trace, count_fits,
+                            value_delta)
 
 
 def dense_sign_scan(c1, c2, x_lo, x_hi, cells=2_000_000):
@@ -95,14 +97,34 @@ class TestIntersect:
         assert out.count == len(ref)
         assert out.last[0] == pytest.approx(ref[-1], rel=1e-6)
 
+    @staticmethod
+    def intersection_values(pairs, found) -> list:
+        """(name, value, allowance) of each intersection of `found`, one
+        per pair of `pairs`: the count and the crossings' x come from
+        CPython's math alone, and y is the first curve's value there."""
+        out = []
+        for i, ((c1, _), inter) in enumerate(zip(pairs, found)):
+            out.append((f"pair {i} count", inter.count, None))
+            for end in ("first", "last")[:min(inter.count, 2)]:
+                x, y = getattr(inter, end)
+                out.append((f"pair {i} {end} x", x, None))
+                out.append((f"pair {i} {end} y", y,
+                            value_delta(y, c1.c, c1.c - y)))
+        return out
+
     def test_intersections_frozen(self):
-        # bit for bit, so a reordered bisection step shows even where the
-        # 1e-12 tolerances of the tests above absorb it
-        got = [intersect_fixtures.as_hex(
-                   intersect(c1, c2, intersect_fixtures.X_MIN))
-               for c1, c2 in intersect_fixtures.pairs()]
-        assert got == list(intersect_fixtures.FROZEN), BIT_PIN_NOTE
-        assert {row[0] for row in got} == {0, 1, 2}
+        # bit for bit where the SIMD targets match, so a reordered bisection
+        # step shows even where the 1e-12 tolerances of the tests above
+        # absorb it; by value elsewhere
+        pairs = intersect_fixtures.pairs()
+        found = [intersect(c1, c2, intersect_fixtures.X_MIN)
+                 for c1, c2 in pairs]
+        assert {inter.count for inter in found} == {0, 1, 2}
+        assert_values_close(self.intersection_values(pairs, found),
+                            intersect_fixtures.VALUES)
+        if bits_comparable(intersect_fixtures.FROZEN_ON):
+            got = [intersect_fixtures.as_hex(inter) for inter in found]
+            assert got == list(intersect_fixtures.FROZEN), BIT_PIN_NOTE
 
     def test_roots_satisfy_equation(self):
         c1 = PowerLawCurve(50.0, 0.7, 97.0)

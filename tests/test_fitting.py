@@ -7,7 +7,8 @@ from convergema.fitting import (_B_GRID, _BRENT_XATOL, _TRUST_FTOL,
                                 _TRUST_GTOL, _TRUST_MAX_NFEV, _TRUST_XTOL,
                                 _Profile, _bounded_brent, _trust_region)
 from tests import fit_fixtures
-from tests.conftest import BIT_PIN_NOTE, power_law_samples
+from tests.conftest import (BIT_PIN_NOTE, C_RTOL, assert_values_close,
+                            bits_comparable, power_law_samples, sse_allowance)
 from tests.oracle import GridSpec, oracle_fit
 
 
@@ -302,14 +303,38 @@ def test_trust_region_skips_jacobian_at_final_point(monkeypatch):
     assert evaluations.count("jacobian") == evaluations.count("svd") > 1
 
 
+def fit_values(fits, solves) -> list:
+    """(name, value, allowance) of the asymptote and the SSE of each fit of
+    `fits`, one per case of `fit_fixtures.CASES`, and of each profile
+    solve (sse, a, c, dsse_db) of `solves`, one per `fit_fixtures.SOLVES`
+    row.  The other parameters trade along the fit's flat valley, so
+    only their bits are pinned."""
+    out = []
+    rows = [(f"case {i}", i, r.sse, r.curve.c) for i, r in enumerate(fits)]
+    rows += [(f"case {i} solve at b={b}", i, sse, c)
+             for (i, b, _), (sse, _, c, _) in zip(fit_fixtures.SOLVES, solves)]
+    for name, index, sse, c in rows:
+        problem = fit_fixtures.problem(fit_fixtures.CASES[index])
+        out.append((f"{name} c", c, C_RTOL * abs(c)))
+        out.append((f"{name} sse", sse, sse_allowance(
+            problem.y, sse, c, problem.anchor, problem.anchor_weight)))
+    return out
+
+
 def test_fit_outputs_frozen():
-    got = [tuple(float.hex(v) for v in (r.curve.a, r.curve.b, r.curve.c, r.sse))
-           for r in (fit(fit_fixtures.problem(case))
-                     for case in fit_fixtures.CASES)]
-    assert got == list(fit_fixtures.FROZEN), BIT_PIN_NOTE
-    for index, b, frozen in fit_fixtures.SOLVES:
+    fits = [fit(fit_fixtures.problem(case)) for case in fit_fixtures.CASES]
+    solves = []
+    for index, b, _ in fit_fixtures.SOLVES:
         problem = fit_fixtures.problem(fit_fixtures.CASES[index])
         profile = _Profile(np.asarray(problem.x), np.asarray(problem.y),
                            problem.anchor, problem.anchor_weight)
-        got = tuple(float.hex(v) for v in profile.solve(b, grad=True))
+        solves.append(profile.solve(b, grad=True))
+    assert_values_close(fit_values(fits, solves), fit_fixtures.VALUES)
+    if not bits_comparable(fit_fixtures.FROZEN_ON):
+        return
+    got = [tuple(float.hex(v) for v in (r.curve.a, r.curve.b, r.curve.c, r.sse))
+           for r in fits]
+    assert got == list(fit_fixtures.FROZEN), BIT_PIN_NOTE
+    for (index, b, frozen), solve in zip(fit_fixtures.SOLVES, solves):
+        got = tuple(float.hex(v) for v in solve)
         assert got == frozen, (index, b, BIT_PIN_NOTE)

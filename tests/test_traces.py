@@ -425,6 +425,28 @@ class TestFitStore:
         assert later.snapshot() == self.fresh(log, fixed)
         assert trace.snapshot() == self.fresh(trace.observations, fixed)
 
+    def test_no_answer_reads_store_order(self):
+        # a store is filled in the order its fits are claimed, which varies
+        # from run to run on two CPUs; every answer looks its fits up by key
+        fixed = AnchoringStrategy.fixed(100.0)
+        answers = {}
+        for reverse in (False, True):
+            log = self.stream()
+            warm = study_sweep(log)
+            study_frame(log, warm[0], study_strategies(warm[1].look_ahead))
+            store = log._fit_store()
+            entries = list(store.items())
+            if reverse:
+                store.clear()
+                store.update(reversed(entries))
+            plain, tuning = study_sweep(log)
+            rows = study_frame(log, plain, study_strategies(tuning.look_ahead))
+            snapshot = LearningTrace.from_log(log, fixed).snapshot()
+            assert list(store.items()) == (list(reversed(entries)) if reverse
+                                           else entries)
+            answers[reverse] = tuning, rows, snapshot
+        assert answers[True] == answers[False]
+
 
 class TestDeferredReference:
     """Past the reference prediction level `extend` makes no fit, whatever
@@ -482,12 +504,12 @@ class TestDeferredReference:
         assert fits() == [(level, None, 1.0)
                           for level in range(3, resolved + 1)]
         trace.snapshot()
-        # each level fitted once; the store records them in level order,
-        # whichever process fitted them
+        # each level fitted once and stored under its key, whichever
+        # process fitted it
         assert sorted(fits()) == [(level, None, 1.0)
                                   for level in range(3, len(log) + 1)]
-        assert list(log._fit_store()) == [(level, None, None)
-                                          for level in range(3, len(log) + 1)]
+        assert log._fit_store().keys() == {(level, None, None)
+                                           for level in range(3, len(log) + 1)}
 
     @pytest.mark.parametrize("view", ["snapshot", "skipped", "anchors",
                                       "plevel_anchored"])
@@ -738,6 +760,11 @@ def first_claim(monkeypatch, running, side, kind,
     return go
 
 
+def stored_reprs(log):
+    """The `repr` of every fit in the store of `log`, by key."""
+    return {key: repr(fit) for key, fit in log._fit_store().items()}
+
+
 @pytest.fixture
 def no_child_left():
     """After the test no child process is left, running or unreaped."""
@@ -751,8 +778,8 @@ def no_child_left():
 @pytest.mark.usefixtures("no_child_left")
 class TestTwoProcessFill:
     """A batch of pending fits is one warm-up that this process shares with
-    one forked helper; the store records the same fits, in the same order,
-    as when this process fits them all, and no helper outlives the call."""
+    one forked helper; the store holds the same fit under each key as when
+    this process fits them all, and no helper outlives the call."""
 
     STRATEGIES = TestDeferredReference.STRATEGIES
 
@@ -773,11 +800,10 @@ class TestTwoProcessFill:
     @staticmethod
     def replay(log, strategy):
         """The snapshot of a replay on a copy of `log`, and the `repr` of
-        every fit in its store, in the order the store recorded them."""
+        every fit in its store, by key."""
         copy = ObservationLog(log.entries, log.scheme)
         snapshot = LearningTrace.from_log(copy, strategy).snapshot()
-        return snapshot, [(key, repr(fit))
-                          for key, fit in copy._fit_store().items()]
+        return snapshot, stored_reprs(copy)
 
     @pytest.mark.parametrize("strategy", STRATEGIES,
                              ids=lambda s: s.spec_string())
@@ -827,15 +853,18 @@ class TestTwoProcessFill:
                 with pytest.raises(ValueError, match=f"at level {level}$"):
                     trace.reference_trends
                 raisers[cpus] = raised_on.read()[before:]
-                stored[cpus] = [(key, repr(fit))
-                                for key, fit in copy._fit_store().items()]
-                assert [key for key, _ in stored[cpus]] == [
-                    (lv, None, None) for lv in range(3, level)]
+                stored[cpus] = stored_reprs(copy)
+                assert (level, None, None) not in stored[cpus]
                 assert sorted(trace._reference_trends) == list(range(3, level))
         finally:
             os.close(go[0])
             os.close(go[1])
-        assert stored[1] == stored[2]
+        # the levels below are stored with the one-process fits; the other
+        # side may also have stored a level past the failing one
+        below = {(lv, None, None) for lv in range(3, level)}
+        assert stored[1].keys() == below
+        assert {key: stored[2][key] for key in below} == stored[1]
+        assert all(key[0] > level for key in stored[2].keys() - below)
         assert raisers[1][0] == os.getpid()
         assert (raisers[2][0] != os.getpid()) == (half == "helper")
 
@@ -925,11 +954,6 @@ class TestWarmUp:
             noise_sd=noise_sd, perturbations=drift_perturbations(60, 0.8, 0.15),
             seed=7))
 
-    @staticmethod
-    def store(log):
-        """The `repr` of every fit in the store of `log`, in order."""
-        return [(key, repr(fit)) for key, fit in log._fit_store().items()]
-
     @pytest.mark.parametrize("noise_sd", [0.0, 0.05], ids=["clean", "noisy"])
     def test_study_equals_one_process(self, monkeypatch, tmp_path, noise_sd):
         # noise makes the plain backbone rise, so the plain trace neither
@@ -964,7 +988,7 @@ class TestWarmUp:
             log = self.stream(0.0)
             plain, tuning = study_sweep(log)
             study_frame(log, plain, study_strategies(tuning.look_ahead))
-            stored[count] = self.store(log)
+            stored[count] = stored_reprs(log)
         assert stored[1] == stored[2]
 
     def test_no_fork_while_a_warm_up_runs(self, monkeypatch, tmp_path):
