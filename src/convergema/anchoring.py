@@ -13,6 +13,7 @@ working level of the reference trace:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
@@ -36,8 +37,8 @@ class AnchoringStrategy:
         if self.kind not in ("none", "canonical", "fixed", "fixed_look_ahead"):
             raise ValueError(f"unknown anchoring kind {self.kind!r}")
         if self.kind in ("fixed", "fixed_look_ahead"):
-            if self.beta is None or self.beta < _FIXED_MIN:
-                raise ValueError("fixed anchoring needs beta >= 100")
+            if self.beta is None or not _FIXED_MIN <= self.beta < math.inf:
+                raise ValueError("fixed anchoring needs a finite beta >= 100")
         if self.kind == "fixed_look_ahead":
             if self.look_ahead is None or self.look_ahead < 0:
                 raise ValueError("fixed_look_ahead needs a nonnegative look-ahead")

@@ -249,12 +249,10 @@ def clevel(trace: LearningTrace, condition: ProximityCondition) -> Optional[int]
     """Level at which the proximity condition first holds; None if not yet.
 
     Under fixed anchoring an absolute stop is final: no epsilon record
-    depends on a later level and no backbone rise is checked.  So the
-    fold kept on the trace answers once it holds a qualifying record, and
-    until then the pending anchored levels are fitted and folded one at a
-    time; the stop found is kept on the trace per tau, and a later query
-    at that tau reads it back without a fit or a fold.  Other strategies
-    read every level: a later rise must still raise NotDecreasing."""
+    depends on a later level and no backbone rise is checked, so the stop
+    is found, and kept per tau, fitting no level past it (`_final_stop`).
+    Other strategies read every level: a later rise must still raise
+    NotDecreasing."""
     if condition.kind == "absolute":
         if trace.strategy.kind in ("fixed", "fixed_look_ahead"):
             return _final_stop(trace, condition.tau)
@@ -286,33 +284,28 @@ def _final_stop(trace: LearningTrace, tau: float) -> Optional[int]:
 
     Records are only appended, omega is fixed once known and the first
     qualifying record stays first, so a stop found once is kept on the
-    trace (`_stops`) and a later query at that tau is one dict lookup.  No
-    stop yet is not kept: a longer trace may still stop."""
+    trace (`_stops`) and a later query at that tau is one dict lookup.
+    Otherwise the anchored trends fitted so far are folded (`_fold` resumes
+    the fold kept on the trace), and then the pending anchored levels are
+    fitted and folded one at a time, until a record qualifies or the trace
+    ends.  No stop yet is not kept: a longer trace may still stop."""
     stop = trace._stops.get(tau)
-    if stop is None:
-        stop = _find_stop(trace, tau)
+    if stop is not None:
+        return stop
+    omega = _working_level(trace)
+    last = len(trace.observations)
+    # the first pass fits nothing, and the last reads the whole sequence
+    for level in range(max(trace._anchored_level, omega), last + 1):
+        if level < last:
+            trace._fit_anchored(level)
+            records = _fold(trace, trace._anchored_trends)
+        else:
+            records = epsilon_sequence(trace)
+        stop = threshold_level(records, tau, omega)
         if stop is not None:
             trace._stops[tau] = stop
-    return stop
-
-
-def _find_stop(trace: LearningTrace, tau: float) -> Optional[int]:
-    """The first qualifying level of the fold kept on the trace, or else of
-    the pending anchored levels fitted and folded one at a time."""
-    omega = _working_level(trace)
-    if trace._epsilon_fold is not None:
-        stop = threshold_level(trace._epsilon_fold[1], tau, omega)
-        if stop is not None:
             return stop
-    # the pending levels one at a time, the last one with the whole sequence
-    for level in range(max(trace._anchored_level, omega) + 1,
-                       len(trace.observations)):
-        trace._fit_anchored(level)
-        stop = threshold_level(_fold(trace, trace._anchored_trends), tau,
-                               omega)
-        if stop is not None:
-            return stop
-    return threshold_level(epsilon_sequence(trace), tau, omega)
+    return None
 
 
 def normalize_threshold(trace: LearningTrace, tau_r: float) -> float:

@@ -47,16 +47,14 @@ class Horizon:
         elif length > len(log):
             raise MissingHorizon(f"horizon length {length} exceeds the "
                                  f"{len(log)} observations of the log")
-        entries = log.entries[:length]
-        if len(entries) < 3:
+        if length < 3:
             raise MissingHorizon("horizon needs at least 3 observations")
-        sub = ObservationLog(entries)
         # the plain fit of this prefix, shared with the log's traces
-        limit = log._fit_store().lookup((len(sub), None, None),
-                                        lambda: sub.problem(len(sub)))
+        limit = log._fit_store().lookup(log, length)
         if isinstance(limit, str):
             raise DegenerateData(limit)
-        return Horizon(observations=sub, limit_trend=limit)
+        return Horizon(observations=ObservationLog(log.entries[:length]),
+                       limit_trend=limit)
 
 
 @dataclass

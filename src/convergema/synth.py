@@ -6,6 +6,7 @@ convergence guarantees can be exercised against a known final accuracy.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,8 +34,8 @@ class GeneratorSpec:
     def __post_init__(self):
         if self.levels < 1:
             raise ValueError("levels must be >= 1")
-        if self.noise_sd < 0.0:
-            raise ValueError("noise_sd must be nonnegative")
+        if not 0.0 <= self.noise_sd < math.inf:
+            raise ValueError("noise_sd must be finite and nonnegative")
         for level, _ in self.perturbations:
             if not (1 <= level <= self.levels):
                 raise ValueError(f"perturbation level {level} outside 1..{self.levels}")

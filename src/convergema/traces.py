@@ -14,10 +14,11 @@ anchoring strategies draw their anchor values from them.  `extend` fits
 a new level's plain problem only until the reference prediction level is
 known; every other fit is made when a view reads it.
 
-A fit lives in a store keyed by its problem.  A log only grows, so the
-fits of its prefixes never go stale: the levels a trace replays from a log
-use that log's store, shared by every trace replayed on it, and the levels
-it is extended by later use the trace's own.
+A fit lives in a store keyed by its problem (`_FitStore.key`).  A log only
+grows, so the fits of its prefixes never go stale: the levels a trace
+replays from a log use that log's store, shared by every trace replayed on
+it, and the levels it is extended by later use the trace's own.  A trace
+reads every fit one way, in level order (`LearningTrace._fits`).
 
 Work that does not depend on other work of its kind is shared with one
 forked helper in one way (`run_jobs`): the two processes claim jobs from a
@@ -25,8 +26,8 @@ pipe until none is left, and the helper's fits warm the store, under the
 keys one process would store them.  The fits of one view that do not
 depend on each other (the plain levels, and the anchored levels under
 `fixed` anchoring) are such jobs, one per missing fit, run before the view
-reads them in order (`_warm`); so are the replays of one log that a
-look-ahead sweep's candidates and a frame's strategies make.
+reads them in order; so are the replays of one log that a look-ahead
+sweep's candidates and a frame's strategies make.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, islice, repeat
+from itertools import groupby, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
@@ -84,26 +85,29 @@ class LearningScheme:
 class _FitStore(dict):
     """(level, anchor, anchor_weight) -> FitResult or skip reason, for
     prefixes of one log; a dict subclass so that the log can hold it
-    weakly.  A plain problem is keyed (level, None, None): `fit` reads the
-    anchor weight only when there is an anchor."""
+    weakly."""
 
-    def lookup(self, key: tuple,
-               problem: Callable[[], FitProblem]) -> "FitResult | str":
-        """The stored fit under `key`, or else the fit of `problem()`
-        recorded there; a degenerate fit is recorded as its reason, and any
-        other exception is raised with nothing recorded."""
-        result = self.get(key)
-        if result is None:
-            result = self[key] = _outcome(problem())
-        return result
+    @staticmethod
+    def key(level: int, anchor: Optional[float], weight: float) -> tuple:
+        """The key of a level's problem: a plain problem is keyed (level,
+        None, None), since `fit` reads the anchor weight only when there is
+        an anchor."""
+        return level, anchor, None if anchor is None else weight
 
-
-def _outcome(problem: FitProblem) -> "FitResult | str":
-    """The fit of `problem`, or the reason it is degenerate."""
-    try:
-        return fit(problem)
-    except DegenerateData as exc:
-        return str(exc)
+    def lookup(self, log: "ObservationLog", level: int,
+               anchor: Optional[float] = None,
+               weight: float = 1.0) -> "FitResult | str":
+        """The stored fit of the first `level` observations of `log` with
+        `anchor`, or else that fit made and recorded; a degenerate fit is
+        recorded as its reason, and any other exception is raised with
+        nothing recorded."""
+        key = self.key(level, anchor, weight)
+        if key not in self:
+            try:
+                self[key] = fit(log.problem(level, anchor, weight))
+            except DegenerateData as exc:
+                self[key] = str(exc)
+        return self[key]
 
 
 # set while `run_jobs` shares its jobs with a helper: neither process
@@ -459,58 +463,53 @@ class LearningTrace:
         """The store that holds the fits of the first `level` observations."""
         return self._log_store if level <= self._replayed else self._own_store
 
-    def _key(self, level: int, anchor: Optional[float]) -> tuple:
-        """The store key of a level's problem: a plain problem is keyed
-        (level, None, None), since `fit` reads the anchor weight only when
-        there is an anchor."""
-        return (level, anchor,
-                None if anchor is None else self.params.anchor_weight)
+    def _fits(self, levels: range, anchors) -> Iterator[tuple]:
+        """(level, anchor, fit or None) of `levels` with `anchors`, in
+        order; a degenerate fit is None, with its reason recorded in
+        `_skipped`.  Each fit is looked up in the store of its level
+        (`_store_of`), or else made and recorded there, so no trace sharing
+        the store fits the same problem twice.
 
-    def _fit(self, level: int, anchor: Optional[float]) -> Optional[FitResult]:
-        """The fit of the first `level` observations with `anchor` (None:
-        plain), or None with the reason recorded in `_skipped`.  It is
-        looked up in the store of its level (`_store_of`), or else fitted
-        and recorded there, so no trace sharing the store fits the same
-        problem twice."""
-        result = self._store_of(level).lookup(
-            self._key(level, anchor),
-            partial(self.observations.problem, level, anchor,
-                    self.params.anchor_weight))
-        if isinstance(result, str):
-            self._skipped[level] = result
-            return None
-        return result
-
-    def _warm(self, levels: range, anchors: Iterable[Optional[float]]) -> None:
-        """Fit the problems of `levels` with `anchors` that their stores do
-        not hold yet, as the jobs of one warm-up per store (`run_jobs`), so
-        that `_fit` then finds them stored; a single level is left to
-        `_fit`.  A fit that raises is left for `_fit` to meet again at its
-        level, after the levels below it are recorded."""
-        if len(levels) < 2:
-            return
+        `anchors` is a list when every anchor is known before the first
+        fit: the fits missing from their stores are then made first, as the
+        jobs of one warm-up per store (`run_jobs`).  A warm-up that raises
+        has stored the fit of every job before the raising one, so that
+        exception is raised at the first level whose fit is still missing,
+        after the levels below it are recorded, and not fitted again.
+        Otherwise `anchors` is an iterator, whose next anchor may read the
+        fits recorded below it."""
         weight = self.params.anchor_weight
-        for replayed, part in groupby(zip(levels, anchors),
-                                      lambda pair: pair[0] <= self._replayed):
-            store = self._log_store if replayed else self._own_store
-            jobs = [partial(store.lookup, key,
-                            partial(self.observations.problem, level, anchor,
-                                    weight))
-                    for level, anchor in part
-                    if (key := self._key(level, anchor)) not in store]
-            try:
-                run_jobs(store, jobs)
-            except Exception:
-                return
+        failed = None
+        if isinstance(anchors, list) and len(levels) >= 2:
+            for replayed, part in groupby(
+                    zip(levels, anchors),
+                    lambda pair: pair[0] <= self._replayed):
+                store = self._log_store if replayed else self._own_store
+                jobs = [partial(store.lookup, self.observations, level,
+                                anchor, weight)
+                        for level, anchor in part
+                        if store.key(level, anchor, weight) not in store]
+                try:
+                    run_jobs(store, jobs)
+                except Exception as exc:
+                    failed = exc
+                    break
+        for level, anchor in zip(levels, anchors):
+            store = self._store_of(level)
+            if failed and store.key(level, anchor, weight) not in store:
+                raise failed
+            result = store.lookup(self.observations, level, anchor, weight)
+            if isinstance(result, str):
+                self._skipped[level] = result
+                result = None
+            yield level, anchor, result
 
     def _settle(self) -> None:
-        """Fit the plain levels not yet fitted, after one warm-up."""
+        """Fit the plain levels not yet fitted."""
         if self._fitting:
             return
         levels = range(self._plain_level + 1, len(self.observations) + 1)
-        self._warm(levels, repeat(None))
-        for level in levels:
-            result = self._fit(level, None)
+        for level, _, result in self._fits(levels, [None] * len(levels)):
             if result is not None:
                 self._reference_trends[level] = result
             self._plain_level = level
@@ -520,16 +519,20 @@ class LearningTrace:
         (default: the last observed level).  A level's anchor reads only
         the trace below that level (`anchor_for_level`), through views
         that fit nothing while this runs, so it is the anchor an eager
-        trace would have used (`_anchored_fits`)."""
+        trace would have used.  A `fixed` anchor is beta, so those anchors
+        are all taken before the first fit."""
         if self._fitting or self.strategy.kind == "none" or self.wlevel is None:
             return
         if upto is None:
             upto = len(self.observations)
+        levels = range(max(self._anchored_level, self.wlevel) + 1, upto + 1)
         self._fitting = True
         try:
-            for level, anchor, result in self._anchored_fits(
-                    range(max(self._anchored_level, self.wlevel) + 1,
-                          upto + 1)):
+            anchors = (anchor_for_level(self.strategy, level, self)
+                       for level in levels)
+            if self.strategy.kind == "fixed":
+                anchors = list(anchors)
+            for level, anchor, result in self._fits(levels, anchors):
                 if result is not None:
                     self._anchored_trends[level] = result
                     self._anchors[level] = float(anchor)
@@ -539,22 +542,6 @@ class LearningTrace:
                 self._anchored_level = level
         finally:
             self._fitting = False
-
-    def _anchored_fits(self, levels: range) -> Iterator[tuple]:
-        """(level, anchor, fit or None) of `levels`, in order.  A `fixed`
-        anchor is beta, so those anchors are taken first and their levels
-        warmed up as one batch (`_warm`); another strategy's anchor may read
-        the fits below it, so it is taken only once the levels below it are
-        recorded."""
-        if self.strategy.kind == "fixed":
-            anchors = [anchor_for_level(self.strategy, level, self)
-                       for level in levels]
-            self._warm(levels, anchors)
-        else:
-            anchors = (anchor_for_level(self.strategy, level, self)
-                       for level in levels)
-        for level, anchor in zip(levels, anchors):
-            yield level, anchor, self._fit(level, anchor)
 
     # -- levels -----------------------------------------------------------
 

@@ -27,6 +27,13 @@ class TestStrategyParsing:
         with pytest.raises(ValueError):
             AnchoringStrategy.fixed_with_look_ahead(100.0, -1)
 
+    @pytest.mark.parametrize("text", ["fixed:nan", "fixed:inf",
+                                      "fixed:1e400", "fixed:nan+3",
+                                      "fixed:inf+3"])
+    def test_rejects_non_finite_beta(self, text):
+        with pytest.raises(ValueError, match="needs a finite beta"):
+            AnchoringStrategy.parse(text)
+
 
 class TestAnchorForLevel:
     def test_none_strategy(self):

@@ -322,6 +322,20 @@ def test_nan_tau_is_error(tmp_path, monkeypatch, capsys, command):
     assert "tau must be positive" in err
 
 
+@pytest.mark.parametrize("strategy", ["fixed:nan", "fixed:1e400+3"])
+def test_non_finite_beta_is_error(tmp_path, monkeypatch, capsys, strategy):
+    # rejected as the strategy is parsed, before the log is replayed
+    obs_path = observations_csv(tmp_path)
+    monkeypatch.setattr("sys.argv", ["convergema", "analyze", str(obs_path),
+                                     "--strategy", strategy, "--tau", "0.5"])
+    with pytest.raises(SystemExit) as stop:
+        _entry()
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "fixed anchoring needs a finite beta >= 100" in err
+
+
 @pytest.mark.parametrize("command,payload,key", [
     ("simulate", {"a": None, "b": 0.6, "c": 96.0, "levels": 20}, "a"),
     ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20,
@@ -379,6 +393,12 @@ _GENERATOR = {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20}
      "frame needs the anchor-free strategy 'none'"),
     ("evaluate", dict(_FRAME, conditions=[]),
      "frame needs at least one condition"),
+    ("evaluate", dict(_FRAME, strategies=["none", "fixed:nan"]),
+     "fixed anchoring needs a finite beta"),
+    ("simulate", dict(_GENERATOR, noise_sd=float("nan")),
+     "noise_sd must be finite"),
+    ("simulate", dict(_GENERATOR, noise_sd=float("inf")),
+     "noise_sd must be finite"),
 ])
 def test_malformed_spec_is_error_not_traceback(tmp_path, monkeypatch, capsys,
                                                command, payload, message):

@@ -83,6 +83,13 @@ def test_fixed_anchoring_on_generated_stream():
     assert all(b - a <= 1e-9 for a, b in zip(values, values[1:]))
 
 
+@pytest.mark.parametrize("noise_sd", [float("nan"), float("inf"),
+                                      float("-inf")])
+def test_generator_rejects_non_finite_noise(noise_sd):
+    with pytest.raises(ValueError, match="noise_sd must be finite"):
+        GeneratorSpec(truth=TRUTH, levels=5, noise_sd=noise_sd)
+
+
 def test_generator_validation():
     with pytest.raises(ValueError):
         GeneratorSpec(truth=TRUTH, levels=0)

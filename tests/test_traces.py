@@ -543,6 +543,29 @@ class TestDeferredReference:
         assert trace.snapshot() == replay.snapshot()
         assert trace.plevel == replay.plevel
 
+    @pytest.mark.parametrize("strategy", [
+        AnchoringStrategy.fixed(100.0),
+        AnchoringStrategy.fixed_with_look_ahead(100.0, 5)],
+        ids=lambda s: s.spec_string())
+    def test_replayed_stop_fits_up_to_its_stop(self, monkeypatch, tmp_path,
+                                               strategy):
+        # a replay fits no anchored level; each query fits the pending
+        # anchored levels one at a time, up to its stop and no further
+        trace = LearningTrace.from_log(self.stream(), strategy)
+        fits = count_fits(monkeypatch, tmp_path)
+        first = trace.wlevel + 1
+        for tau in (0.6, 0.3):
+            before = len(fits())
+            stop = clevel(trace, ProximityCondition("absolute", tau))
+            assert first < stop < len(trace.observations)
+            made = fits()[before:]
+            assert [key[0] for key in made] == list(range(first, stop + 1))
+            first = stop + 1
+        made = fits()
+        anchors = trace.anchors     # a view fits the levels past the stop
+        assert made == [(level, anchors[level], 1.0)
+                        for level in range(trace.wlevel + 1, stop + 1)]
+
     @pytest.mark.parametrize("strategy", STRATEGIES,
                              ids=lambda s: s.spec_string())
     def test_online_trace_equals_eager_one(self, strategy):
@@ -865,8 +888,14 @@ class TestTwoProcessFill:
         assert stored[1].keys() == below
         assert {key: stored[2][key] for key in below} == stored[1]
         assert all(key[0] > level for key in stored[2].keys() - below)
-        assert raisers[1][0] == os.getpid()
-        assert (raisers[2][0] != os.getpid()) == (half == "helper")
+        # the failing fit is made once in each process that meets it: on
+        # two CPUs by the helper, then by the caller's walk in `run_jobs`,
+        # or by the caller alone
+        me = os.getpid()
+        assert raisers[1] == [me]
+        assert raisers[2][-1] == me
+        assert len(raisers[2]) == (2 if half == "helper" else 1)
+        assert (raisers[2][0] != me) == (half == "helper")
 
     @pytest.mark.parametrize("how", ["dies", "cannot start"])
     def test_failed_helper_gives_the_sequential_result(self, monkeypatch,
