@@ -17,7 +17,10 @@ from convergema import (AnchoringStrategy, FrameSpec, GeneratorSpec,
                         LearningTrace, PowerLawCurve, ProximityCondition,
                         TraceParams, build_frame, clevel, drift_perturbations,
                         epsilon_sequence, find_optimal_look_ahead, generate)
-from convergema.io import write_json, write_observations, write_series_csv
+from convergema.convergence import backbone_gaps
+from convergema.io import (EPSILON_COLUMNS, FRAME_COLUMNS, epsilon_row,
+                           tuning_payload, write_json, write_observations,
+                           write_series_csv)
 
 
 def main():
@@ -46,10 +49,8 @@ def main():
     fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0), params,
                                    reference=reference)
     records = epsilon_sequence(fixed)
-    write_series_csv(
-        [{"level": r.level, "epsilon": repr(r.epsilon),
-          "is_rupture": int(r.is_rupture)} for r in records],
-        ("level", "epsilon", "is_rupture"), args.outdir / "epsilon_fixed.csv")
+    write_series_csv([epsilon_row(r) for r in records], EPSILON_COLUMNS,
+                     args.outdir / "epsilon_fixed.csv")
 
     tau = records[int(len(records) * 0.3)].epsilon
     condition = ProximityCondition("absolute", tau)
@@ -62,34 +63,21 @@ def main():
     print(f"tuned look-ahead: {tuning.look_ahead} (tentative PUT "
           f"{tuning.zeta:.0f}, PUT at switch {tuning.put_at_switch:.2f}, "
           f"RC {tuning.rc:.3f})")
-    write_json({
-        "tau": tau,
-        "selected": {"look_ahead": tuning.look_ahead, "zeta": tuning.zeta,
-                     "put": tuning.put_at_switch, "rc": tuning.rc},
-        "candidates": [{"zeta": c.zeta, "look_ahead": c.look_ahead,
-                        "clevel": c.clevel, "rc": c.rc}
-                       for c in tuning.candidates],
-    }, args.outdir / "tuning.json")
+    write_json({"tau": tau, **tuning_payload(tuning)},
+               args.outdir / "tuning.json")
 
-    entries = reference.backbone()
-    gaps = sorted(abs(cur.alpha - prev.alpha)
-                  for prev, cur in zip(entries, entries[1:]))
+    gaps = sorted(gap for _, gap in backbone_gaps(reference))
     frame_spec = FrameSpec(
         tau_r=gaps[int(len(gaps) * 0.6)],
         strategies=(AnchoringStrategy.none(), AnchoringStrategy.canonical(),
                     AnchoringStrategy.fixed(100.0),
                     AnchoringStrategy.fixed_with_look_ahead(
-                        100.0, tuning.look_ahead)),
-        conditions=("absolute", "relative"))
+                        100.0, tuning.look_ahead)))
     frame = build_frame(log, frame_spec)
     rows = frame.rows()
     write_json({"tau_a": frame.tau_a, "rows": [vars(r) for r in rows]},
                args.outdir / "frame.json")
-    write_series_csv(
-        [{k: ("" if v is None else v) for k, v in vars(r).items()} for r in rows],
-        ("strategy", "condition", "tau", "plevel", "clevel", "a_c", "a_e",
-         "rc", "rp_c", "rp_e", "put", "look_ahead", "note"),
-        args.outdir / "frame.csv")
+    write_series_csv(map(vars, rows), FRAME_COLUMNS, args.outdir / "frame.csv")
 
     print(f"frame written: tau_a={frame.tau_a:.4f}, baseline "
           f"{frame.baseline.strategy.spec_string()}+{frame.baseline.condition.kind} "

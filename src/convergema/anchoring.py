@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
+from .curves import ACCURACY_CEILING
 from .errors import MissingPLevel, MissingWLevel
 
 if TYPE_CHECKING:
     from .traces import LearningTrace
 
-_FIXED_MIN = 100.0
 # margin below zero still read as met by verify_sufficiency (rounding)
 _SUFFICIENCY_TOL = 1e-9
 
@@ -37,7 +37,7 @@ class AnchoringStrategy:
         if self.kind not in ("none", "canonical", "fixed", "fixed_look_ahead"):
             raise ValueError(f"unknown anchoring kind {self.kind!r}")
         if self.kind in ("fixed", "fixed_look_ahead"):
-            if self.beta is None or not _FIXED_MIN <= self.beta < math.inf:
+            if self.beta is None or not ACCURACY_CEILING <= self.beta < math.inf:
                 raise ValueError("fixed anchoring needs a finite beta >= 100")
         if self.kind == "fixed_look_ahead":
             if self.look_ahead is None or self.look_ahead < 0:

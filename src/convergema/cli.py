@@ -9,19 +9,21 @@ from __future__ import annotations
 import json
 import os
 import sys
+from dataclasses import fields
 
 import click
 
 from .anchoring import AnchoringStrategy
-from .convergence import (ProximityCondition, clevel, epsilon_sequence,
-                          find_optimal_look_ahead, put)
-from .curves import PowerLawCurve
+from .convergence import (CONDITION_KINDS, ProximityCondition, clevel,
+                          epsilon_sequence, find_optimal_look_ahead, put)
+from .curves import ACCURACY_CEILING, PowerLawCurve
 from .errors import ConvergemaError, NotDecreasing
-from .evaluation import FrameSpec, build_frame
-from .io import (read_observations, write_json, write_observations,
-                 write_series_csv)
+from .evaluation import ERROR_TARGETS, FrameSpec, build_frame
+from .io import (EPSILON_COLUMNS, FRAME_COLUMNS, epsilon_row,
+                 read_observations, tuning_payload, write_json,
+                 write_observations, write_series_csv)
 from .synth import GeneratorSpec, generate
-from .traces import LearningScheme, LearningTrace, TraceParams
+from .traces import PLEVEL_SOURCES, LearningScheme, LearningTrace, TraceParams
 
 SEED_ENV = "CONVERGEMA_SEED"
 
@@ -79,19 +81,18 @@ def _common_options(fn):
                            "are validated against the uniform scheme.")(fn)
     fn = click.option("--step", type=int, default=None,
                       help="Declared uniform step size.")(fn)
-    fn = click.option("--nu", type=float, default=2e-5, show_default=True,
-                      help="Verticality threshold (0 < nu < 1).")(fn)
-    fn = click.option("--slowdown", type=int, default=1, show_default=True,
-                      help="Slowdown exponent for the verticality threshold.")(fn)
-    fn = click.option("--lambda", "look_ahead", type=int, default=5,
-                      show_default=True,
-                      help="Look-ahead window for level detection.")(fn)
-    fn = click.option("--anchor-weight", type=float, default=1.0,
-                      show_default=True, help="Weight of the infinity point.")(fn)
-    fn = click.option("--plevel-source",
-                      type=click.Choice(["reference", "anchored"]),
-                      default="reference", show_default=True,
-                      help="Whose prediction level gates anchor switches.")(fn)
+    for flag, name, kind, text in (
+            ("--nu", "nu", float, "Verticality threshold (0 < nu < 1)."),
+            ("--slowdown", "slowdown", int,
+             "Slowdown exponent for the verticality threshold."),
+            ("--lambda", "look_ahead", int,
+             "Look-ahead window for level detection."),
+            ("--anchor-weight", "anchor_weight", float,
+             "Weight of the infinity point."),
+            ("--plevel-source", "plevel_source", click.Choice(PLEVEL_SOURCES),
+             "Whose prediction level gates anchor switches.")):
+        fn = click.option(flag, name, type=kind, default=getattr(TraceParams, name),
+                          show_default=True, help=text)(fn)
     return fn
 
 
@@ -104,7 +105,7 @@ def main():
 @click.argument("observations", type=click.Path(exists=True, dir_okay=False))
 @click.option("--strategy", default="none", show_default=True,
               help="none | canonical | fixed:<beta> | fixed:<beta>+<lookahead>")
-@click.option("--condition", type=click.Choice(["absolute", "relative"]),
+@click.option("--condition", type=click.Choice(CONDITION_KINDS),
               default="absolute", show_default=True)
 @click.option("--tau", type=float, required=True, help="Proximity threshold.")
 @click.option("--out", type=click.Path(dir_okay=False), default=None,
@@ -171,9 +172,8 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
                     put_val = put(trace, cond, rec.level, records)
                 except (ValueError, ConvergemaError):
                     pass    # PUT is not defined at this level
-            rows.append({"level": rec.level, "epsilon": repr(rec.epsilon),
-                         "is_rupture": int(rec.is_rupture), "put": put_val})
-        write_series_csv(rows, ("level", "epsilon", "is_rupture", "put"), series)
+            rows.append({**epsilon_row(rec), "put": put_val})
+        write_series_csv(rows, EPSILON_COLUMNS + ("put",), series)
 
     if eps_error is not None and stop is None and cond.kind == "absolute":
         click.echo(f"error: {eps_error}", err=True)
@@ -193,7 +193,7 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
               type=click.Path(exists=True, dir_okay=False),
               help="Oracle observation stream (a superset of OBSERVATIONS).")
 @click.option("--tau", type=float, required=True, help="Absolute threshold.")
-@click.option("--beta", type=float, default=100.0, show_default=True)
+@click.option("--beta", type=float, default=ACCURACY_CEILING, show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None)
 @_common_options
 def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
@@ -229,42 +229,32 @@ def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
                f"(zeta {result.zeta:.0f}, PUT {result.put_at_switch:.2f}, "
                f"RC {result.rc:.4f})")
     if out:
-        write_json({
-            "baseline_clevel": base_stop,
-            "selected": {"look_ahead": result.look_ahead, "zeta": result.zeta,
-                         "put": result.put_at_switch, "rc": result.rc},
-            "candidates": [
-                {"zeta": c.zeta, "look_ahead": c.look_ahead,
-                 "clevel": c.clevel, "rc": c.rc}
-                for c in result.candidates
-            ],
-        }, out)
+        write_json({"baseline_clevel": base_stop, **tuning_payload(result)}, out)
 
 
 @main.command()
 @click.argument("frame_spec", type=click.Path(exists=True, dir_okay=False))
 @click.option("--out", "out_prefix", type=click.Path(), default=None,
               help="Write <prefix>.json and <prefix>.csv reports.")
-@click.option("--error-target", type=click.Choice(["raw", "fitted"]),
+@click.option("--error-target", type=click.Choice(ERROR_TARGETS),
               default="raw", show_default=True)
 def evaluate(frame_spec, out_prefix, error_target):
     """Evaluate a local testing frame described by a JSON spec with keys:
     observations (CSV path), tau_r, strategies, conditions, and optional
     nu/slowdown/lambda/horizon_len/anchor_weight/plevel_source."""
     raw = _read_spec(frame_spec)
-    params = TraceParams(
-        nu=_spec_value(raw, "nu", float, 2e-5),
-        slowdown=_spec_value(raw, "slowdown", int, 1),
-        look_ahead=_spec_value(raw, "lambda", int, 5),
-        anchor_weight=_spec_value(raw, "anchor_weight", float, 1.0),
-        plevel_source=_spec_value(raw, "plevel_source", str, "reference"))
+    # a key per trace parameter ("lambda" for look_ahead), typed as its default
+    params = TraceParams(**{
+        f.name: _spec_value(raw, "lambda" if f.name == "look_ahead" else f.name,
+                            type(f.default), f.default)
+        for f in fields(TraceParams)})
     spec = FrameSpec(
         tau_r=_spec_value(raw, "tau_r", float),
         strategies=_spec_value(
             raw, "strategies",
             _items(lambda s: AnchoringStrategy.parse(str(s)))),
         conditions=_spec_value(raw, "conditions", _items(str),
-                               ("absolute", "relative")),
+                               CONDITION_KINDS),
         params=params,
         horizon_len=_spec_value(raw, "horizon_len",
                                 lambda v: None if v is None else int(v), None),
@@ -295,12 +285,7 @@ def evaluate(frame_spec, out_prefix, error_target):
             "rows": [vars(r) for r in rows],
         }
         write_json(payload, f"{out_prefix}.json")
-        write_series_csv(
-            [{k: ("" if v is None else v) for k, v in vars(r).items()}
-             for r in rows],
-            ("strategy", "condition", "tau", "plevel", "clevel", "a_c", "a_e",
-             "rc", "rp_c", "rp_e", "put", "look_ahead", "note"),
-            f"{out_prefix}.csv")
+        write_series_csv(map(vars, rows), FRAME_COLUMNS, f"{out_prefix}.csv")
 
 
 @main.command()

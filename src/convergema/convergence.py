@@ -32,6 +32,7 @@ _X_MIN_FACTOR = 1e-3
 _TAIL_LIMIT = 1e280
 # largest backbone rise still read as decreasing (rounding, not a trend)
 _DECREASING_TOL = 1e-9
+CONDITION_KINDS = ("absolute", "relative")      # of a ProximityCondition
 # tentative PUT values of the look-ahead sweep: 100, 90, ..., 0
 _TUNING_ZETAS = tuple(float(z) for z in range(100, -1, -10))
 
@@ -57,7 +58,7 @@ class ProximityCondition:
     tau: float
 
     def __post_init__(self):
-        if self.kind not in ("absolute", "relative"):
+        if self.kind not in CONDITION_KINDS:
             raise ValueError("condition kind must be 'absolute' or 'relative'")
         if not self.tau > 0.0:      # NaN too
             raise ValueError("tau must be positive")
@@ -263,10 +264,8 @@ def clevel(trace: LearningTrace, condition: ProximityCondition) -> Optional[int]
     plevel = trace.plevel
     if plevel is None:
         return None
-    entries = trace.backbone()
     look = trace.params.look_ahead
-    gaps = [(cur.level, abs(cur.alpha - prev.alpha))
-            for prev, cur in zip(entries, entries[1:])]
+    gaps = backbone_gaps(trace)
     for idx, (level, _) in enumerate(gaps):
         if level <= plevel:
             continue
@@ -276,6 +275,13 @@ def clevel(trace: LearningTrace, condition: ProximityCondition) -> Optional[int]
         if all(g <= condition.tau for _, g in window):
             return level
     return None
+
+
+def backbone_gaps(trace: LearningTrace) -> list[tuple[int, float]]:
+    """(level, |alpha - previous alpha|) along the active backbone."""
+    entries = trace.backbone()
+    return [(cur.level, abs(cur.alpha - prev.alpha))
+            for prev, cur in zip(entries, entries[1:])]
 
 
 def _final_stop(trace: LearningTrace, tau: float) -> Optional[int]:
@@ -332,10 +338,9 @@ def _distance_estimate(trace: LearningTrace, condition: ProximityCondition,
     `records` is the epsilon sequence under the absolute condition."""
     if condition.kind == "absolute":
         return _epsilon_at(records, level)
-    entries = trace.backbone()
-    for prev, cur in zip(entries, entries[1:]):
-        if cur.level >= level:
-            return abs(cur.alpha - prev.alpha)
+    for gap_level, gap in backbone_gaps(trace):
+        if gap_level >= level:
+            return gap
     raise NotReached(f"no backbone gap at or after level {level}")
 
 

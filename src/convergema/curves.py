@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+ACCURACY_CEILING = 100.0        # no accuracy, in points, lies above it
+
 
 @dataclass(frozen=True)
 class PowerLawCurve:

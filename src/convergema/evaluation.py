@@ -14,13 +14,15 @@ from functools import partial
 from typing import Optional
 
 from .anchoring import AnchoringStrategy
-from .convergence import (ProximityCondition, clevel, normalize_threshold,
-                          put)
+from .convergence import (CONDITION_KINDS, ProximityCondition, clevel,
+                          normalize_threshold, put)
 from .curves import evaluate
 from .errors import (ConvergemaError, DegenerateData, MissingHorizon,
                      NotDecreasing, NotReached, UnresolvedCLevel)
 from .fitting import FitResult
 from .traces import LearningTrace, ObservationLog, TraceParams, run_jobs
+
+ERROR_TARGETS = ("raw", "fitted")      # what `accuracy` compares errors with
 
 
 @dataclass(frozen=True)
@@ -109,8 +111,7 @@ def accuracy(run: Run, horizon: Optional[Horizon], mode: str,
         raise MissingHorizon("accuracy needs a horizon")
     if mode not in ("convergence", "error"):
         raise ValueError("mode must be 'convergence' or 'error'")
-    if error_target not in ("raw", "fitted"):
-        raise ValueError("error_target must be 'raw' or 'fitted'")
+    _check_error_target(error_target)
     if run.clevel is None:
         raise UnresolvedCLevel("accuracy is computed at the convergence level")
     iota = _threshold_level_for(run)
@@ -132,6 +133,11 @@ def accuracy(run: Run, horizon: Optional[Horizon], mode: str,
     if worst > tau:
         return 0.0
     return 100.0 * worst / tau
+
+
+def _check_error_target(error_target: str) -> None:
+    if error_target not in ERROR_TARGETS:
+        raise ValueError("error_target must be 'raw' or 'fitted'")
 
 
 def relative_performance(run: Run, baseline: Run, horizon: Optional[Horizon],
@@ -158,11 +164,12 @@ def faster_than(runs_a: list[Run], runs_b: list[Run]) -> Optional[Ordering]:
 
 @dataclass(frozen=True)
 class FrameSpec:
-    """Declarative frame: which strategies and conditions to cross."""
+    """Declarative frame: which strategies and conditions to cross.  A
+    value its runs would reject fails here, before anything is fitted."""
 
     tau_r: float
     strategies: tuple[AnchoringStrategy, ...]
-    conditions: tuple[str, ...] = ("absolute", "relative")
+    conditions: tuple[str, ...] = CONDITION_KINDS
     params: TraceParams = field(default_factory=TraceParams)
     horizon_len: Optional[int] = None
     error_target: str = "raw"
@@ -174,6 +181,9 @@ class FrameSpec:
                              "whose runs give the baseline")
         if not self.conditions:
             raise ValueError("frame needs at least one condition")
+        for kind in self.conditions:
+            ProximityCondition(kind, self.tau_r)
+        _check_error_target(self.error_target)
 
 
 @dataclass

@@ -40,7 +40,7 @@ from typing import Optional
 import numpy as np
 from numpy.linalg import norm
 
-from .curves import PowerLawCurve
+from .curves import ACCURACY_CEILING, PowerLawCurve
 from .errors import DegenerateData
 
 _B_SCAN_LO = 1e-3
@@ -80,7 +80,8 @@ class FitProblem:
         # NaN fails every comparison and inf fails a bound, so this passes
         # exactly the finite, increasing, positive x and in-range y
         if not (np.minimum.reduce(x[1:] - x[:-1]) > 0.0 and x[0] > 0.0
-                and x[-1] < inf and y.min() > 0.0 and y.max() <= 100.0):
+                and x[-1] < inf and y.min() > 0.0
+                and y.max() <= ACCURACY_CEILING):
             raise _invalid_data(x, y)
         if self.anchor is not None and not isfinite(self.anchor):
             raise ValueError("anchor must be finite")

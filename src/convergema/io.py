@@ -9,6 +9,10 @@ from typing import Iterable, Optional
 from .traces import LearningScheme, Observation, ObservationLog
 
 CSV_HEADER = ("level", "size", "accuracy")
+EPSILON_COLUMNS = ("level", "epsilon", "is_rupture")      # `epsilon_row`
+# the columns of a frame report, one line per `FrameRow`
+FRAME_COLUMNS = ("strategy", "condition", "tau", "plevel", "clevel", "a_c",
+                 "a_e", "rc", "rp_c", "rp_e", "put", "look_ahead", "note")
 
 
 def read_observations(path, scheme: Optional[LearningScheme] = None) -> ObservationLog:
@@ -48,8 +52,24 @@ def write_json(payload: dict, path) -> None:
 
 
 def write_series_csv(rows: Iterable[dict], fieldnames: tuple[str, ...], path) -> None:
+    """One line per row; csv writes a None value as an empty field."""
     with open(path, "w", newline="") as handle:
         writer = csv.DictWriter(handle, fieldnames=list(fieldnames))
         writer.writeheader()
         for row in rows:
             writer.writerow(row)
+
+
+def epsilon_row(record) -> dict:
+    """An `EpsilonRecord` as a series row; repr keeps the epsilon exact."""
+    return {"level": record.level, "epsilon": repr(record.epsilon),
+            "is_rupture": int(record.is_rupture)}
+
+
+def tuning_payload(result) -> dict:
+    """The selected look-ahead and the candidates of a `TuningResult`."""
+    return {"selected": {"look_ahead": result.look_ahead, "zeta": result.zeta,
+                         "put": result.put_at_switch, "rc": result.rc},
+            "candidates": [{"zeta": c.zeta, "look_ahead": c.look_ahead,
+                            "clevel": c.clevel, "rc": c.rc}
+                           for c in result.candidates]}

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import PowerLawCurve, evaluate
+from .curves import ACCURACY_CEILING, PowerLawCurve, evaluate
 from .traces import LearningScheme, ObservationLog
 
 _FLOOR = 1e-6
@@ -51,7 +51,7 @@ def generate(spec: GeneratorSpec) -> ObservationLog:
         ys = ys + rng.normal(0.0, spec.noise_sd, size=spec.levels)
     for level, delta in spec.perturbations:
         ys[level - 1] += delta
-    return ObservationLog.from_arrays(xs, np.clip(ys, _FLOOR, 100.0),
+    return ObservationLog.from_arrays(xs, np.clip(ys, _FLOOR, ACCURACY_CEILING),
                                       scheme=spec.scheme)
 
 

@@ -9,10 +9,8 @@ asymptote does not exceed the 100% accuracy ceiling.
 
 Anchored strategies re-fit levels past the working level with an extra
 observation at infinity; the reference (plain) trends are kept, both
-because the working/prediction levels are defined on them and because the
-anchoring strategies draw their anchor values from them.  `extend` fits
-a new level's plain problem only until the reference prediction level is
-known; every other fit is made when a view reads it.
+because the working and reference prediction levels are defined on them
+and because the anchoring strategies draw their anchor values from them.
 
 A fit lives in a store keyed by its problem (`_FitStore.key`).  A log only
 grows, so the fits of its prefixes never go stale: the levels a trace
@@ -42,10 +40,11 @@ from itertools import groupby, islice
 from typing import Callable, Iterable, Iterator, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
+from .curves import ACCURACY_CEILING
 from .errors import DegenerateData
 from .fitting import FitProblem, FitResult, check_anchor_weight, fit
 
-ACCURACY_CEILING = 100.0
+PLEVEL_SOURCES = ("reference", "anchored")      # of `LearningTrace.plevel`
 
 
 @dataclass(frozen=True)
@@ -291,6 +290,8 @@ class ObservationLog:
     def from_arrays(x, accuracy, scheme: Optional[LearningScheme] = None) -> "ObservationLog":
         log = ObservationLog(scheme=scheme)
         for i, (xi, yi) in enumerate(zip(x, accuracy), start=1):
+            if not float(xi).is_integer():      # NaN and inf too
+                raise ValueError(f"size {xi!r} at level {i} is not a whole number")
             log.append(Observation(level=i, x=int(xi), accuracy=float(yi)))
         return log
 
@@ -310,7 +311,7 @@ class TraceParams:
     slowdown: int = 1
     look_ahead: int = 5
     anchor_weight: float = 1.0
-    plevel_source: str = "reference"    # "reference" | "anchored"
+    plevel_source: str = "reference"    # one of PLEVEL_SOURCES
 
     def __post_init__(self):
         if not (0.0 < self.nu < 1.0):
@@ -320,7 +321,7 @@ class TraceParams:
         if self.look_ahead < 0:
             raise ValueError("look_ahead must be >= 0")
         check_anchor_weight(self.anchor_weight)
-        if self.plevel_source not in ("reference", "anchored"):
+        if self.plevel_source not in PLEVEL_SOURCES:
             raise ValueError("plevel_source must be 'reference' or 'anchored'")
 
 
@@ -347,10 +348,7 @@ def working_level(backbone: list[BackboneEntry], nu: float, slowdown: int,
     Slopes are taken between consecutive *present* entries, so gaps left by
     skipped levels are bridged by the previous successful level.
     """
-    if not (0.0 < nu < 1.0):
-        raise ValueError("nu must lie in (0, 1)")
-    if slowdown < 1 or look_ahead < 0:
-        raise ValueError("slowdown >= 1 and look_ahead >= 0 required")
+    TraceParams(nu=nu, slowdown=slowdown, look_ahead=look_ahead)  # checks them
     threshold = verticality_threshold(nu, slowdown)
     n = len(backbone)
     for start in range(n):
@@ -368,8 +366,9 @@ def working_level(backbone: list[BackboneEntry], nu: float, slowdown: int,
     return None
 
 
-def prediction_level(backbone: list[BackboneEntry], omega: int) -> Optional[int]:
-    """Smallest present level >= omega whose asymptote is <= 100."""
+def prediction_level(backbone: Iterable[BackboneEntry], omega: int) -> Optional[int]:
+    """Smallest present level >= omega whose asymptote is at most the
+    accuracy ceiling; the plain and the anchored backbone both use it."""
     for entry in backbone:
         if entry.level >= omega and entry.alpha <= ACCURACY_CEILING:
             return entry.level
@@ -409,7 +408,6 @@ class LearningTrace:
         self._fitting = False
         self.wlevel: Optional[int] = None
         self.plevel_reference: Optional[int] = None
-        self._plevel_anchored: Optional[int] = None
         # epsilon fold state kept by convergence._fold so that a query
         # resumes it: (level, FitResult) pairs, records, count, epsilon
         self._epsilon_fold: Optional[tuple] = None
@@ -481,10 +479,11 @@ class LearningTrace:
         weight = self.params.anchor_weight
         failed = None
         if isinstance(anchors, list) and len(levels) >= 2:
-            for replayed, part in groupby(
-                    zip(levels, anchors),
-                    lambda pair: pair[0] <= self._replayed):
-                store = self._log_store if replayed else self._own_store
+            # by identity: two stores that hold the same fits are equal
+            for _, part in groupby(zip(levels, anchors),
+                                   lambda pair: id(self._store_of(pair[0]))):
+                part = list(part)
+                store = self._store_of(part[0][0])
                 jobs = [partial(store.lookup, self.observations, level,
                                 anchor, weight)
                         for level, anchor in part
@@ -536,9 +535,6 @@ class LearningTrace:
                 if result is not None:
                     self._anchored_trends[level] = result
                     self._anchors[level] = float(anchor)
-                    if (self._plevel_anchored is None
-                            and result.curve.c <= ACCURACY_CEILING):
-                        self._plevel_anchored = level
                 self._anchored_level = level
         finally:
             self._fitting = False
@@ -573,8 +569,10 @@ class LearningTrace:
 
     @property
     def plevel_anchored(self) -> Optional[int]:
-        self._fit_anchored()
-        return self._plevel_anchored
+        """The prediction level of the anchored backbone (`prediction_level`)."""
+        trends = self.anchored_trends       # empty while wlevel is None
+        return (None if self.wlevel is None
+                else prediction_level(self._backbone(trends), self.wlevel))
 
     @property
     def skipped(self) -> dict[int, str]:
@@ -582,17 +580,18 @@ class LearningTrace:
         self._fit_anchored()
         return self._skipped
 
-    def _backbone(self, trends: dict[int, FitResult]) -> list[BackboneEntry]:
+    def _backbone(self, trends: dict[int, FitResult]) -> Iterator[BackboneEntry]:
+        """The entries of `trends` in level order, each made as it is read."""
         entries = self.observations.entries
-        return [BackboneEntry(level, trends[level].curve.c, entries[level - 1].x)
-                for level in sorted(trends)]
+        return (BackboneEntry(level, trends[level].curve.c, entries[level - 1].x)
+                for level in sorted(trends))
 
     def reference_backbone(self) -> list[BackboneEntry]:
-        return self._backbone(self.reference_trends)
+        return list(self._backbone(self.reference_trends))
 
     def backbone(self) -> list[BackboneEntry]:
         """Active backbone: anchored trends when anchoring, else reference."""
-        return self._backbone(self.trends())
+        return list(self._backbone(self.trends()))
 
     def trends(self) -> dict[int, FitResult]:
         if self.strategy.kind == "none":
@@ -612,13 +611,7 @@ class LearningTrace:
         trends = self.trends()
         return {
             "strategy": self.strategy.spec_string(),
-            "params": {
-                "nu": self.params.nu,
-                "slowdown": self.params.slowdown,
-                "look_ahead": self.params.look_ahead,
-                "anchor_weight": self.params.anchor_weight,
-                "plevel_source": self.params.plevel_source,
-            },
+            "params": dict(vars(self.params)),
             "observations": [
                 {"level": o.level, "size": o.x, "accuracy": o.accuracy}
                 for o in self.observations
@@ -628,14 +621,9 @@ class LearningTrace:
             "plevel_anchored": self.plevel_anchored,
             "anchors": {str(k): v for k, v in sorted(self.anchors.items())},
             "skipped": {str(k): v for k, v in sorted(self.skipped.items())},
-            "reference_backbone": [
-                {"level": e.level, "alpha": e.alpha, "x": e.x}
-                for e in self.reference_backbone()
-            ],
-            "backbone": [
-                {"level": e.level, "alpha": e.alpha, "x": e.x}
-                for e in self.backbone()
-            ],
+            "reference_backbone": [dict(vars(e))
+                                   for e in self.reference_backbone()],
+            "backbone": [dict(vars(e)) for e in self.backbone()],
             "trends": {
                 str(level): {"a": r.curve.a, "b": r.curve.b, "c": r.curve.c,
                              "sse": r.sse,

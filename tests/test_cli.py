@@ -11,8 +11,9 @@ from click.testing import CliRunner
 import convergema
 from convergema.cli import _entry, main
 from convergema.io import read_observations, write_observations
-from convergema import (AnchoringStrategy, GeneratorSpec, LearningTrace,
-                        PowerLawCurve, drift_perturbations, generate)
+from convergema import (AnchoringStrategy, ConvergemaError, FrameSpec,
+                        GeneratorSpec, LearningTrace, PowerLawCurve, accuracy,
+                        build_frame, drift_perturbations, generate)
 
 
 @pytest.fixture
@@ -281,6 +282,44 @@ class TestEvaluate:
         assert csv_lines[0].startswith("strategy,condition,tau,plevel,clevel")
         assert len(csv_lines) == 7
 
+    def test_fitted_error_target_on_a_short_horizon(self, runner, tmp_path):
+        # --error-target fitted and a horizon_len below the log's length:
+        # each row's A^e is accuracy(run, horizon, "error", "fitted") of the
+        # same frame built in-process
+        log = generate(GeneratorSpec(
+            truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=70,
+            seed=5, perturbations=drift_perturbations(70, 0.8, 0.15)))
+        obs_path = tmp_path / "obs.csv"
+        write_observations(log, obs_path)
+        frame_path = tmp_path / "frame.json"
+        frame_path.write_text(json.dumps({
+            "observations": str(obs_path), "tau_r": 0.0003,
+            "strategies": ["none", "fixed:100", "fixed:100+5"],
+            "horizon_len": 60}))
+        prefix = tmp_path / "report"
+        result = runner.invoke(main, ["evaluate", str(frame_path), "--out",
+                                      str(prefix), "--error-target", "fitted"])
+        assert result.exit_code == 0, result.output
+        rows = json.loads((tmp_path / "report.json").read_text())["rows"]
+
+        frame = build_frame(read_observations(obs_path), FrameSpec(
+            tau_r=0.0003, horizon_len=60, error_target="fitted",
+            strategies=tuple(AnchoringStrategy.parse(s)
+                             for s in ("none", "fixed:100", "fixed:100+5"))))
+        assert len(frame.horizon.observations) == 60
+        assert len(rows) == len(frame.runs) == 6
+        checked = 0
+        for row, run in zip(rows, frame.runs):
+            assert (row["strategy"], row["condition"]) == (
+                run.strategy.spec_string(), run.condition.kind)
+            try:
+                want = accuracy(run, frame.horizon, "error", "fitted")
+            except ConvergemaError:
+                want = None
+            assert row["a_e"] == want
+            checked += want is not None
+        assert checked >= 3
+
     def test_negative_horizon_len_is_error(self, tmp_path, monkeypatch,
                                            capsys):
         log = generate(GeneratorSpec(
@@ -399,6 +438,8 @@ _GENERATOR = {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20}
      "noise_sd must be finite"),
     ("simulate", dict(_GENERATOR, noise_sd=float("inf")),
      "noise_sd must be finite"),
+    ("evaluate", dict(_FRAME, conditions=["bogus"]),
+     "condition kind must be 'absolute' or 'relative'"),
 ])
 def test_malformed_spec_is_error_not_traceback(tmp_path, monkeypatch, capsys,
                                                command, payload, message):

@@ -151,6 +151,35 @@ class TestFrame:
         assert rows[0].rp_c == rows[0].a_c
 
 
+class TestFrameSpec:
+    """A spec that a frame's runs would reject fails as it is built."""
+
+    STRATEGIES = (AnchoringStrategy.none(), AnchoringStrategy.fixed(100.0))
+
+    @pytest.mark.parametrize("conditions", [("bogus",),
+                                            ("absolute", "Relative")])
+    def test_unknown_condition_rejected(self, conditions):
+        with pytest.raises(ValueError, match="condition kind must be"):
+            FrameSpec(tau_r=0.1, strategies=self.STRATEGIES,
+                      conditions=conditions)
+
+    @pytest.mark.parametrize("tau_r", [0.0, -1.0, float("nan")])
+    def test_bad_tau_r_rejected(self, tau_r):
+        with pytest.raises(ValueError, match="tau must be positive"):
+            FrameSpec(tau_r=tau_r, strategies=self.STRATEGIES)
+
+    def test_unknown_error_target_rejected(self):
+        with pytest.raises(ValueError, match="error_target must be"):
+            FrameSpec(tau_r=0.1, strategies=self.STRATEGIES,
+                      error_target="bogus")
+
+    def test_accepted_values_build(self):
+        for target in ("raw", "fitted"):
+            spec = FrameSpec(tau_r=0.1, strategies=self.STRATEGIES,
+                             error_target=target)
+            assert spec.conditions == ("absolute", "relative")
+
+
 class TestHorizon:
     def test_limit_trend_and_alpha(self):
         log = synthetic_frame_log()

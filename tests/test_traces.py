@@ -101,6 +101,20 @@ class TestObservationLog:
                 assert got == want and repr(got) == repr(want)
 
 
+    @pytest.mark.parametrize("sizes", [[1.5, 2.7, 3.9], [100, 200, 300.5],
+                                       [100, 200, float("inf")],
+                                       [100, float("nan"), 300]])
+    def test_from_arrays_rejects_sizes_that_are_not_whole(self, sizes):
+        with pytest.raises(ValueError, match="is not a whole number"):
+            ObservationLog.from_arrays(sizes, [50.0, 55.0, 58.0])
+
+    def test_from_arrays_takes_whole_float_sizes(self):
+        log = ObservationLog.from_arrays(np.array([100.0, 200.0, 300.0]),
+                                         [50.0, 55.0, 58.0])
+        assert [o.x for o in log] == [100, 200, 300]
+        assert all(type(o.x) is int for o in log)
+
+
 class TestNormalizedSlope:
     def test_examples(self):
         assert normalized_slope(0.0) == 0.0
@@ -163,6 +177,17 @@ class TestWorkingLevel:
                 if previous is not None and level is not None and previous is not None:
                     assert previous is None or level <= previous
                 previous = level if level is not None else previous
+
+
+    @pytest.mark.parametrize("nu,slowdown,look_ahead", [
+        (0.0, 1, 5), (1.0, 1, 5), (2e-5, 0, 5), (2e-5, 1, -1)])
+    def test_rejects_what_trace_params_reject(self, nu, slowdown, look_ahead):
+        with pytest.raises(ValueError) as params:
+            TraceParams(nu=nu, slowdown=slowdown, look_ahead=look_ahead)
+        with pytest.raises(ValueError) as scan:
+            working_level(entries(range(3, 12), [95.0] * 9), nu, slowdown,
+                          look_ahead)
+        assert str(scan.value) == str(params.value)
 
 
 class TestPredictionLevel:
@@ -265,6 +290,19 @@ class TestTraceBuilding:
                                     params=TraceParams(look_ahead=3,
                                                        plevel_source="anchored"))
         assert anchored_view.plevel == anchored_view.plevel_anchored
+
+    @pytest.mark.parametrize("strategy", ["none", "canonical", "fixed:100",
+                                          "fixed:100+2", "fixed:101.5"])
+    @pytest.mark.parametrize("plevel_source", ["reference", "anchored"])
+    def test_plevel_anchored_is_the_first_anchored_level_under_the_ceiling(
+            self, strategy, plevel_source):
+        trace = build_trace(300.0, 0.6, 96.0, 14,
+                            AnchoringStrategy.parse(strategy),
+                            params=TraceParams(look_ahead=3,
+                                               plevel_source=plevel_source))
+        under = [lv for lv, fit in sorted(trace.anchored_trends.items())
+                 if fit.curve.c <= 100.0]
+        assert trace.plevel_anchored == (under[0] if under else None)
 
     def test_snapshot_round_trips_curves(self):
         import json
