@@ -10,6 +10,11 @@ condition.  The relative condition instead watches backbone gaps, and the
 percentage of uncovered threshold (PUT) normalises the remaining distance,
 which drives the choice of the look-ahead for anchor updates.
 
+The fold reads each crossing of two consecutive trends through the store
+of the trace's later level (`_FitStore.crossing`), so the traces that
+share a log's store, and a forked helper that sends its store entries
+back, intersect each pair of curves once.
+
 Two power laws cross at most twice: their difference has at most two
 monotone pieces, split at the one zero of its derivative, so every
 intersection is found by one bisection per piece and the count is exact.
@@ -187,10 +192,11 @@ def _fold(trace: LearningTrace, trends: dict) -> tuple[EpsilonRecord, ...]:
     """The epsilon records of `trends` (level -> FitResult), the trace's
     trends fitted so far, from the fold kept on the trace.
 
-    A call intersects only the pairs added since the last call, provided
-    the levels folded then are still the first levels of `trends`, each
-    with an equal FitResult (one tuple comparison, which passes the same
-    object without comparing fields); otherwise it starts over."""
+    A call folds only the pairs added since the last call, provided the
+    levels folded then are still the first levels of `trends`, each with
+    an equal FitResult (one tuple comparison, which passes the same object
+    without comparing fields); otherwise it starts over.  A pair's crossing
+    is read from the store of its later level (`_FitStore.crossing`)."""
     pairs = [(level, trends[level]) for level in sorted(trends)]
 
     records: list[EpsilonRecord] = []
@@ -213,10 +219,9 @@ def _fold(trace: LearningTrace, trends: dict) -> tuple[EpsilonRecord, ...]:
             continue
         anchor_changed = (trace._anchors.get(level)
                           != trace._anchors.get(prev_level))
-        try:
-            inter = intersect(prev_fit.curve, fit.curve, x_min)
-        except CoincidentCurves:
-            inter = None        # the previous count carries over
+        # None for coincident curves: the previous count carries over
+        inter = trace._store_of(level).crossing(prev_fit.curve, fit.curve,
+                                                x_min)
         if inter is None or inter.count == 0:
             # no crossing to bound by: a rupture, carrying epsilon forward
             prev_eps = prev_eps if prev_eps is not None else 0.0

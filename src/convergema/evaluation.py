@@ -250,9 +250,12 @@ def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
     run of the fastest condition).
 
     The runs of one strategy depend on no other strategy's and replay the
-    same log, so each strategy's runs are one job of `run_jobs`."""
-    reference = LearningTrace.from_log(log, AnchoringStrategy.none(), spec.params)
+    same log, so each strategy's runs are one job of `run_jobs`.  The
+    horizon is checked first, before anything is fitted; the log's store
+    is held for the whole build, so the horizon's fit is the reference's."""
+    store = log._fit_store()
     horizon = Horizon.from_log(log, spec.horizon_len)
+    reference = LearningTrace.from_log(log, AnchoringStrategy.none(), spec.params)
     tau_a = normalize_threshold(reference, spec.tau_r)
 
     def strategy_runs(strategy: AnchoringStrategy) -> list[Run]:
@@ -274,7 +277,7 @@ def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
         return runs
 
     runs = [run for part in run_jobs(
-                log._fit_store(),
+                store,
                 [partial(strategy_runs, strategy)
                  for strategy in spec.strategies])
             for run in part]

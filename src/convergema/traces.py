@@ -12,20 +12,23 @@ observation at infinity; the reference (plain) trends are kept, both
 because the working and reference prediction levels are defined on them
 and because the anchoring strategies draw their anchor values from them.
 
-A fit lives in a store keyed by its problem (`_FitStore.key`).  A log only
-grows, so the fits of its prefixes never go stale: the levels a trace
-replays from a log use that log's store, shared by every trace replayed on
-it, and the levels it is extended by later use the trace's own.  A trace
-reads every fit one way, in level order (`LearningTrace._fits`).
+A fit lives in a store keyed by its problem (`_FitStore.key`), and the
+crossing of two stored curves beside it, keyed by the curves
+(`_FitStore.crossing`).  A log only grows, so these store entries never go
+stale: the levels a trace replays from a log use that log's store, shared
+by every trace replayed on it, and the levels it is extended by later use
+the trace's own.  A trace reads every fit one way, in level order
+(`LearningTrace._fits`).
 
 Work that does not depend on other work of its kind is shared with one
 forked helper in one way (`run_jobs`): the two processes claim jobs from a
-pipe until none is left, and the helper's fits warm the store, under the
-keys one process would store them.  The fits of one view that do not
-depend on each other (the plain levels, and the anchored levels under
-`fixed` anchoring) are such jobs, one per missing fit, run before the view
-reads them in order; so are the replays of one log that a look-ahead
-sweep's candidates and a frame's strategies make.
+pipe until none is left, and the helper's store entries, its fits and
+crossings, warm the store, under the keys one process would store them.
+The fits of one view that do not depend on each other (the plain levels,
+and the anchored levels under `fixed` anchoring) are such jobs, one per
+missing fit, run before the view reads them in order; so are the replays
+of one log that a look-ahead sweep's candidates and a frame's strategies
+make.
 """
 from __future__ import annotations
 
@@ -37,12 +40,15 @@ import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import groupby, islice
-from typing import Callable, Iterable, Iterator, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
-from .curves import ACCURACY_CEILING
-from .errors import DegenerateData
+from .curves import ACCURACY_CEILING, PowerLawCurve
+from .errors import CoincidentCurves, DegenerateData
 from .fitting import FitProblem, FitResult, check_anchor_weight, fit
+
+if TYPE_CHECKING:
+    from .convergence import IntersectionSet
 
 PLEVEL_SOURCES = ("reference", "anchored")      # of `LearningTrace.plevel`
 
@@ -82,8 +88,10 @@ class LearningScheme:
 
 
 class _FitStore(dict):
-    """(level, anchor, anchor_weight) -> FitResult or skip reason, for
-    prefixes of one log; a dict subclass so that the log can hold it
+    """The store entries of one log: (level, anchor, anchor_weight) ->
+    FitResult or skip reason, for its prefixes, and (curve, curve, x_min)
+    -> IntersectionSet, or None for coincident curves, for the crossings
+    of stored curves; a dict subclass so that the log can hold it
     weakly."""
 
     @staticmethod
@@ -106,6 +114,20 @@ class _FitStore(dict):
                 self[key] = fit(log.problem(level, anchor, weight))
             except DegenerateData as exc:
                 self[key] = str(exc)
+        return self[key]
+
+    def crossing(self, c1: PowerLawCurve, c2: PowerLawCurve,
+                 x_min: float) -> Optional[IntersectionSet]:
+        """The stored `intersect(c1, c2, x_min)`, or else that made and
+        recorded; coincident curves are recorded as None, and any other
+        exception is raised with nothing recorded."""
+        key = c1, c2, x_min
+        if key not in self:
+            from . import convergence       # which imports this module
+            try:
+                self[key] = convergence.intersect(c1, c2, x_min)
+            except CoincidentCurves:
+                self[key] = None
         return self[key]
 
 
@@ -172,18 +194,19 @@ def _with_helper(part: Callable) -> tuple:
 def run_jobs(store: _FitStore, jobs: list[Callable]) -> list:
     """`[job() for job in jobs]`, for jobs whose only side effect is to
     fill `store`: the same results, the first exception in job order
-    raised as that loop raises it, and every fit that loop stores in
-    `store` under its key.  Every reader of a store looks a fit up by its
-    key, so the order of the entries is not kept; past a job that raises,
-    `store` may also hold a later job's fits.
+    raised as that loop raises it, and every store entry (fit or
+    crossing) that loop stores in `store` under its key.  Every reader of
+    a store looks an entry up by its key, so the order of the entries is
+    not kept; past a job that raises, `store` may also hold a later job's
+    entries.
 
     When `_helper_allowed` and there are at most `_MAX_SHARED` jobs, this
     process and a forked helper claim the jobs from a pipe of job indices,
     so jobs of unequal size balance; neither process forks again
     meanwhile.  The helper sends back the store entries it added, which
-    this process adds where it holds no fit of that key yet; it then
-    computes the helper's jobs itself, finding every fit stored, and runs
-    a job the helper did not finish."""
+    this process adds where it holds no entry of that key yet; it then
+    computes the helper's jobs itself, finding every fit and crossing
+    stored, and runs a job the helper did not finish."""
     global _warming
     if not _helper_allowed(len(jobs)) or len(jobs) > _MAX_SHARED:
         return [job() for job in jobs]
@@ -403,6 +426,8 @@ class LearningTrace:
         # the last level whose plain fit, and whose anchored fit, was made
         self._plain_level = 2
         self._anchored_level = 0
+        # no anchored level up to this one is the anchored prediction level
+        self._plevel_scanned = 0
         # set while anchored levels are fitted: the views then show the
         # trace as it stands, which holds every level an anchor reads
         self._fitting = False
@@ -569,10 +594,21 @@ class LearningTrace:
 
     @property
     def plevel_anchored(self) -> Optional[int]:
-        """The prediction level of the anchored backbone (`prediction_level`)."""
+        """The prediction level of the anchored backbone (`prediction_level`).
+
+        Anchored levels are only added, each past the last, so a level a
+        read found wanting (no trend, or an asymptote over the ceiling)
+        stays so, and the next read resumes past it (`_plevel_scanned`)."""
         trends = self.anchored_trends       # empty while wlevel is None
-        return (None if self.wlevel is None
-                else prediction_level(self._backbone(trends), self.wlevel))
+        if self.wlevel is None:
+            return None
+        found = prediction_level(
+            self._backbone(trends, range(self._plevel_scanned + 1,
+                                         self._anchored_level + 1)),
+            self.wlevel)
+        self._plevel_scanned = (self._anchored_level if found is None
+                                else found - 1)
+        return found
 
     @property
     def skipped(self) -> dict[int, str]:
@@ -580,11 +616,14 @@ class LearningTrace:
         self._fit_anchored()
         return self._skipped
 
-    def _backbone(self, trends: dict[int, FitResult]) -> Iterator[BackboneEntry]:
-        """The entries of `trends` in level order, each made as it is read."""
+    def _backbone(self, trends: dict[int, FitResult],
+                  levels: Optional[range] = None) -> Iterator[BackboneEntry]:
+        """The entries of `trends` in level order, or those at `levels`,
+        each made as it is read."""
         entries = self.observations.entries
         return (BackboneEntry(level, trends[level].curve.c, entries[level - 1].x)
-                for level in sorted(trends))
+                for level in (sorted(trends) if levels is None else levels)
+                if level in trends)
 
     def reference_backbone(self) -> list[BackboneEntry]:
         return list(self._backbone(self.reference_trends))

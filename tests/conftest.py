@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from convergema import (GeneratorSpec, LearningTrace, PowerLawCurve,
-                        TraceParams, generate, traces)
+                        TraceParams, convergence, generate, traces)
 
 KERNEL = 5000
 STEP = 5000
@@ -83,6 +83,27 @@ def count_fits(monkeypatch, tmp_path):
 
     monkeypatch.setattr(traces, "fit", counted)
     return keys.read
+
+
+def count_intersects(monkeypatch, tmp_path):
+    """Record the (c1, c2, x_min) of every intersection made, by this
+    process or a forked helper, each curve as its (a, b, c); the returned
+    function reads them back, each process's in the order it made them."""
+    keys = SharedLog(tmp_path / "intersects.log")
+    real_intersect = convergence.intersect
+
+    def counted(c1, c2, x_min):
+        keys.add(((c1.a, c1.b, c1.c), (c2.a, c2.b, c2.c), x_min))
+        return real_intersect(c1, c2, x_min)
+
+    monkeypatch.setattr(convergence, "intersect", counted)
+    return keys.read
+
+
+def let_run_on(monkeypatch, count):
+    """Let the process run on `count` CPUs, as `os.sched_getaffinity` says."""
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(count)))
 
 
 # -- numpy SIMD target ----------------------------------------------------

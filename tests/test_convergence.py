@@ -16,7 +16,7 @@ from convergema import convergence
 from tests import intersect_fixtures
 from tests.conftest import (BIT_PIN_NOTE, assert_values_close,
                             bits_comparable, build_trace, count_fits,
-                            value_delta)
+                            count_intersects, value_delta)
 
 
 def dense_sign_scan(c1, c2, x_lo, x_hi, cells=2_000_000):
@@ -330,6 +330,80 @@ class TestEpsilonFold:
         after = epsilon_sequence(queried)
         assert after == epsilon_sequence(fresh)
         assert after != before
+
+
+def study_log(levels=60):
+    """The synthetic study's noise-free drift stream."""
+    return generate(GeneratorSpec(
+        truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=levels,
+        perturbations=drift_perturbations(levels, 0.8, 0.15), seed=7))
+
+
+CROSSING_STRATEGIES = [AnchoringStrategy.none(), AnchoringStrategy.canonical(),
+                       AnchoringStrategy.fixed(100.0),
+                       AnchoringStrategy.fixed_with_look_ahead(100.0, 3)]
+
+
+class TestCrossingStore:
+    """The fold reads each crossing of two stored curves through the store
+    of the later level, so the traces that share a store intersect each
+    pair of curves once."""
+
+    @pytest.mark.parametrize("strategy", CROSSING_STRATEGIES,
+                             ids=lambda s: s.spec_string())
+    def test_second_replay_intersects_nothing(self, monkeypatch, tmp_path,
+                                              strategy):
+        log = study_log()
+        counted = count_intersects(monkeypatch, tmp_path)
+        first = LearningTrace.from_log(log, strategy)
+        records = epsilon_sequence(first)
+        made = len(counted())
+        assert made == len(records) > 0
+        again = LearningTrace.from_log(log, strategy)
+        assert epsilon_sequence(again) == records
+        assert len(counted()) == made
+
+    def test_look_ahead_shares_the_pairs_below_its_switch(self, monkeypatch,
+                                                          tmp_path):
+        log = study_log()
+        counted = count_intersects(monkeypatch, tmp_path)
+        fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+        below = epsilon_sequence(fixed)
+        assert len(counted()) == len(below)
+        look = LearningTrace.from_log(
+            log, AnchoringStrategy.fixed_with_look_ahead(100.0, 3))
+        records = epsilon_sequence(look)
+        switch = look.plevel + 3 + 1
+        shared = [rec for rec in records if rec.level < switch]
+        assert 0 < len(shared) < len(records)
+        assert shared == below[:len(shared)]
+        # only the pairs from the switch on are new, and no pair of curves
+        # is intersected twice
+        assert len(counted()) == len(below) + len(records) - len(shared)
+        assert len(set(counted())) == len(counted())
+
+    def test_records_equal_a_fresh_replay(self):
+        # a store warmed by the study's sweep and frame gives the records a
+        # replay on a fresh copy of the log computes itself, bit for bit
+        log = study_log()
+        params = TraceParams()
+        plain = LearningTrace.from_log(log, AnchoringStrategy.none(), params)
+        fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
+                                       params, reference=plain)
+        records = epsilon_sequence(fixed)
+        tau = records[int(len(records) * 0.3)].epsilon
+        tuning = find_optimal_look_ahead(
+            log, params, tau, 100.0,
+            clevel(plain, ProximityCondition("absolute", tau)),
+            reference=plain)
+        strategies = CROSSING_STRATEGIES + [
+            AnchoringStrategy.fixed_with_look_ahead(100.0, tuning.look_ahead)]
+        for strategy in strategies:
+            shared = LearningTrace.from_log(log, strategy)
+            fresh = LearningTrace.from_log(
+                ObservationLog(log.entries, log.scheme), strategy)
+            assert (outcome(epsilon_sequence, shared)
+                    == outcome(epsilon_sequence, fresh))
 
 
 class TestCLevel:

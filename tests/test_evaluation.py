@@ -5,7 +5,9 @@ from convergema import (AnchoringStrategy, FrameSpec, GeneratorSpec, Horizon,
                         LearningTrace, Ordering, PowerLawCurve,
                         ProximityCondition, Run, TraceParams, UnresolvedCLevel,
                         accuracy, build_frame, drift_perturbations, faster_than,
-                        generate, relative_cost, relative_performance)
+                        MissingHorizon, generate, relative_cost,
+                        relative_performance)
+from tests.conftest import count_fits, let_run_on
 
 
 def make_run(clevel=None, strategy=None, trace=None, condition=None, tau=1.0):
@@ -149,6 +151,33 @@ class TestFrame:
         assert len(rows) == 1
         assert rows[0].rc == 1.0
         assert rows[0].rp_c == rows[0].a_c
+
+
+class TestFrameFits:
+    """`build_frame` checks its horizon before it fits anything, and fits
+    each problem of its runs once."""
+
+    # the evaluate frame of the study's 90 observations
+    STRATEGIES = tuple(AnchoringStrategy.parse(text) for text in
+                       ("none", "canonical", "fixed:100", "fixed:100+5"))
+
+    def test_horizon_past_the_log_fits_nothing(self, monkeypatch, tmp_path):
+        log = synthetic_frame_log(levels=90, seed=7)
+        fits = count_fits(monkeypatch, tmp_path)
+        with pytest.raises(MissingHorizon, match="length 1000 exceeds"):
+            build_frame(log, FrameSpec(tau_r=0.0003,
+                                       strategies=self.STRATEGIES,
+                                       horizon_len=1000))
+        assert fits() == []
+
+    def test_frame_fits_each_problem_once(self, monkeypatch, tmp_path):
+        # on one CPU, where no helper fits a problem this process fits too;
+        # the horizon's fit is the plain trace's
+        log = synthetic_frame_log(levels=90, seed=7)
+        let_run_on(monkeypatch, 1)
+        fits = count_fits(monkeypatch, tmp_path)
+        build_frame(log, FrameSpec(tau_r=0.0003, strategies=self.STRATEGIES))
+        assert len(fits()) == len(set(fits())) == 344
 
 
 class TestFrameSpec:

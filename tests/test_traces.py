@@ -20,7 +20,8 @@ from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
                         epsilon_sequence, evaluation, find_optimal_look_ahead,
                         generate, normalized_slope, prediction_level, traces,
                         verticality_threshold, working_level)
-from tests.conftest import SharedLog, build_trace, count_fits
+from tests.conftest import (SharedLog, build_trace, count_fits,
+                            count_intersects, let_run_on)
 
 
 def entries(levels, alphas, xs=None):
@@ -303,6 +304,34 @@ class TestTraceBuilding:
         under = [lv for lv, fit in sorted(trace.anchored_trends.items())
                  if fit.curve.c <= 100.0]
         assert trace.plevel_anchored == (under[0] if under else None)
+
+    def test_anchored_plevel_scans_each_level_once(self, monkeypatch):
+        # a look-ahead anchor reads the anchored prediction level once per
+        # level; on this noisy stream no anchored asymptote comes under the
+        # ceiling, so each read finds none, yet a replay builds about as
+        # many backbone entries as it has levels, not their square
+        log = generate(GeneratorSpec(
+            truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=180,
+            perturbations=drift_perturbations(180, 0.8, 0.15), noise_sd=0.05,
+            seed=7))
+        built = []
+
+        class Counted(BackboneEntry):
+            def __init__(self, *args):
+                built.append(args[0])
+                super().__init__(*args)
+
+        monkeypatch.setattr(traces, "BackboneEntry", Counted)
+        strategy = AnchoringStrategy.fixed_with_look_ahead(105.0, 5)
+        counts = {}
+        for source in traces.PLEVEL_SOURCES:
+            del built[:]
+            trace = LearningTrace.from_log(log, strategy,
+                                           TraceParams(plevel_source=source))
+            anchored = trace.anchored_trends
+            counts[source] = len(built)
+        assert trace.plevel_anchored is None and len(anchored) > 150
+        assert counts["anchored"] <= counts["reference"] + len(log)
 
     def test_snapshot_round_trips_curves(self):
         import json
@@ -722,12 +751,6 @@ def test_no_rising_basin_skips_the_level_by_name():
     assert 3 not in trace.reference_trends and 4 in trace.reference_trends
     assert (trace.wlevel, trace.plevel) == (26, 26)
     assert clevel(trace, ProximityCondition("absolute", 0.25)) == 56
-
-
-def let_run_on(monkeypatch, count):
-    """Let the process run on `count` CPUs, as `os.sched_getaffinity` says."""
-    monkeypatch.setattr(os, "sched_getaffinity",
-                        lambda pid: set(range(count)))
 
 
 def study_sweep(log, baseline=None):
@@ -1162,3 +1185,50 @@ class TestWarmUp:
         assert len(os.listdir("/proc/self/fd")) == open_fds
         assert len(forks) == 2      # the sweep's warm-up and the frame's
         assert shared == alone
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity"),
+                    reason="the helper is forked only where affinity is known")
+@pytest.mark.usefixtures("no_child_left")
+class TestSharedCrossings:
+    """The crossings a helper folds come back with its fits, so the two
+    processes of a shared sweep or frame intersect each pair of curves once
+    between them, and the crossings are those of one process."""
+
+    @pytest.mark.parametrize("kind", ["sweep", "frame"])
+    def test_processes_intersect_each_pair_once(self, monkeypatch, tmp_path,
+                                                kind):
+        counted = count_intersects(monkeypatch, tmp_path)
+        mine = []       # the helper's appends stay in the helper
+        shared_intersect = convergence.intersect
+
+        def own(*args):
+            mine.append(1)
+            return shared_intersect(*args)
+
+        monkeypatch.setattr(convergence, "intersect", own)
+        # the helper claims the first job of the warm-up, which the caller
+        # then computes again from the store
+        running, _, _ = watch_warm_ups(monkeypatch, tmp_path)
+        go = first_claim(monkeypatch, running, "helper", kind)
+        made, here, answers = {}, {}, {}
+        try:
+            for cpus in (1, 2):
+                let_run_on(monkeypatch, cpus)
+                log = TestWarmUp.stream(0.0)
+                before, before_here = len(counted()), len(mine)
+                plain, tuning = study_sweep(log)
+                rows = (study_frame(log, plain,
+                                    study_strategies(tuning.look_ahead))
+                        if kind == "frame" else None)
+                made[cpus] = counted()[before:]
+                here[cpus] = len(mine) - before_here
+                answers[cpus] = tuning, rows
+        finally:
+            os.close(go[0])
+            os.close(go[1])
+        assert answers[1] == answers[2]
+        assert here[1] == len(made[1])
+        assert len(set(made[2])) == len(made[2])
+        assert sorted(made[2]) == sorted(made[1])
+        assert here[2] < len(made[2])       # the helper intersected some
