@@ -20,7 +20,7 @@ from .convergence import (
     put,
     threshold_level,
 )
-from .curves import PowerLawCurve, asymptote, derivative, evaluate, is_valid_pattern
+from .curves import PowerLawCurve, derivative, evaluate
 from .errors import (
     CoincidentCurves,
     ConvergemaError,
@@ -42,7 +42,6 @@ from .evaluation import (
     build_frame,
     faster_than,
     relative_cost,
-    relative_performance,
 )
 from .fitting import FitProblem, FitResult, fit
 from .synth import GeneratorSpec, drift_perturbations, generate
@@ -53,7 +52,6 @@ from .traces import (
     Observation,
     ObservationLog,
     TraceParams,
-    normalized_slope,
     prediction_level,
     verticality_threshold,
     working_level,

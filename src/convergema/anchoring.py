@@ -69,12 +69,14 @@ class AnchoringStrategy:
         if text == "canonical":
             return AnchoringStrategy.canonical()
         if text.startswith("fixed:"):
-            body = text[len("fixed:"):]
-            if "+" in body:
-                beta_s, look_s = body.split("+", 1)
-                return AnchoringStrategy.fixed_with_look_ahead(
-                    float(beta_s), int(look_s))
-            return AnchoringStrategy.fixed(float(body))
+            beta, plus, look = text[len("fixed:"):].partition("+")
+            try:
+                beta, look = float(beta), int(look) if plus else None
+            except ValueError:      # the range checks keep their messages
+                pass
+            else:
+                return (AnchoringStrategy.fixed_with_look_ahead(beta, look)
+                        if plus else AnchoringStrategy.fixed(beta))
         raise ValueError(f"cannot parse anchoring strategy {text!r}")
 
     def spec_string(self) -> str:

@@ -25,9 +25,6 @@ from .io import (EPSILON_COLUMNS, FRAME_COLUMNS, epsilon_row,
 from .synth import GeneratorSpec, generate
 from .traces import PLEVEL_SOURCES, LearningScheme, LearningTrace, TraceParams
 
-SEED_ENV = "CONVERGEMA_SEED"
-
-
 def _scheme(kernel, step):
     if kernel is None and step is None:
         return None
@@ -199,7 +196,9 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
 def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
          slowdown, look_ahead, anchor_weight, plevel_source):
     """Sweep tentative PUT values (100 down to 0, step 10) and pick the
-    look-ahead with the turning-point relative cost."""
+    look-ahead with the turning-point relative cost.  OBSERVATIONS is only
+    checked to be a prefix of the horizon: the anchor-free baseline and
+    every sweep candidate run on the horizon stream."""
     params = TraceParams(nu, slowdown, look_ahead, anchor_weight, plevel_source)
     scheme = _scheme(kernel, step)
     obs_log = read_observations(observations, scheme=scheme)
@@ -295,10 +294,8 @@ def evaluate(frame_spec, out_prefix, error_target):
 def simulate(spec_path, out):
     """Generate a synthetic observation stream from a JSON generator spec
     with keys a, b, c, levels and optional kernel/step/noise_sd/
-    perturbations/seed.  CONVERGEMA_SEED overrides the seed."""
+    perturbations/seed."""
     raw = _read_spec(spec_path)
-    seed = (int(os.environ[SEED_ENV]) if SEED_ENV in os.environ
-            else _spec_value(raw, "seed", int, 0))
     scheme = LearningScheme.uniform(_spec_value(raw, "kernel", int, 5000),
                                     _spec_value(raw, "step", int, 5000))
     spec = GeneratorSpec(
@@ -310,7 +307,7 @@ def simulate(spec_path, out):
         noise_sd=_spec_value(raw, "noise_sd", float, 0.0),
         perturbations=_spec_value(raw, "perturbations",
                                   _items(_perturbation), ()),
-        seed=seed)
+        seed=_spec_value(raw, "seed", int, 0))
     write_observations(generate(spec), out)
     click.echo(f"wrote {spec.levels} observations to {out}")
 

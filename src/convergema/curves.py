@@ -1,4 +1,4 @@
-"""Power-law accuracy curve: evaluation, derivative, asymptote, validity.
+"""Power-law accuracy curve: evaluation and derivative.
 
 The model is pi(a, b, c)(x) = -a * x**(-b) + c.  With a > 0 and b > 0 the
 curve is strictly increasing and concave on x > 0, approaches the horizontal
@@ -18,16 +18,12 @@ class PowerLawCurve:
     """Parameters of one accuracy curve.
 
     A valid accuracy pattern needs a > 0 and b > 0; the dataclass itself
-    accepts any reals so that invalid candidates can be represented and
-    rejected by :func:`is_valid_pattern`.
+    accepts any reals, and `fit` returns only valid patterns.
     """
 
     a: float
     b: float
     c: float
-
-    def __call__(self, x):
-        return evaluate(self, x)
 
 
 def evaluate(curve: PowerLawCurve, x):
@@ -47,23 +43,3 @@ def derivative(curve: PowerLawCurve, x):
     out = curve.a * curve.b * np.power(x, -(curve.b + 1.0))
     return float(out) if out.ndim == 0 else out
 
-
-def asymptote(curve: PowerLawCurve) -> float:
-    """Limit of the curve for x -> infinity."""
-    return curve.c
-
-
-def is_valid_pattern(curve: PowerLawCurve, upper_bound: float, x_start: float) -> bool:
-    """Whether the curve is a usable accuracy pattern on [x_start, inf).
-
-    Checks increase/concavity (a > 0, b > 0), the cap on the asymptote
-    (c <= upper_bound) and positivity at the domain start; positivity
-    anywhere right of x_start follows from monotonicity.
-    """
-    if x_start <= 0.0:
-        raise ValueError("x_start must be positive")
-    if not (curve.a > 0.0 and curve.b > 0.0):
-        return False
-    if curve.c > upper_bound:
-        return False
-    return evaluate(curve, x_start) > 0.0

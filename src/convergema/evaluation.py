@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
+from itertools import chain
 from typing import Optional
 
 from .anchoring import AnchoringStrategy
@@ -88,14 +89,6 @@ def relative_cost(run: Run, baseline: Run) -> float:
     return run.clevel / baseline.clevel
 
 
-def _threshold_level_for(run: Run) -> int:
-    """The absolute stop of the run's trace at the frame's threshold."""
-    iota = clevel(run.trace, ProximityCondition("absolute", run.eval_tau))
-    if iota is None:
-        raise NotReached("threshold level for the evaluation tau not reached")
-    return iota
-
-
 def accuracy(run: Run, horizon: Optional[Horizon], mode: str,
              error_target: str = "raw") -> float:
     """Convergence/error accuracy in [0, 100]: zero when any divergence past
@@ -114,7 +107,9 @@ def accuracy(run: Run, horizon: Optional[Horizon], mode: str,
     _check_error_target(error_target)
     if run.clevel is None:
         raise UnresolvedCLevel("accuracy is computed at the convergence level")
-    iota = _threshold_level_for(run)
+    iota = clevel(run.trace, ProximityCondition("absolute", run.eval_tau))
+    if iota is None:
+        raise NotReached("threshold level for the evaluation tau not reached")
     trend = run.trace.trends()[run.clevel].curve
     tau = run.eval_tau
 
@@ -138,11 +133,6 @@ def accuracy(run: Run, horizon: Optional[Horizon], mode: str,
 def _check_error_target(error_target: str) -> None:
     if error_target not in ERROR_TARGETS:
         raise ValueError("error_target must be 'raw' or 'fitted'")
-
-
-def relative_performance(run: Run, baseline: Run, horizon: Optional[Horizon],
-                         mode: str, error_target: str = "raw") -> float:
-    return accuracy(run, horizon, mode, error_target) / relative_cost(run, baseline)
 
 
 def faster_than(runs_a: list[Run], runs_b: list[Run]) -> Optional[Ordering]:
@@ -250,9 +240,12 @@ def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
     run of the fastest condition).
 
     The runs of one strategy depend on no other strategy's and replay the
-    same log, so each strategy's runs are one job of `run_jobs`.  The
-    horizon is checked first, before anything is fitted; the log's store
-    is held for the whole build, so the horizon's fit is the reference's."""
+    same log, so they are jobs of `run_jobs`, in spec order: one per
+    strategy, but one for the strategies anchored at one beta (`fixed:beta`
+    and every `fixed:beta+L`), which fit the same levels below their
+    switches.  The horizon is checked first, before anything is fitted; the
+    log's store is held for the whole build, so the horizon's fit is the
+    reference's."""
     store = log._fit_store()
     horizon = Horizon.from_log(log, spec.horizon_len)
     reference = LearningTrace.from_log(log, AnchoringStrategy.none(), spec.params)
@@ -276,10 +269,18 @@ def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
             runs.append(run)
         return runs
 
-    runs = [run for part in run_jobs(
-                store,
-                [partial(strategy_runs, strategy)
-                 for strategy in spec.strategies])
+    def group_runs(indices: list[int]) -> list[tuple[int, list[Run]]]:
+        return [(index, strategy_runs(spec.strategies[index]))
+                for index in indices]
+
+    groups: dict = {}
+    for index, strategy in enumerate(spec.strategies):
+        key = strategy if strategy.beta is None else strategy.beta
+        groups.setdefault(key, []).append(index)
+    parts = run_jobs(store, [partial(group_runs, indices)
+                             for indices in groups.values()])
+    runs = [run for _, part in sorted(chain.from_iterable(parts),
+                                      key=lambda pair: pair[0])
             for run in part]
 
     candidates = [r for r in runs if r.strategy.kind == "none"

@@ -348,18 +348,9 @@ class TraceParams:
             raise ValueError("plevel_source must be 'reference' or 'anchored'")
 
 
-def normalized_slope(slope: float) -> float:
-    """Map a slope in [0, inf) to [0, 1) via s / (s + 1).
-
-    Chosen so that normalized_slope(s) < nu  iff  s < nu / (1 - nu).
-    """
-    if slope < 0.0:
-        raise ValueError("slope must be nonnegative")
-    return slope / (slope + 1.0)
-
-
 def verticality_threshold(nu: float, slowdown: int) -> float:
-    """Slope ceiling nu**(1/slowdown) / (1 - nu) used by the working level."""
+    """Slope ceiling nu**(1/slowdown) / (1 - nu) used by the working level;
+    at slowdown 1 a slope s is under it iff s / (s + 1) is under nu."""
     return nu ** (1.0 / slowdown) / (1.0 - nu)
 
 

@@ -2,13 +2,14 @@
 import ast
 import math
 import os
+import select
 import sys
 
 import numpy as np
 import pytest
 
 from convergema import (GeneratorSpec, LearningTrace, PowerLawCurve,
-                        TraceParams, convergence, generate, traces)
+                        TraceParams, convergence, evaluation, generate, traces)
 
 KERNEL = 5000
 STEP = 5000
@@ -104,6 +105,63 @@ def let_run_on(monkeypatch, count):
     """Let the process run on `count` CPUs, as `os.sched_getaffinity` says."""
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(count)))
+
+
+def watch_warm_ups(monkeypatch, tmp_path):
+    """Wrap `os.fork` and `run_jobs` where a look-ahead sweep ("sweep"), a
+    frame ("frame") and a view's batch of fits ("batch") call it; a call
+    entered while a warm-up runs (`traces._warming`) is "nested".  Returns
+    the warm-ups running in this process, innermost last, and two readers
+    of what any process did: (pid, the innermost warm-up) of each fork,
+    and (pid, warm-up, number of jobs) of each `run_jobs` call."""
+    forks = SharedLog(tmp_path / "forks.log")
+    calls = SharedLog(tmp_path / "warm-ups.log")
+    running = []
+    for module, kind in ((convergence, "sweep"), (evaluation, "frame"),
+                         (traces, "batch")):
+        def run_jobs(store, jobs, real=module.run_jobs, kind=kind):
+            running.append("nested" if traces._warming else kind)
+            calls.add((os.getpid(), running[-1], len(jobs)))
+            try:
+                return real(store, jobs)
+            finally:
+                running.pop()
+
+        monkeypatch.setattr(module, "run_jobs", run_jobs)
+    real_fork = os.fork
+
+    def fork():
+        forks.add((os.getpid(), running[-1] if running else None))
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    return running, forks.read, calls.read
+
+
+def first_claim(monkeypatch, running, side, kind,
+                releases=lambda problem: True):
+    """Let `side` ("caller" or "helper") claim the first jobs of a shared
+    warm-up of `kind` (see `watch_warm_ups`, whose `running` this reads):
+    the other side waits at its fork until that warm-up asks for a fit of
+    a problem `releases` accepts.  Returns the pipe that signals it, to be
+    closed."""
+    go = os.pipe()
+    real_fork, real_fit = os.fork, traces.fit
+
+    def fork():
+        pid = real_fork()
+        if running[-1:] == [kind] and (pid == 0) == (side == "caller"):
+            select.select([go[0]], [], [], 60)
+        return pid
+
+    def fit(problem):
+        if traces._warming and running[:1] == [kind] and releases(problem):
+            os.write(go[1], b".")
+        return real_fit(problem)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(traces, "fit", fit)
+    return go
 
 
 # -- numpy SIMD target ----------------------------------------------------

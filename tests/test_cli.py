@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -61,13 +62,14 @@ class TestSimulate:
         diff = [s.accuracy - p.accuracy for s, p in zip(spiked, plain)]
         assert diff[4] == pytest.approx(-0.5)
 
-    def test_env_seed_override(self, runner, tmp_path, monkeypatch):
-        spec = spec_file(tmp_path, noise_sd=0.1, seed=1)
-        out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        runner.invoke(main, ["simulate", str(spec), "--out", str(out1)])
-        monkeypatch.setenv("CONVERGEMA_SEED", "99")
-        runner.invoke(main, ["simulate", str(spec), "--out", str(out2)])
-        assert out1.read_bytes() != out2.read_bytes()
+    def test_spec_seed_sets_the_noise(self, runner, tmp_path):
+        outs = {}
+        for seed in (1, 99):
+            spec = spec_file(tmp_path, noise_sd=0.1, seed=seed)
+            outs[seed] = tmp_path / f"{seed}.csv"
+            runner.invoke(main, ["simulate", str(spec), "--out", str(outs[seed])])
+        assert outs[1].read_bytes() != outs[99].read_bytes()
+
 
 
 def observations_csv(tmp_path, levels=40, name="obs.csv", strategy_ready=True):
@@ -401,10 +403,97 @@ def run_on_spec(tmp_path, monkeypatch, capsys, command, payload):
     args = [command, str(spec)]
     if command == "simulate":
         args += ["--out", str(tmp_path / "out.csv")]
+    return run_cli(monkeypatch, capsys, args)
+
+
+def run_cli(monkeypatch, capsys, args):
+    """(exit code, stdout, stderr) of the console entry point run with
+    `args`; a run that returns is exit code 0."""
     monkeypatch.setattr("sys.argv", ["convergema"] + args)
-    with pytest.raises(SystemExit) as stop:
+    try:
         _entry()
-    return (stop.value.code,) + tuple(capsys.readouterr())
+    except SystemExit as stop:
+        return (stop.code,) + tuple(capsys.readouterr())
+    return (0,) + tuple(capsys.readouterr())
+
+
+class TestInputPaths:
+    """The declared scheme, the CSV reader and the strategy grammar reject
+    bad input with exit code 1 and a message that says where."""
+
+    def test_kernel_without_step_is_error(self, tmp_path, monkeypatch,
+                                          capsys):
+        obs = observations_csv(tmp_path)
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["analyze", str(obs), "--tau", "0.5",
+                                "--kernel", "5000"])
+        assert code == 1
+        assert "--kernel and --step must be given together" in err
+
+    def test_mismatched_kernel_names_the_line(self, tmp_path, monkeypatch,
+                                              capsys):
+        # the stream starts at 5000 in steps of 5000, so the second
+        # observation (line 3) is the first a 4000 step disagrees with
+        obs = observations_csv(tmp_path)
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["analyze", str(obs), "--tau", "0.5",
+                                "--kernel", "5000", "--step", "4000"])
+        assert code == 1
+        assert "Traceback" not in err
+        assert (f"{obs}:3: size 10000 at level 2 disagrees with the "
+                "declared scheme (expected 9000)") in err
+
+    def test_matching_scheme_reads_the_stream(self, tmp_path, monkeypatch,
+                                              capsys):
+        obs = observations_csv(tmp_path)
+        args = ["analyze", str(obs), "--strategy", "fixed:100", "--tau", "6.5"]
+        plain = run_cli(monkeypatch, capsys, args)
+        declared = run_cli(monkeypatch, capsys,
+                           args + ["--kernel", "5000", "--step", "5000"])
+        assert plain[0] == 0
+        assert declared == plain
+
+    @pytest.mark.parametrize("text,message", [
+        ("level,size\n1,5000,80.0\n", ":1: expected header"),
+        ("size,level,accuracy\n1,5000,80.0\n", ":1: expected header"),
+        ("", ":1: expected header"),
+        ("level,size,accuracy\n1,5000,80.0\n2,10000\n",
+         ":3: expected 3 fields, got 2"),
+        ("level,size,accuracy\n1,5000,80.0,1\n", ":2: expected 3 fields, got 4"),
+        ("level,size,accuracy\n", ": no observations"),
+        ("level,size,accuracy\n\n , ,\n", ": no observations"),
+    ])
+    def test_bad_csv_is_error(self, tmp_path, text, message):
+        path = tmp_path / "obs.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^" + re.escape(f"{path}{message}")):
+            read_observations(path)
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "obs.csv"
+        path.write_text("level,size,accuracy\n1,5000,80.0\n\n"
+                        "2,10000,85.0\n,,\n3,15000,87.5\n")
+        log = read_observations(path)
+        assert [(o.level, o.x, o.accuracy) for o in log] == [
+            (1, 5000, 80.0), (2, 10000, 85.0), (3, 15000, 87.5)]
+
+    @pytest.mark.parametrize("strategy,message", [
+        ("fixed:", "cannot parse anchoring strategy 'fixed:'"),
+        ("fixed:100+", "cannot parse anchoring strategy 'fixed:100+'"),
+        ("fixed:100+2.5", "cannot parse anchoring strategy 'fixed:100+2.5'"),
+        ("fixed:abc", "cannot parse anchoring strategy 'fixed:abc'"),
+        ("anchored", "cannot parse anchoring strategy 'anchored'"),
+        ("fixed:99", "fixed anchoring needs a finite beta >= 100"),
+        ("fixed:100+-1", "fixed_look_ahead needs a nonnegative look-ahead"),
+    ])
+    def test_bad_strategy_is_error(self, tmp_path, monkeypatch, capsys,
+                                   strategy, message):
+        obs = observations_csv(tmp_path)
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["analyze", str(obs), "--strategy", strategy,
+                                "--tau", "0.5"])
+        assert code == 1
+        assert err == f"error: {message}\n"
 
 
 _FRAME = {"observations": "obs.csv", "tau_r": 0.1, "strategies": ["none"]}

@@ -552,6 +552,27 @@ class TestPut:
                 assert put(trace, cond, level, records) == 0.0
 
 
+    def test_relative_reads_the_backbone_gaps(self):
+        # the relative condition's distance is the first backbone gap at or
+        # after the level; no epsilon sequence is read
+        trace = fixed_trace(levels=40)
+        plevel = trace.plevel
+        gaps = convergence.backbone_gaps(trace)
+
+        def gap_at(level):
+            return next(gap for gap_level, gap in gaps if gap_level >= level)
+
+        d_base, d_here = gap_at(plevel + 2), gap_at(plevel + 3)
+        tau = 0.5 * min(d_base, d_here)
+        cond = ProximityCondition("relative", tau)
+        assert put(trace, cond, plevel + 3) == (100.0 * (d_here - tau)
+                                               / (d_base - tau))
+        assert put(trace, ProximityCondition("relative", 2.0 * d_here),
+                   plevel + 3) == 0.0
+        with pytest.raises(NotReached, match="no backbone gap"):
+            put(trace, cond, gaps[-1][0] + 1)
+
+
 class TestMinimalLookAhead:
     def test_spec_example_shape(self):
         trace = fixed_trace(levels=30)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from convergema import PowerLawCurve, asymptote, derivative, evaluate, is_valid_pattern
+from convergema import PowerLawCurve, derivative, evaluate
 
 FNTBL = PowerLawCurve(a=542.5451, b=0.3838, c=99.2876)
 
@@ -55,21 +55,6 @@ def test_derivative_matches_central_difference():
 def test_derivative_domain_error():
     with pytest.raises(ValueError):
         derivative(FNTBL, -1.0)
-
-
-def test_asymptote_passthrough():
-    assert asymptote(FNTBL) == 99.2876
-    assert asymptote(PowerLawCurve(1.0, 1.0, 0.0)) == 0.0
-    assert asymptote(PowerLawCurve(2.0, 0.5, 10.5)) == 10.5
-
-
-def test_is_valid_pattern():
-    assert is_valid_pattern(FNTBL, 100.0, 5000.0)
-    assert not is_valid_pattern(PowerLawCurve(1.0, 1.0, 101.0), 100.0, 5000.0)
-    assert not is_valid_pattern(PowerLawCurve(-1.0, 1.0, 50.0), 100.0, 5000.0)
-    assert not is_valid_pattern(PowerLawCurve(1.0, -0.2, 50.0), 100.0, 5000.0)
-    # positive-definiteness checked at the domain start
-    assert not is_valid_pattern(PowerLawCurve(500.0, 0.1, 50.0), 100.0, 10.0)
 
 
 @given(st.floats(0.01, 1e3), st.floats(0.05, 2.5), st.floats(-10, 100),

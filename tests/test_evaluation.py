@@ -1,3 +1,6 @@
+import dataclasses
+import os
+
 import numpy as np
 import pytest
 
@@ -5,9 +8,10 @@ from convergema import (AnchoringStrategy, FrameSpec, GeneratorSpec, Horizon,
                         LearningTrace, Ordering, PowerLawCurve,
                         ProximityCondition, Run, TraceParams, UnresolvedCLevel,
                         accuracy, build_frame, drift_perturbations, faster_than,
-                        MissingHorizon, generate, relative_cost,
-                        relative_performance)
-from tests.conftest import count_fits, let_run_on
+                        MissingHorizon, NotDecreasing, evaluation, generate,
+                        relative_cost)
+from tests.conftest import (count_fits, first_claim, let_run_on,
+                            watch_warm_ups)
 
 
 def make_run(clevel=None, strategy=None, trace=None, condition=None, tau=1.0):
@@ -76,10 +80,16 @@ class TestAccuracy:
         records = epsilon_sequence(plain)
         tau = records[-1].epsilon * 1.5
         run = make_run(clevel=records[2].level, trace=plain, tau=tau)
-        # a stricter eval tau forces divergences above it -> zero accuracy
-        strict = make_run(clevel=records[2].level, trace=plain, tau=tau)
-        value = accuracy(run, horizon, "convergence")
-        assert 0.0 <= value <= 100.0
+        assert 0.0 < accuracy(run, horizon, "convergence") <= 100.0
+        # an oracle whose asymptote lies a point higher: the asymptote pair
+        # alone diverges by more than tau, in either mode
+        limit = horizon.limit_trend
+        lifted = Horizon(horizon.observations, dataclasses.replace(
+            limit, curve=dataclasses.replace(limit.curve,
+                                             c=limit.curve.c + 1.0)))
+        assert abs(lifted.alpha_dinfty - plain.trends()[run.clevel].curve.c) > tau
+        assert accuracy(run, lifted, "convergence") == 0.0
+        assert accuracy(run, lifted, "error") == 0.0
 
     def test_ratio_form_and_modes(self):
         log, params, plain, horizon = self.build()
@@ -94,18 +104,6 @@ class TestAccuracy:
         assert 0.0 <= conv <= 100.0
         assert 0.0 <= err_raw <= 100.0
         assert err_fit == pytest.approx(conv)  # fitted target == limit trend
-
-    def test_rp_is_accuracy_over_rc(self):
-        log, params, plain, horizon = self.build()
-        from convergema import epsilon_sequence
-        records = epsilon_sequence(plain)
-        tau = records[len(records) // 2].epsilon
-        stop = next(r.level for r in records if r.epsilon <= tau)
-        run = make_run(clevel=stop, trace=plain, tau=tau)
-        base = make_run(clevel=max(3, stop // 2), trace=plain, tau=tau)
-        rp = relative_performance(run, base, horizon, "convergence")
-        assert rp == pytest.approx(accuracy(run, horizon, "convergence")
-                                   / relative_cost(run, base))
 
 
 class TestFrame:
@@ -152,6 +150,50 @@ class TestFrame:
         assert rows[0].rc == 1.0
         assert rows[0].rp_c == rows[0].a_c
 
+    def test_runs_keep_spec_order(self):
+        # the two strategies anchored at beta 100 are one job of the frame,
+        # and yet every run stands where the spec puts it, as it would in a
+        # frame of its strategy alone
+        log = synthetic_frame_log()
+        texts = ("fixed:100+5", "none", "fixed:101", "canonical", "fixed:100")
+        conditions = ("absolute", "relative")
+        tau_r = 0.002
+        rows = build_frame(log, FrameSpec(
+            tau_r=tau_r, conditions=conditions,
+            strategies=tuple(map(AnchoringStrategy.parse, texts)))).rows()
+        assert [(r.strategy, r.condition) for r in rows] == [
+            (text, kind) for text in texts for kind in conditions]
+        for index, text in enumerate(texts):
+            alone = build_frame(log, FrameSpec(
+                tau_r=tau_r, conditions=conditions,
+                strategies=(AnchoringStrategy.none(),
+                            AnchoringStrategy.parse(text)))).rows()
+            assert rows[2 * index:2 * index + 2] == alone[-2:]
+
+    def test_run_that_raises_not_decreasing_is_noted(self, monkeypatch):
+        # a canonical backbone that rises past omega + 1 (injected here)
+        # makes the absolute run inapplicable: it stays in the frame, with
+        # no stop and the reason in its note
+        real = evaluation.clevel
+
+        def clevel(trace, condition):
+            if (trace.strategy.kind == "canonical"
+                    and condition.kind == "absolute"):
+                raise NotDecreasing("backbone rises at level 40")
+            return real(trace, condition)
+
+        monkeypatch.setattr(evaluation, "clevel", clevel)
+        log = synthetic_frame_log()
+        frame = build_frame(log, FrameSpec(
+            tau_r=0.002, strategies=(AnchoringStrategy.none(),
+                                     AnchoringStrategy.canonical())))
+        rows = {(r.strategy, r.condition): r for r in frame.rows()}
+        inapplicable = rows[("canonical", "absolute")]
+        assert inapplicable.clevel is None
+        assert inapplicable.note == "inapplicable: backbone rises at level 40"
+        assert rows[("canonical", "relative")].note == ""
+        assert frame.baseline.strategy.kind == "none"
+
 
 class TestFrameFits:
     """`build_frame` checks its horizon before it fits anything, and fits
@@ -177,6 +219,27 @@ class TestFrameFits:
         let_run_on(monkeypatch, 1)
         fits = count_fits(monkeypatch, tmp_path)
         build_frame(log, FrameSpec(tau_r=0.0003, strategies=self.STRATEGIES))
+        assert len(fits()) == len(set(fits())) == 344
+
+    @pytest.mark.parametrize("side", ["caller", "helper"])
+    def test_frame_fits_each_problem_once_on_two_cpus(self, monkeypatch,
+                                                      tmp_path, side):
+        # `side` claims the frame's jobs until it fits a problem anchored at
+        # beta; the fixed:100+5 job, left to the other side if it were a job
+        # of its own, would then fit the beta levels below its switch again
+        log = synthetic_frame_log(levels=90, seed=7)
+        let_run_on(monkeypatch, 2)
+        fits = count_fits(monkeypatch, tmp_path)
+        running, forks, _ = watch_warm_ups(monkeypatch, tmp_path)
+        go = first_claim(monkeypatch, running, side, "frame",
+                         lambda problem: problem.anchor == 100.0)
+        try:
+            build_frame(log, FrameSpec(tau_r=0.0003,
+                                       strategies=self.STRATEGIES))
+        finally:
+            os.close(go[0])
+            os.close(go[1])
+        assert [kind for _, kind in forks()].count("frame") == 1
         assert len(fits()) == len(set(fits())) == 344
 
 

@@ -1,15 +1,10 @@
 import dataclasses
 import errno
-import math
 import operator
 import os
-import select
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
 from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
                         FitProblem, FrameSpec, GeneratorSpec, Horizon,
@@ -17,11 +12,12 @@ from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
                         ObservationLog,
                         PowerLawCurve, ProximityCondition, TraceParams,
                         build_frame, clevel, convergence, drift_perturbations,
-                        epsilon_sequence, evaluation, find_optimal_look_ahead,
-                        generate, normalized_slope, prediction_level, traces,
+                        epsilon_sequence, find_optimal_look_ahead,
+                        generate, prediction_level, traces,
                         verticality_threshold, working_level)
 from tests.conftest import (SharedLog, build_trace, count_fits,
-                            count_intersects, let_run_on)
+                            count_intersects, first_claim, let_run_on,
+                            watch_warm_ups)
 
 
 def entries(levels, alphas, xs=None):
@@ -114,36 +110,6 @@ class TestObservationLog:
                                          [50.0, 55.0, 58.0])
         assert [o.x for o in log] == [100, 200, 300]
         assert all(type(o.x) is int for o in log)
-
-
-class TestNormalizedSlope:
-    def test_examples(self):
-        assert normalized_slope(0.0) == 0.0
-        assert normalized_slope(1.0) == 0.5
-        nu = 2e-5
-        assert normalized_slope(nu / (1.0 - nu)) == pytest.approx(nu, rel=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            normalized_slope(-1e-9)
-
-    # |fl(s / fl(s + 1)) - s / (s + 1)| < 2u / (1 - u) for unit roundoff
-    # u = 2**-53, so two values can be out of order by less than twice that
-    ORDER_SLACK = Fraction(4, 2 ** 53 - 1)
-
-    @given(st.floats(0, 1e12), st.floats(0, 1e12))
-    @example(1.3735234521263604, math.nextafter(1.3735234521263604, math.inf))
-    @example(999966611683.0, 999966611684.0)
-    @settings(max_examples=200, deadline=None)
-    def test_monotone_bounded(self, s1, s2):
-        n1, n2 = normalized_slope(s1), normalized_slope(s2)
-        assert 0.0 <= n1 < 1.0
-        if s1 < s2:
-            assert n2 >= n1 - self.ORDER_SLACK
-            gap = ((Fraction(s2) - Fraction(s1))
-                   / ((Fraction(s1) + 1) * (Fraction(s2) + 1)))
-            if gap > self.ORDER_SLACK:
-                assert n1 < n2
 
 
 class TestWorkingLevel:
@@ -785,63 +751,6 @@ def study_frame(log, plain, strategies):
                   for prev, cur in zip(entries, entries[1:]))
     return build_frame(log, FrameSpec(tau_r=gaps[int(len(gaps) * 0.6)],
                                       strategies=strategies)).rows()
-
-
-def watch_warm_ups(monkeypatch, tmp_path):
-    """Wrap `os.fork` and `run_jobs` where a look-ahead sweep ("sweep"), a
-    frame ("frame") and a view's batch of fits ("batch") call it; a call
-    entered while a warm-up runs (`traces._warming`) is "nested".  Returns
-    the warm-ups running in this process, innermost last, and two readers
-    of what any process did: (pid, the innermost warm-up) of each fork,
-    and (pid, warm-up, number of jobs) of each `run_jobs` call."""
-    forks = SharedLog(tmp_path / "forks.log")
-    calls = SharedLog(tmp_path / "warm-ups.log")
-    running = []
-    for module, kind in ((convergence, "sweep"), (evaluation, "frame"),
-                         (traces, "batch")):
-        def run_jobs(store, jobs, real=module.run_jobs, kind=kind):
-            running.append("nested" if traces._warming else kind)
-            calls.add((os.getpid(), running[-1], len(jobs)))
-            try:
-                return real(store, jobs)
-            finally:
-                running.pop()
-
-        monkeypatch.setattr(module, "run_jobs", run_jobs)
-    real_fork = os.fork
-
-    def fork():
-        forks.add((os.getpid(), running[-1] if running else None))
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", fork)
-    return running, forks.read, calls.read
-
-
-def first_claim(monkeypatch, running, side, kind,
-                releases=lambda problem: True):
-    """Let `side` ("caller" or "helper") claim the first jobs of a shared
-    warm-up of `kind` (see `watch_warm_ups`, whose `running` this reads):
-    the other side waits at its fork until that warm-up asks for a fit of
-    a problem `releases` accepts.  Returns the pipe that signals it, to be
-    closed."""
-    go = os.pipe()
-    real_fork, real_fit = os.fork, traces.fit
-
-    def fork():
-        pid = real_fork()
-        if running[-1:] == [kind] and (pid == 0) == (side == "caller"):
-            select.select([go[0]], [], [], 60)
-        return pid
-
-    def fit(problem):
-        if traces._warming and running[:1] == [kind] and releases(problem):
-            os.write(go[1], b".")
-        return real_fit(problem)
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(traces, "fit", fit)
-    return go
 
 
 def stored_reprs(log):
