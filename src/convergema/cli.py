@@ -264,7 +264,7 @@ def evaluate(frame_spec, out_prefix, error_target):
     def fmt(value, digits=6):
         return "" if value is None else f"{value:.{digits}f}"
 
-    click.echo(f"tau_a (normalised): {frame.tau_a:.6f}")
+    click.echo(f"tau_a (normalised): {fmt(frame.tau_a)}")
     click.echo("strategy        condition  plevel  clevel  A^c      RC      RP^c     A^e      RP^e     PUT     lookahead")
     rows = frame.rows()
     for row in rows:

@@ -10,10 +10,10 @@ condition.  The relative condition instead watches backbone gaps, and the
 percentage of uncovered threshold (PUT) normalises the remaining distance,
 which drives the choice of the look-ahead for anchor updates.
 
-The fold reads each crossing of two consecutive trends through the store
-of the trace's later level (`_FitStore.crossing`), so the traces that
-share a log's store, and a forked helper that sends its store entries
-back, intersect each pair of curves once.
+The fold reads each crossing of two consecutive trends through the
+trace's store (`_FitStore.crossing`), so the traces that share a log's
+store, and a forked helper that sends its store entries back, intersect
+each pair of curves once.
 
 Two power laws cross at most twice: their difference has at most two
 monotone pieces, split at the one zero of its derivative, so every
@@ -196,7 +196,7 @@ def _fold(trace: LearningTrace, trends: dict) -> tuple[EpsilonRecord, ...]:
     levels folded then are still the first levels of `trends`, each with
     an equal FitResult (one tuple comparison, which passes the same object
     without comparing fields); otherwise it starts over.  A pair's crossing
-    is read from the store of its later level (`_FitStore.crossing`)."""
+    is read from the trace's store (`_FitStore.crossing`)."""
     pairs = [(level, trends[level]) for level in sorted(trends)]
 
     records: list[EpsilonRecord] = []
@@ -220,8 +220,7 @@ def _fold(trace: LearningTrace, trends: dict) -> tuple[EpsilonRecord, ...]:
         anchor_changed = (trace._anchors.get(level)
                           != trace._anchors.get(prev_level))
         # None for coincident curves: the previous count carries over
-        inter = trace._store_of(level).crossing(prev_fit.curve, fit.curve,
-                                                x_min)
+        inter = trace._store.crossing(prev_fit.curve, fit.curve, x_min)
         if inter is None or inter.count == 0:
             # no crossing to bound by: a rupture, carrying epsilon forward
             prev_eps = prev_eps if prev_eps is not None else 0.0
@@ -351,9 +350,12 @@ def _distance_estimate(trace: LearningTrace, condition: ProximityCondition,
 
 def put(trace: LearningTrace, condition: ProximityCondition, level: int,
         records: Optional[list[EpsilonRecord]] = None) -> float:
-    """Percentage of uncovered threshold at `level`, in [0, 100].  It is
-    defined on fixed anchoring traces past plevel + 1: elsewhere this raises
-    ValueError, or NotReached while the prediction level is unresolved."""
+    """Percentage of uncovered threshold at `level`: 0 once the distance
+    is within tau, 100 at plevel + 2, and above 100 where the distance has
+    grown past that (under the relative condition a later backbone gap
+    can exceed the first).  It is defined on fixed anchoring traces past
+    plevel + 1: elsewhere this raises ValueError, or NotReached while the
+    prediction level is unresolved."""
     if trace.strategy.kind not in ("fixed", "fixed_look_ahead"):
         raise ValueError("PUT is defined for fixed anchoring traces")
     plevel = trace.plevel
@@ -448,8 +450,7 @@ def find_optimal_look_ahead(log, params, tau: float, beta: float,
     distinct = [look for look in dict.fromkeys(looks.values())
                 if look is not None]
     stops = dict(zip(distinct, run_jobs(
-        base._store_of(len(log)),
-        [partial(candidate_stop, look) for look in distinct])))
+        base._store, [partial(candidate_stop, look) for look in distinct])))
     candidates: list[TuningCandidate] = []
     for zeta, look in looks.items():
         stop = None if look is None else stops[look]

@@ -67,7 +67,7 @@ class Run:
     strategy: AnchoringStrategy
     condition: ProximityCondition
     trace: LearningTrace
-    eval_tau: float                     # frame's absolute threshold
+    eval_tau: Optional[float]           # frame's absolute threshold
     clevel: Optional[int] = None
     note: str = ""
 
@@ -107,6 +107,8 @@ def accuracy(run: Run, horizon: Optional[Horizon], mode: str,
     _check_error_target(error_target)
     if run.clevel is None:
         raise UnresolvedCLevel("accuracy is computed at the convergence level")
+    if run.eval_tau is None:
+        raise NotReached("accuracy needs the frame's absolute threshold")
     iota = clevel(run.trace, ProximityCondition("absolute", run.eval_tau))
     if iota is None:
         raise NotReached("threshold level for the evaluation tau not reached")
@@ -196,7 +198,7 @@ class FrameRow:
 @dataclass
 class LocalTestingFrame:
     spec: FrameSpec
-    tau_a: float
+    tau_a: Optional[float]          # None when the reference backbone rises
     horizon: Horizon
     runs: list[Run]
     baseline: Run
@@ -218,7 +220,8 @@ class LocalTestingFrame:
                     pass
             # PUT at the look-ahead switch, where `put` defines it
             look = run.strategy.look_ahead
-            if look is not None and run.plevel is not None:
+            if (look is not None and run.plevel is not None
+                    and self.tau_a is not None):
                 try:
                     put_val = put(run.trace,
                                   ProximityCondition("absolute", self.tau_a),
@@ -237,7 +240,10 @@ class LocalTestingFrame:
 def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
     """Build all runs, normalise the absolute threshold from the relative
     one on the anchor-free reference, and pick the baseline (the anchor-free
-    run of the fastest condition).
+    run of the fastest condition).  When the reference backbone rises there
+    is no absolute threshold: a frame with absolute runs raises
+    NotDecreasing, and a relative-only frame, whose stops need none, has
+    `tau_a` None and no accuracy or PUT in its rows.
 
     The runs of one strategy depend on no other strategy's and replay the
     same log, so they are jobs of `run_jobs`, in spec order: one per
@@ -249,7 +255,12 @@ def build_frame(log: ObservationLog, spec: FrameSpec) -> LocalTestingFrame:
     store = log._fit_store()
     horizon = Horizon.from_log(log, spec.horizon_len)
     reference = LearningTrace.from_log(log, AnchoringStrategy.none(), spec.params)
-    tau_a = normalize_threshold(reference, spec.tau_r)
+    try:
+        tau_a = normalize_threshold(reference, spec.tau_r)
+    except NotDecreasing:
+        if "absolute" in spec.conditions:
+            raise
+        tau_a = None
 
     def strategy_runs(strategy: AnchoringStrategy) -> list[Run]:
         if strategy.kind == "none":

@@ -15,10 +15,10 @@ and because the anchoring strategies draw their anchor values from them.
 A fit lives in a store keyed by its problem (`_FitStore.key`), and the
 crossing of two stored curves beside it, keyed by the curves
 (`_FitStore.crossing`).  A log only grows, so these store entries never go
-stale: the levels a trace replays from a log use that log's store, shared
-by every trace replayed on it, and the levels it is extended by later use
-the trace's own.  A trace reads every fit one way, in level order
-(`LearningTrace._fits`).
+stale.  A trace has one store: a replayed trace uses its log's store,
+shared by every trace replayed on it, until it is extended past the log,
+and then the store of its own observations.  A trace reads every fit one
+way, in level order (`LearningTrace._fits`).
 
 Work that does not depend on other work of its kind is shared with one
 forked helper in one way (`run_jobs`): the two processes claim jobs from a
@@ -39,7 +39,7 @@ import threading
 import weakref
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, islice
+from itertools import islice
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
@@ -430,11 +430,10 @@ class LearningTrace:
         # tau -> the absolute stop of a fixed-anchoring trace, kept by
         # convergence._final_stop once found: such a stop is final
         self._stops: dict[float, int] = {}
-        # the fits of the first `_replayed` levels live in the store of the
-        # log they were replayed from, the others in the trace's own
+        # the length of the log whose store a replayed trace uses until it
+        # is extended past it (`extend`)
         self._replayed = 0
-        self._own_store = self.observations._fit_store()
-        self._log_store = self._own_store
+        self._store = self.observations._fit_store()
 
     # -- construction -----------------------------------------------------
 
@@ -445,26 +444,30 @@ class LearningTrace:
         """Build a trace by replaying the log through `extend`.
 
         A log only grows, so the fits of its prefixes never go stale: the
-        replayed levels use the log's fit store, which every trace replayed
-        on that log shares.  With `reference` (a trace with the same
-        parameters whose observations start with the log's) they use the
-        store the reference uses at level len(log) instead.  Levels the
-        trace is extended by later go to its own store (see `_store_of`).
+        trace uses the log's fit store, which every trace replayed on that
+        log shares.  With `reference` (a trace with the same parameters
+        whose observations start with the log's) it uses the reference's
+        store instead.  Once the trace is extended past the log, any fit it
+        still needs is made in the store of its own observations.
         """
         trace = LearningTrace(strategy, params, scheme=log.scheme)
         if reference is None:
-            store = log._fit_store()
+            trace._store = log._fit_store()
         else:
             prefix = reference.observations.entries[:len(log)]
             if reference.params != params or log.entries != prefix:
                 raise ValueError("reference trace does not match the log/params")
-            store = reference._store_of(len(log))
-        trace._replayed, trace._log_store = len(log), store
+            trace._store = reference._store
+        trace._replayed = len(log)
         for obs in log:
             trace.extend(obs)
         return trace
 
     def extend(self, obs: Observation) -> "LearningTrace":
+        # a falsy `_replayed` first: the monitor's fresh trace reads no more
+        if self._replayed and len(self.observations) == self._replayed:
+            self._replayed = 0
+            self._store = self.observations._fit_store()
         self.observations.append(obs)
         if len(self.observations) >= 3 and self.plevel_reference is None:
             self._settle()
@@ -473,44 +476,33 @@ class LearningTrace:
 
     # -- fitting ----------------------------------------------------------
 
-    def _store_of(self, level: int) -> _FitStore:
-        """The store that holds the fits of the first `level` observations."""
-        return self._log_store if level <= self._replayed else self._own_store
-
     def _fits(self, levels: range, anchors) -> Iterator[tuple]:
         """(level, anchor, fit or None) of `levels` with `anchors`, in
         order; a degenerate fit is None, with its reason recorded in
-        `_skipped`.  Each fit is looked up in the store of its level
-        (`_store_of`), or else made and recorded there, so no trace sharing
-        the store fits the same problem twice.
+        `_skipped`.  Each fit is looked up in the trace's store, or else
+        made and recorded there, so no trace sharing the store fits the
+        same problem twice.
 
         `anchors` is a list when every anchor is known before the first
-        fit: the fits missing from their stores are then made first, as the
-        jobs of one warm-up per store (`run_jobs`).  A warm-up that raises
-        has stored the fit of every job before the raising one, so that
-        exception is raised at the first level whose fit is still missing,
-        after the levels below it are recorded, and not fitted again.
-        Otherwise `anchors` is an iterator, whose next anchor may read the
-        fits recorded below it."""
-        weight = self.params.anchor_weight
+        fit: the fits missing from the store are then made first, as the
+        jobs of one warm-up (`run_jobs`).  A warm-up that raises has stored
+        the fit of every job before the raising one, so that exception is
+        raised at the first level whose fit is still missing, after the
+        levels below it are recorded, and not fitted again.  Otherwise
+        `anchors` is an iterator, whose next anchor may read the fits
+        recorded below it."""
+        store, weight = self._store, self.params.anchor_weight
         failed = None
         if isinstance(anchors, list) and len(levels) >= 2:
-            # by identity: two stores that hold the same fits are equal
-            for _, part in groupby(zip(levels, anchors),
-                                   lambda pair: id(self._store_of(pair[0]))):
-                part = list(part)
-                store = self._store_of(part[0][0])
-                jobs = [partial(store.lookup, self.observations, level,
-                                anchor, weight)
-                        for level, anchor in part
-                        if store.key(level, anchor, weight) not in store]
-                try:
-                    run_jobs(store, jobs)
-                except Exception as exc:
-                    failed = exc
-                    break
+            try:
+                run_jobs(store, [partial(store.lookup, self.observations,
+                                         level, anchor, weight)
+                                 for level, anchor in zip(levels, anchors)
+                                 if store.key(level, anchor, weight)
+                                 not in store])
+            except Exception as exc:
+                failed = exc
         for level, anchor in zip(levels, anchors):
-            store = self._store_of(level)
             if failed and store.key(level, anchor, weight) not in store:
                 raise failed
             result = store.lookup(self.observations, level, anchor, weight)

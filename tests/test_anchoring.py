@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from convergema import (AnchoringStrategy, MissingWLevel, TraceParams,
-                        anchor_for_level, drift_perturbations, verify_sufficiency)
+from convergema import (AnchoringStrategy, DegenerateData, MissingPLevel,
+                        MissingWLevel, TraceParams, anchor_for_level,
+                        drift_perturbations, traces, verify_sufficiency)
 from tests.conftest import build_trace
 
 
@@ -74,6 +75,47 @@ class TestAnchorForLevel:
                 assert anchor == 100.0
             else:
                 assert anchor == pytest.approx(frozen)
+
+    def test_look_ahead_switch_past_the_trace_needs_the_plevel(self):
+        # anchored at 150, no anchored asymptote is under the ceiling, so
+        # the anchored prediction level stays unresolved: a level within
+        # the trace keeps beta, one past it cannot be placed
+        strategy = AnchoringStrategy.fixed_with_look_ahead(150.0, 2)
+        trace = build_trace(300.0, 0.6, 96.0, 16, strategy,
+                            params=TraceParams(plevel_source="anchored"))
+        assert trace.wlevel is not None and trace.plevel is None
+        assert anchor_for_level(strategy, 16, trace) == 150.0
+        with pytest.raises(MissingPLevel, match="prediction level"):
+            anchor_for_level(strategy, 17, trace)
+
+    def test_degenerate_freeze_level_takes_the_latest_trend_below(
+            self, monkeypatch):
+        # the anchored fit at the freeze level plevel + L is degenerate
+        # (injected), so the levels past the switch take the latest anchored
+        # asymptote below it
+        params = TraceParams(look_ahead=3)
+        strategy = AnchoringStrategy.fixed_with_look_ahead(100.0, 2)
+        base = build_trace(300.0, 0.6, 96.0, 16, strategy, params=params)
+        freeze = base.plevel + 2
+        unpatched = base.anchored_trends[freeze].curve.c
+        real_fit = traces.fit
+
+        def degenerate_at(problem):
+            if len(problem.x) == freeze and problem.anchor is not None:
+                raise DegenerateData("no valid pattern here")
+            return real_fit(problem)
+
+        monkeypatch.setattr(traces, "fit", degenerate_at)
+        trace = build_trace(300.0, 0.6, 96.0, 16, strategy, params=params)
+        assert trace.skipped == {freeze: "no valid pattern here"}
+        assert freeze not in trace.anchored_trends
+        below = max(lv for lv in trace.anchored_trends if lv < freeze)
+        assert trace.wlevel < below == freeze - 1
+        frozen = trace.anchored_trends[below].curve.c
+        assert frozen != unpatched
+        for level, anchor in trace.anchors.items():
+            assert anchor == (100.0 if level <= freeze else frozen)
+        assert min(trace.anchors) < freeze < max(trace.anchors)
 
     def test_null_look_ahead_matches_fixed_when_plevel_at_wlevel(self):
         # freeze level == wlevel has no anchored trend: the anchor keeps beta

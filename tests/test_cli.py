@@ -284,6 +284,28 @@ class TestEvaluate:
         assert csv_lines[0].startswith("strategy,condition,tau,plevel,clevel")
         assert len(csv_lines) == 7
 
+    def test_rising_reference_leaves_tau_a_empty(self, runner, tmp_path):
+        # the relative runs of a frame whose anchor-free backbone rises are
+        # reported; its absolute threshold is empty, not an error
+        gen = spec_file(tmp_path, a=5 * 5000 ** 0.6, b=0.6, c=96.0,
+                        levels=60, seed=0,
+                        perturbations=drift_perturbations(60, -1.0, 0.15))
+        obs_path = tmp_path / "obs.csv"
+        assert runner.invoke(main, ["simulate", str(gen), "--out",
+                                    str(obs_path)]).exit_code == 0
+        frame_path = tmp_path / "frame.json"
+        frame_path.write_text(json.dumps({
+            "observations": str(obs_path), "tau_r": 0.0003,
+            "strategies": ["none", "fixed:100"], "conditions": ["relative"]}))
+        prefix = tmp_path / "report"
+        result = runner.invoke(main, ["evaluate", str(frame_path), "--out",
+                                      str(prefix)])
+        assert result.exit_code == 0, result.output
+        assert result.output.splitlines()[0] == "tau_a (normalised): "
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["tau_a"] is None
+        assert [row["clevel"] for row in payload["rows"]] == [37, None]
+
     def test_fitted_error_target_on_a_short_horizon(self, runner, tmp_path):
         # --error-target fitted and a horizon_len below the log's length:
         # each row's A^e is accuracy(run, horizon, "error", "fitted") of the

@@ -572,6 +572,23 @@ class TestPut:
         with pytest.raises(NotReached, match="no backbone gap"):
             put(trace, cond, gaps[-1][0] + 1)
 
+    def test_relative_put_rises_past_100(self):
+        # PUT is 100 at plevel + 2 and grows past it wherever the backbone
+        # gap has grown: on this trace every later level but one reads over
+        # 100, and the last level reads above 900
+        trace = fixed_trace(levels=60)
+        plevel, top = trace.plevel, max(trace.trends())
+        gaps = dict(convergence.backbone_gaps(trace))
+        tau = 0.5 * min(gaps.values())
+        cond = ProximityCondition("relative", tau)
+        series = [put(trace, cond, level)
+                  for level in range(plevel + 2, top + 1)]
+        assert series[0] == 100.0
+        assert sum(value > 100.0 for value in series) == len(series) - 1
+        assert series[-1] == (100.0 * (gaps[top] - tau)
+                              / (gaps[plevel + 2] - tau))
+        assert series[-1] > 900.0
+
 
 class TestMinimalLookAhead:
     def test_spec_example_shape(self):

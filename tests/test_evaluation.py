@@ -4,12 +4,12 @@ import os
 import numpy as np
 import pytest
 
-from convergema import (AnchoringStrategy, FrameSpec, GeneratorSpec, Horizon,
-                        LearningTrace, Ordering, PowerLawCurve,
-                        ProximityCondition, Run, TraceParams, UnresolvedCLevel,
-                        accuracy, build_frame, drift_perturbations, faster_than,
-                        MissingHorizon, NotDecreasing, evaluation, generate,
-                        relative_cost)
+from convergema import (AnchoringStrategy, ConvergemaError, FrameSpec,
+                        GeneratorSpec, Horizon, LearningTrace, Ordering,
+                        PowerLawCurve, ProximityCondition, Run, TraceParams,
+                        UnresolvedCLevel, accuracy, build_frame,
+                        drift_perturbations, faster_than, MissingHorizon,
+                        NotDecreasing, evaluation, generate, relative_cost)
 from tests.conftest import (count_fits, first_claim, let_run_on,
                             watch_warm_ups)
 
@@ -193,6 +193,44 @@ class TestFrame:
         assert inapplicable.note == "inapplicable: backbone rises at level 40"
         assert rows[("canonical", "relative")].note == ""
         assert frame.baseline.strategy.kind == "none"
+
+
+def rising_log():
+    """A stream whose anchor-free backbone rises at level 6."""
+    return generate(GeneratorSpec(
+        truth=PowerLawCurve(5 * 5000 ** 0.6, 0.6, 96.0), levels=60,
+        perturbations=drift_perturbations(60, -1.0, 0.15), seed=0))
+
+
+class TestRisingReference:
+    """A frame whose anchor-free backbone rises has no absolute threshold:
+    a relative-only frame, whose stops need none, is evaluated without
+    one; a frame that asks for absolute runs raises as before."""
+
+    STRATEGIES = (AnchoringStrategy.none(), AnchoringStrategy.fixed(100.0),
+                  AnchoringStrategy.fixed_with_look_ahead(100.0, 5))
+
+    def test_relative_runs_are_evaluated(self):
+        frame = build_frame(rising_log(), FrameSpec(
+            tau_r=0.0003, strategies=self.STRATEGIES,
+            conditions=("relative",)))
+        assert frame.tau_a is None
+        assert [run.clevel for run in frame.runs] == [37, None, None]
+        assert frame.baseline is frame.runs[0]
+        rows = frame.rows()
+        for row in rows:
+            assert (row.condition, row.tau, row.note) == ("relative", 0.0003, "")
+            assert row.a_c is row.a_e is row.rp_c is row.rp_e is None
+            assert row.put is None
+        assert rows[0].rc == 1.0 and rows[2].look_ahead == 5
+        with pytest.raises(ConvergemaError, match="absolute threshold"):
+            accuracy(frame.baseline, frame.horizon, "convergence")
+
+    def test_absolute_runs_still_raise(self):
+        with pytest.raises(NotDecreasing,
+                           match="backbone rises by 1.787e-03 at level 6"):
+            build_frame(rising_log(), FrameSpec(
+                tau_r=0.0003, strategies=self.STRATEGIES))
 
 
 class TestFrameFits:

@@ -137,6 +137,66 @@ def test_anchored_residual_at_infinity_nonnegative():
         assert result.residual_at_infinity >= -1e-12
 
 
+def _dense_profile_min(problem, bs):
+    """The least SSE over `bs` of the valid patterns (a > 0) with (a, c)
+    solved by least squares at each b; numpy's solver, not `fit`'s."""
+    x, y = np.asarray(problem.x), np.asarray(problem.y)
+    target = y
+    if problem.anchor is not None:
+        sw = math.sqrt(problem.anchor_weight)
+        target = np.append(y, sw * problem.anchor)
+    best = np.inf
+    for b in bs:
+        design = np.column_stack([-np.power(x, -b), np.ones_like(x)])
+        if problem.anchor is not None:
+            design = np.vstack([design, [0.0, sw]])
+        (a, c), *_ = np.linalg.lstsq(design, target, rcond=None)
+        if a > 0.0:
+            r = target - design @ (a, c)
+            best = min(best, float(r @ r))
+    return best
+
+
+@pytest.mark.parametrize("problem, refined", [
+    # the scan's lowest point (b at its lower edge) gives a < 0, so the one
+    # interior basin is refined too and wins
+    (FitProblem((4000, 6000, 9000, 14000, 15000, 19000, 21000),
+                (88.78413754754496, 87.46174172275101, 89.5597270855389,
+                 90.72515473374659, 88.47843453491194, 88.13768476789657,
+                 87.40503469643664)), 2),
+    # the interior basin's scan values cannot beat the edge basin's refined
+    # SSE, so it is skipped
+    (FitProblem((4000, 8000, 12000, 16000, 21000, 25000, 29000, 33000),
+                (92.78369029405097, 91.36250038145896, 89.09933666050304,
+                 89.27102641505866, 89.1524458169443, 87.71318317984432,
+                 87.08432410769417, 86.86270548328838),
+                anchor=100.37474867648828), 1),
+], ids=["plain-two-refined", "anchored-one-skipped"])
+def test_second_profile_basin(monkeypatch, problem, refined):
+    profile = _Profile(np.asarray(problem.x), np.asarray(problem.y),
+                       problem.anchor, problem.anchor_weight)
+    grid = profile.scan(_B_GRID)
+    interior = np.nonzero((grid[1:-1] <= grid[:-2])
+                          & (grid[1:-1] <= grid[2:]))[0] + 1
+    assert np.argmin(grid) == 0 and len(interior) == 1
+    calls = []
+    real = fitting._refine_basin
+
+    def counted(lo, hi, prof):
+        calls.append((lo, hi))
+        return real(lo, hi, prof)
+
+    monkeypatch.setattr(fitting, "_refine_basin", counted)
+    result = fit(problem)
+    # the basins refined, then the re-pin at the final b
+    assert len(calls) == refined + 1
+    assert all(lo in _B_GRID for lo, _ in calls[:refined])
+    dense = _dense_profile_min(problem, np.geomspace(_B_GRID[0], _B_GRID[-1],
+                                                     4001))
+    assert result.curve.a > 0.0 and result.curve.b > 0.0
+    assert result.sse <= dense * (1.0 + 1e-12)
+
+
 def _smooth(seed):
     """A seeded smooth function with several local minima: a parabola
     plus a few cosines."""

@@ -339,15 +339,23 @@ class TestReferenceReuse:
         trace = LearningTrace.from_log(ObservationLog(log.entries[:10]),
                                        AnchoringStrategy.fixed(100.0),
                                        reference=ref)
+        # the plain fits the replay read, up to the prediction level
+        replayed = set(trace._reference_trends)
+        assert replayed and max(replayed) < 10
         moved = dataclasses.replace(log.entries[10],
                                     accuracy=log.entries[10].accuracy + 0.2)
         # after the moved level, the reference's own observations again
         for obs in [moved] + log.entries[11:]:
             trace.extend(obs)
+        # those are the reference's objects; every fit made after the
+        # extension is the trace's own, equal to the reference's below the
+        # moved level and to none above it
         for lv, fit in trace.reference_trends.items():
-            assert (fit is ref.reference_trends[lv]) == (lv <= 10)
+            assert (fit is ref.reference_trends[lv]) == (lv in replayed)
+            assert (repr(fit) == repr(ref.reference_trends[lv])) == (lv <= 10)
         for lv, fit in trace.anchored_trends.items():
-            assert (fit is ref.anchored_trends[lv]) == (lv <= 10)
+            assert fit is not ref.anchored_trends[lv]
+            assert (repr(fit) == repr(ref.anchored_trends[lv])) == (lv <= 10)
         scratch = LearningTrace.from_log(ObservationLog(trace.observations),
                                          AnchoringStrategy.fixed(100.0))
         assert trace.snapshot() == scratch.snapshot()
@@ -640,17 +648,25 @@ class TestDeferredReference:
         assert trace.anchors == base.anchors
 
     def test_replayed_levels_share_the_log_store(self):
+        # the replay reads the reference's fits up to the prediction level;
+        # the deferred levels below the extension are fitted after it, in
+        # the trace's own store: equal to the reference's, not its objects
         log = TestReferenceReuse.stream()
         fixed = AnchoringStrategy.fixed(100.0)
         ref = LearningTrace.from_log(log, fixed)
         trace = LearningTrace.from_log(ObservationLog(log.entries[:15]), fixed,
                                        reference=ref)
         assert trace.plevel_reference < 14
+        replayed = set(trace._reference_trends)
+        assert replayed and max(replayed) < 15
         moved = dataclasses.replace(log.entries[15],
                                     accuracy=log.entries[15].accuracy + 0.2)
         trace.extend(moved)
+        assert trace._store is trace.observations._fit_store()
+        theirs = ref.reference_trends
         for lv, fit in trace.reference_trends.items():
-            assert (fit is ref.reference_trends[lv]) == (lv <= 15)
+            assert (fit is theirs[lv]) == (lv in replayed)
+            assert (repr(fit) == repr(theirs[lv])) == (lv <= 15)
 
 
 class TestParamsValidation:
