@@ -65,8 +65,8 @@ class ProximityCondition:
     def __post_init__(self):
         if self.kind not in CONDITION_KINDS:
             raise ValueError("condition kind must be 'absolute' or 'relative'")
-        if not self.tau > 0.0:      # NaN too
-            raise ValueError("tau must be positive")
+        if not 0.0 < self.tau < math.inf:      # NaN too
+            raise ValueError("tau must be finite and positive")
 
 
 def _difference(c1: PowerLawCurve, c2: PowerLawCurve, x: float) -> float:

@@ -33,6 +33,7 @@ order and moves b in the last digits.
 """
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import inf, isfinite, sqrt
 from typing import Optional
@@ -53,6 +54,7 @@ _TRUST_FTOL = 1e-12
 _TRUST_XTOL = 1e-10
 _TRUST_MAX_NFEV = 200
 _TRUST_GTOL = 1e-14
+_SQRT_FLOAT_MAX = sqrt(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -60,8 +62,9 @@ class FitProblem:
     """Observations to fit, with an optional anchor at infinity.
 
     x must be finite, positive and strictly increasing, y finite and in
-    (0, 100]; the anchor, when given, and its weight must be finite, and
-    the weight positive.
+    (0, 100]; the anchor, when given, and its weight must be finite, the
+    weight positive, and the two small enough that the anchored SSE stays
+    within the float range.
     """
 
     x: tuple[float, ...]
@@ -86,6 +89,20 @@ class FitProblem:
         if self.anchor is not None and not isfinite(self.anchor):
             raise ValueError("anchor must be finite")
         check_anchor_weight(self.anchor_weight)
+        # For a fixed b the profile's (a, c) minimise the SSE, so it is at
+        # most the SSE at a = 0 and c the weighted mean of y and A, which
+        # lies within |A| + 100 of each of the n + w weighted values; so
+        # w (A - c)**2 <= (n + w) (|A| + 100)**2.  `_Profile.solve` squares
+        # A - c before w scales it, so (n + w) / min(w, 1) (|A| + 100)**2
+        # must stay below the largest float (compared here as square roots).
+        if self.anchor is not None and (
+                (abs(self.anchor) + ACCURACY_CEILING)
+                * sqrt((n + self.anchor_weight) / min(self.anchor_weight, 1.0))
+                > _SQRT_FLOAT_MAX):
+            raise ValueError(
+                f"anchor {self.anchor!r} with anchor_weight "
+                f"{self.anchor_weight!r} on {n} points: the anchored residual "
+                f"would overflow a float")
 
     @staticmethod
     def from_arrays(x, y, anchor=None, anchor_weight=1.0) -> "FitProblem":

@@ -1,4 +1,5 @@
 import csv
+import gc
 import json
 import os
 import re
@@ -366,14 +367,15 @@ class TestEvaluate:
 
 
 @pytest.mark.parametrize("command", ["analyze", "evaluate"])
-def test_nan_tau_is_error(tmp_path, monkeypatch, capsys, command):
+@pytest.mark.parametrize("tau", ["nan", "inf"])
+def test_nan_tau_is_error(tmp_path, monkeypatch, capsys, command, tau):
     obs_path = observations_csv(tmp_path)
     if command == "analyze":
-        args = [str(obs_path), "--strategy", "fixed:100", "--tau", "nan"]
+        args = [str(obs_path), "--strategy", "fixed:100", "--tau", tau]
     else:
         frame_path = tmp_path / "frame.json"
         frame_path.write_text(json.dumps({
-            "observations": str(obs_path), "tau_r": float("nan"),
+            "observations": str(obs_path), "tau_r": float(tau),
             "strategies": ["none", "fixed:100"]}))
         args = [str(frame_path)]
     monkeypatch.setattr("sys.argv", ["convergema", command, *args])
@@ -382,7 +384,7 @@ def test_nan_tau_is_error(tmp_path, monkeypatch, capsys, command):
     assert stop.value.code == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert "tau must be positive" in err
+    assert "tau must be finite and positive" in err
 
 
 @pytest.mark.parametrize("strategy", ["fixed:nan", "fixed:1e400+3"])
@@ -397,6 +399,19 @@ def test_non_finite_beta_is_error(tmp_path, monkeypatch, capsys, strategy):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert "fixed anchoring needs a finite beta >= 100" in err
+
+
+@pytest.mark.parametrize("option", [
+    ["--strategy", "fixed:1e200"],
+    ["--strategy", "fixed:100", "--anchor-weight", "1e308"],
+])
+def test_overflowing_anchor_is_error(tmp_path, monkeypatch, capsys, option):
+    obs_path = observations_csv(tmp_path)
+    code, out, err = run_cli(monkeypatch, capsys,
+                             ["analyze", str(obs_path), *option, "--tau", "0.5"])
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert "anchored residual would overflow" in err
 
 
 @pytest.mark.parametrize("command,payload,key", [
@@ -561,12 +576,66 @@ def test_malformed_spec_is_error_not_traceback(tmp_path, monkeypatch, capsys,
     assert message in err
 
 
+def cold_python(*argv):
+    """The finished `python <argv>` process, run on this package."""
+    src = str(Path(convergema.__file__).resolve().parents[1])
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env=dict(os.environ, PYTHONPATH=src))
+
+
 def test_import_pulls_no_scipy():
     # scipy is a test-only dependency: neither the package nor its CLI loads it
-    src = str(Path(convergema.__file__).resolve().parents[1])
     code = ("import sys, convergema, convergema.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=src))
+    done = cold_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+class TestColdProcess:
+    """A cold CLI process freezes its heap at exit, so that the collections
+    of the interpreter's teardown skip it; no exit code or output byte
+    moves, and a process that calls `_entry` and goes on is not frozen."""
+
+    @pytest.mark.parametrize("levels,strategy,tau,want", [
+        (40, "fixed:100", "6.5", 0),        # stops
+        (25, "fixed:100", "1e-9", 2),       # not yet
+        (40, "fixed:1e200", "0.5", 1),      # fails
+    ])
+    def test_exit_codes(self, tmp_path, levels, strategy, tau, want):
+        obs = observations_csv(tmp_path, levels=levels)
+        done = cold_python("-m", "convergema.cli", "analyze", str(obs),
+                           "--strategy", strategy, "--tau", tau)
+        assert done.returncode == want, done.stderr
+        assert "Traceback" not in done.stderr
+
+    def test_reports_match_in_process(self, tmp_path, monkeypatch, capsys):
+        obs = observations_csv(tmp_path)
+
+        def args(tag):
+            return ["analyze", str(obs), "--strategy", "fixed:100",
+                    "--tau", "6.5", "--out", str(tmp_path / f"{tag}.json"),
+                    "--series", str(tmp_path / f"{tag}.csv")]
+        for tag in ("cold1", "cold2"):
+            done = cold_python("-m", "convergema.cli", *args(tag))
+            assert done.returncode == 0, done.stderr
+        assert run_cli(monkeypatch, capsys, args("warm"))[0] == 0
+        assert gc.get_freeze_count() == 0
+        for ext in ("json", "csv"):
+            want = (tmp_path / f"warm.{ext}").read_bytes()
+            assert (tmp_path / f"cold1.{ext}").read_bytes() == want
+            assert (tmp_path / f"cold2.{ext}").read_bytes() == want
+
+    def test_heap_frozen_at_exit(self, tmp_path):
+        # exit handlers run last in, first out: this one runs after _entry's
+        obs = observations_csv(tmp_path)
+        code = ("import atexit, gc, sys\n"
+                "atexit.register(lambda: print('frozen', gc.get_freeze_count()))\n"
+                "from convergema.cli import _entry\n"
+                f"sys.argv = ['convergema', 'analyze', {str(obs)!r},\n"
+                "            '--strategy', 'fixed:100', '--tau', '6.5']\n"
+                "_entry()\n")
+        done = cold_python("-c", code)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout.split()[-1]) > 0

@@ -421,12 +421,13 @@ class TestCLevel:
         stop = clevel(trace, ProximityCondition("absolute", records[0].epsilon + 1))
         first_clean = next(r.level for r in records if not r.is_rupture)
         assert stop == first_clean
-        assert clevel(trace, ProximityCondition("absolute", np.inf)) == stop
+        huge = ProximityCondition("absolute", np.finfo(float).max)
+        assert clevel(trace, huge) == stop
 
-    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan])
+    @pytest.mark.parametrize("tau", [0.0, -1.0, np.nan, np.inf])
     def test_tau_must_be_positive(self, tau):
         for kind in ("absolute", "relative"):
-            with pytest.raises(ValueError, match="tau must be positive"):
+            with pytest.raises(ValueError, match="tau must be finite and positive"):
                 ProximityCondition(kind, tau)
 
     def test_relative_sustained_window(self):

@@ -293,9 +293,9 @@ class TestFrameSpec:
             FrameSpec(tau_r=0.1, strategies=self.STRATEGIES,
                       conditions=conditions)
 
-    @pytest.mark.parametrize("tau_r", [0.0, -1.0, float("nan")])
+    @pytest.mark.parametrize("tau_r", [0.0, -1.0, float("nan"), float("inf")])
     def test_bad_tau_r_rejected(self, tau_r):
-        with pytest.raises(ValueError, match="tau must be positive"):
+        with pytest.raises(ValueError, match="tau must be finite and positive"):
             FrameSpec(tau_r=tau_r, strategies=self.STRATEGIES)
 
     def test_unknown_error_target_rejected(self):

@@ -45,6 +45,11 @@ def test_problem_validation():
         ((x, y), {"anchor_weight": inf}, "anchor_weight must be finite"),
         ((x, y), {"anchor_weight": 0.0}, "anchor_weight must be positive"),
         ((x, y), {"anchor_weight": -1.0}, "anchor_weight must be positive"),
+        ((x, y), {"anchor": 1e200}, "anchored residual would overflow"),
+        ((x, y), {"anchor": 100.0, "anchor_weight": 1e308},
+         "anchored residual would overflow"),
+        ((x, y), {"anchor": 100.0, "anchor_weight": 1e-310},
+         "anchored residual would overflow"),
     ]
     for (xs, ys), kwargs, message in cases:
         with pytest.raises(ValueError, match=message):
@@ -53,6 +58,24 @@ def test_problem_validation():
             FitProblem(tuple(xs), tuple(ys), **kwargs)
     FitProblem.from_arrays(x, [50.0, 60.0, 100.0], anchor=100.0,
                            anchor_weight=0.5)
+
+
+@pytest.mark.parametrize("weight", [1e-3, 1.0, 1e6])
+def test_largest_admitted_anchor_fits(weight):
+    # FitProblem's bound on the anchored residual is safe: an anchor one
+    # part in 1e12 inside it fits to a finite SSE, with no OverflowError
+    # (the trust region warns as its steps near the float range)
+    x, y = [1000.0, 2000.0, 3000.0, 4000.0, 5000.0], [80.0, 85.0, 87.0, 88.0, 88.5]
+    limit = (math.sqrt(np.finfo(float).max / ((5 + weight) / min(weight, 1.0)))
+             - 100.0)
+    with pytest.raises(ValueError, match="anchored residual would overflow"):
+        FitProblem.from_arrays(x, y, anchor=limit * (1 + 1e-12),
+                               anchor_weight=weight)
+    problem = FitProblem.from_arrays(x, y, anchor=limit * (1 - 1e-12),
+                                     anchor_weight=weight)
+    with np.errstate(all="ignore"):
+        result = fit(problem)
+    assert math.isfinite(result.sse)
 
 
 def test_noiseless_recovery():
