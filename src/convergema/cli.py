@@ -206,7 +206,7 @@ def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
     obs_log = read_observations(observations, scheme=scheme)
     hor_log = read_observations(horizon_path, scheme=scheme)
     for mine, oracle in zip(obs_log, hor_log):
-        if (mine.level, mine.x) != (oracle.level, oracle.x):
+        if mine != oracle:
             raise click.ClickException(
                 "observations are not a prefix of the horizon stream")
     if len(obs_log) > len(hor_log):

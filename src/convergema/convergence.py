@@ -10,10 +10,10 @@ condition.  The relative condition instead watches backbone gaps, and the
 percentage of uncovered threshold (PUT) normalises the remaining distance,
 which drives the choice of the look-ahead for anchor updates.
 
-The fold reads each crossing of two consecutive trends through the
-trace's store (`_FitStore.crossing`), so the traces that share a log's
-store, and a forked helper that sends its store entries back, intersect
-each pair of curves once.
+The epsilon fold keeps each crossing of two consecutive trends in the
+trace's store, keyed by the two curves and x_min, so the traces that
+share a log's store, and a forked helper that sends its store entries
+back, intersect each pair of curves once.
 
 Two power laws cross at most twice: their difference has at most two
 monotone pieces, split at the one zero of its derivative, so every
@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice, pairwise
 from typing import Optional
 
 from .anchoring import AnchoringStrategy
@@ -192,35 +193,31 @@ def _fold(trace: LearningTrace, trends: dict) -> tuple[EpsilonRecord, ...]:
     """The epsilon records of `trends` (level -> FitResult), the trace's
     trends fitted so far, from the fold kept on the trace.
 
-    A call folds only the pairs added since the last call, provided the
-    levels folded then are still the first levels of `trends`, each with
-    an equal FitResult (one tuple comparison, which passes the same object
-    without comparing fields); otherwise it starts over.  A pair's crossing
-    is read from the trace's store (`_FitStore.crossing`)."""
-    pairs = [(level, trends[level]) for level in sorted(trends)]
-
-    records: list[EpsilonRecord] = []
-    prev_count: Optional[int] = None
-    prev_eps: Optional[float] = None
-    done = 0
-    if trace._epsilon_fold is not None:
-        folded, memo_records, memo_count, memo_eps = trace._epsilon_fold
-        if folded == tuple(pairs[:len(folded)]):
-            records = list(memo_records)
-            prev_count, prev_eps = memo_count, memo_eps
-            done = len(folded)
-
+    The trend dicts are written only by `_settle` and `_fit_anchored`,
+    each adding levels past the last, and the views are read-only, so the
+    trends folded before are still the first ones of `trends`: a call
+    folds only the pairs from the last folded trend on.  A pair's crossing
+    is kept in the trace's store, keyed (curve, curve, x_min), and None
+    for coincident curves."""
+    done, records, prev_count, prev_eps = trace._epsilon_fold
+    records = list(records)
+    store = trace._store
     x_min = trace.observations.entries[0].x * _X_MIN_FACTOR
     start = max(4, trace.wlevel + 2)
-    first = max(done, 1)
-    for (prev_level, prev_fit), (level, fit) in zip(pairs[first - 1:],
-                                                    pairs[first:]):
+    for (prev_level, prev_fit), (level, fit) in pairwise(
+            islice(trends.items(), max(done - 1, 0), None)):
         if level < start:
             continue
         anchor_changed = (trace._anchors.get(level)
                           != trace._anchors.get(prev_level))
+        key = prev_fit.curve, fit.curve, x_min
+        if key not in store:
+            try:
+                store[key] = intersect(*key)
+            except CoincidentCurves:
+                store[key] = None
         # None for coincident curves: the previous count carries over
-        inter = trace._store.crossing(prev_fit.curve, fit.curve, x_min)
+        inter = store[key]
         if inter is None or inter.count == 0:
             # no crossing to bound by: a rupture, carrying epsilon forward
             prev_eps = prev_eps if prev_eps is not None else 0.0
@@ -237,7 +234,7 @@ def _fold(trace: LearningTrace, trends: dict) -> tuple[EpsilonRecord, ...]:
                                      is_rupture=rupture))
         prev_count = inter.count
         prev_eps = eps
-    trace._epsilon_fold = (tuple(pairs), tuple(records), prev_count, prev_eps)
+    trace._epsilon_fold = (len(trends), tuple(records), prev_count, prev_eps)
     return trace._epsilon_fold[1]
 
 

@@ -13,12 +13,12 @@ because the working and reference prediction levels are defined on them
 and because the anchoring strategies draw their anchor values from them.
 
 A fit lives in a store keyed by its problem (`_FitStore.key`), and the
-crossing of two stored curves beside it, keyed by the curves
-(`_FitStore.crossing`).  A log only grows, so these store entries never go
-stale.  A trace has one store: a replayed trace uses its log's store,
-shared by every trace replayed on it, until it is extended past the log,
-and then the store of its own observations.  A trace reads every fit one
-way, in level order (`LearningTrace._fits`).
+crossing of two stored curves beside it, keyed by the curves and x_min,
+where the epsilon fold (`convergence._fold`) keeps it.  A log only grows,
+so these store entries never go stale.  A trace has one store: a replayed
+trace uses its log's store, shared by every trace replayed on it, until
+it is extended past the log, and then the store of its own observations.
+A trace reads every fit one way, in level order (`LearningTrace._fits`).
 
 Work that does not depend on other work of its kind is shared with one
 forked helper in one way (`run_jobs`): the two processes claim jobs from a
@@ -40,15 +40,13 @@ import weakref
 from dataclasses import dataclass
 from functools import partial
 from itertools import islice
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
+from types import MappingProxyType
+from typing import Callable, Iterable, Iterator, Mapping, Optional
 
 from .anchoring import AnchoringStrategy, anchor_for_level
-from .curves import ACCURACY_CEILING, PowerLawCurve
-from .errors import CoincidentCurves, DegenerateData
+from .curves import ACCURACY_CEILING
+from .errors import DegenerateData
 from .fitting import FitProblem, FitResult, check_anchor_weight, fit
-
-if TYPE_CHECKING:
-    from .convergence import IntersectionSet
 
 PLEVEL_SOURCES = ("reference", "anchored")      # of `LearningTrace.plevel`
 
@@ -114,20 +112,6 @@ class _FitStore(dict):
                 self[key] = fit(log.problem(level, anchor, weight))
             except DegenerateData as exc:
                 self[key] = str(exc)
-        return self[key]
-
-    def crossing(self, c1: PowerLawCurve, c2: PowerLawCurve,
-                 x_min: float) -> Optional[IntersectionSet]:
-        """The stored `intersect(c1, c2, x_min)`, or else that made and
-        recorded; coincident curves are recorded as None, and any other
-        exception is raised with nothing recorded."""
-        key = c1, c2, x_min
-        if key not in self:
-            from . import convergence       # which imports this module
-            try:
-                self[key] = convergence.intersect(c1, c2, x_min)
-            except CoincidentCurves:
-                self[key] = None
         return self[key]
 
 
@@ -311,6 +295,8 @@ class ObservationLog:
 
     @staticmethod
     def from_arrays(x, accuracy, scheme: Optional[LearningScheme] = None) -> "ObservationLog":
+        if len(x) != len(accuracy):
+            raise ValueError(f"{len(x)} sizes but {len(accuracy)} accuracies")
         log = ObservationLog(scheme=scheme)
         for i, (xi, yi) in enumerate(zip(x, accuracy), start=1):
             if not float(xi).is_integer():      # NaN and inf too
@@ -402,6 +388,8 @@ class LearningTrace:
     the levels below it, so every view holds what an eager trace holds.
     A level whose plain or anchored fit is degenerate is listed in
     `skipped` with its reason, and the other fit of that level stays.
+    The four views are read-only: only `_settle` and `_fit_anchored`
+    write the dicts behind them, each adding levels past the last.
     """
 
     def __init__(self, strategy: AnchoringStrategy,
@@ -425,8 +413,8 @@ class LearningTrace:
         self.wlevel: Optional[int] = None
         self.plevel_reference: Optional[int] = None
         # epsilon fold state kept by convergence._fold so that a query
-        # resumes it: (level, FitResult) pairs, records, count, epsilon
-        self._epsilon_fold: Optional[tuple] = None
+        # resumes it: trends folded, records, last count, last epsilon
+        self._epsilon_fold: tuple = (0, (), None, None)
         # tau -> the absolute stop of a fixed-anchoring trace, kept by
         # convergence._final_stop once found: such a stop is final
         self._stops: dict[float, int] = {}
@@ -561,19 +549,19 @@ class LearningTrace:
     # -- views ------------------------------------------------------------
 
     @property
-    def reference_trends(self) -> dict[int, FitResult]:
+    def reference_trends(self) -> Mapping[int, FitResult]:
         self._settle()
-        return self._reference_trends
+        return MappingProxyType(self._reference_trends)
 
     @property
-    def anchored_trends(self) -> dict[int, FitResult]:
+    def anchored_trends(self) -> Mapping[int, FitResult]:
         self._fit_anchored()
-        return self._anchored_trends
+        return MappingProxyType(self._anchored_trends)
 
     @property
-    def anchors(self) -> dict[int, float]:
+    def anchors(self) -> Mapping[int, float]:
         self._fit_anchored()
-        return self._anchors
+        return MappingProxyType(self._anchors)
 
     @property
     def plevel_anchored(self) -> Optional[int]:
@@ -594,12 +582,12 @@ class LearningTrace:
         return found
 
     @property
-    def skipped(self) -> dict[int, str]:
+    def skipped(self) -> Mapping[int, str]:
         self._settle()
         self._fit_anchored()
-        return self._skipped
+        return MappingProxyType(self._skipped)
 
-    def _backbone(self, trends: dict[int, FitResult],
+    def _backbone(self, trends: Mapping[int, FitResult],
                   levels: Optional[range] = None) -> Iterator[BackboneEntry]:
         """The entries of `trends` in level order, or those at `levels`,
         each made as it is read."""

@@ -184,7 +184,7 @@ class TestVerifySufficiency:
         plevel = trace.plevel
         bad_level = max(trace.anchors)
         assert bad_level > plevel
-        trace.anchors[bad_level] = trace.reference_trends[bad_level].curve.c - 1.0
+        trace._anchors[bad_level] = trace.reference_trends[bad_level].curve.c - 1.0
         report = verify_sufficiency(trace)
         row = next(r for r in report.rows if r.level == bad_level)
         assert row.lower_required and row.lower_ok is False

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import json
 import os
@@ -14,8 +15,9 @@ import convergema
 from convergema.cli import _entry, main
 from convergema.io import read_observations, write_observations
 from convergema import (AnchoringStrategy, ConvergemaError, FrameSpec,
-                        GeneratorSpec, LearningTrace, PowerLawCurve, accuracy,
-                        build_frame, drift_perturbations, generate)
+                        GeneratorSpec, LearningTrace, ObservationLog,
+                        PowerLawCurve, accuracy, build_frame,
+                        drift_perturbations, generate)
 
 
 @pytest.fixture
@@ -256,6 +258,19 @@ class TestTune:
         result = runner.invoke(main, ["tune", str(obs), "--horizon",
                                       str(horizon_path), "--tau", "1.0"])
         assert result.exit_code != 0
+        assert "not a prefix" in result.output
+
+    def test_shifted_accuracies_rejected(self, runner, tmp_path):
+        # the sizes agree with the horizon, the accuracies do not
+        obs_path, horizon_path, tau = tune_inputs(tmp_path)
+        shifted = read_observations(obs_path)
+        write_observations(ObservationLog(
+            dataclasses.replace(obs, accuracy=obs.accuracy - 1.0)
+            for obs in shifted), obs_path)
+        result = runner.invoke(main, ["tune", str(obs_path), "--horizon",
+                                      str(horizon_path), "--tau", str(tau)])
+        assert result.exit_code == 1
+        assert "not a prefix" in result.output
 
 
 class TestEvaluate:

@@ -321,15 +321,18 @@ class TestEpsilonFold:
         assert epsilon_sequence(trace) == expected
 
     def test_replaced_trend_invalidates_fold(self):
-        queried = fixed_trace(levels=25)
-        before = epsilon_sequence(queried)
+        # the fold resumes past the trends it folded, so no view lets a
+        # caller replace or delete one of them
+        trace = fixed_trace(levels=25)
+        before = epsilon_sequence(trace)
         level = before[len(before) // 2].level
-        fresh = fixed_trace(levels=25)
-        for trace in (queried, fresh):
-            trace.anchored_trends[level] = trace.reference_trends[level]
-        after = epsilon_sequence(queried)
-        assert after == epsilon_sequence(fresh)
-        assert after != before
+        for view in (trace.reference_trends, trace.anchored_trends,
+                     trace.anchors, trace.skipped):
+            with pytest.raises(TypeError):
+                view[level] = trace.reference_trends[level]
+            with pytest.raises(TypeError):
+                del view[level]
+        assert epsilon_sequence(trace) == before
 
 
 def study_log(levels=60):
@@ -751,7 +754,7 @@ class TestDegenerateAndInvariants:
         levels = sorted(trace.anchored_trends)
         # a stalled learner repeats the previous trend exactly
         mid = levels[len(levels) // 2]
-        trace.anchored_trends[mid] = trace.anchored_trends[levels[levels.index(mid) - 1]]
+        trace._anchored_trends[mid] = trace.anchored_trends[levels[levels.index(mid) - 1]]
         records = epsilon_sequence(trace)
         rec = next(r for r in records if r.level == mid)
         prev = records[[r.level for r in records].index(mid) - 1]

@@ -105,6 +105,11 @@ class TestObservationLog:
         with pytest.raises(ValueError, match="is not a whole number"):
             ObservationLog.from_arrays(sizes, [50.0, 55.0, 58.0])
 
+    def test_from_arrays_rejects_arrays_of_unequal_length(self):
+        with pytest.raises(ValueError, match="4 sizes but 3 accuracies"):
+            ObservationLog.from_arrays([5000, 10000, 15000, 20000],
+                                       [50.0, 55.0, 58.0])
+
     def test_from_arrays_takes_whole_float_sizes(self):
         log = ObservationLog.from_arrays(np.array([100.0, 200.0, 300.0]),
                                          [50.0, 55.0, 58.0])
@@ -233,8 +238,8 @@ class TestTraceBuilding:
         # an anchored-fit skip at a level whose plain fit succeeded
         level = sorted(fixed.anchored_trends)[len(fixed.anchored_trends) // 2]
         assert level in plain.reference_trends
-        del fixed.anchored_trends[level], fixed.anchors[level]
-        fixed.skipped[level] = "no b in the profile scan gives a > 0"
+        del fixed._anchored_trends[level], fixed._anchors[level]
+        fixed._skipped[level] = "no b in the profile scan gives a > 0"
 
         shared = LearningTrace.from_log(log, strategy, reference=fixed)
         expected = LearningTrace.from_log(log, strategy, reference=plain)
@@ -373,9 +378,18 @@ class TestReferenceReuse:
                                      AnchoringStrategy.fixed(100.0))
         trace = LearningTrace.from_log(ObservationLog(log.entries[:prefix]),
                                        strategy, reference=ref)
+        # the canonical backbone of this stream rises: no epsilon sequence
+        folds = strategy.kind != "canonical"
+        records = epsilon_sequence(full) if folds else None
+        # a fold kept at the end of the replay resumes past it
+        if folds and trace.wlevel is not None:
+            assert epsilon_sequence(trace) == [
+                rec for rec in records if rec.level <= prefix]
         for obs in log.entries[prefix:]:
             trace.extend(obs)
         assert trace.snapshot() == full.snapshot()
+        if folds:
+            assert epsilon_sequence(trace) == records
 
 
 class TestFitStore:
