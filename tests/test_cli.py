@@ -9,20 +9,14 @@ import sys
 from pathlib import Path
 
 import pytest
-from click.testing import CliRunner
 
 import convergema
-from convergema.cli import _entry, main
+from convergema.cli import _entry
 from convergema.io import read_observations, write_observations
 from convergema import (AnchoringStrategy, ConvergemaError, FrameSpec,
                         GeneratorSpec, LearningTrace, ObservationLog,
                         PowerLawCurve, accuracy, build_frame,
                         drift_perturbations, generate)
-
-
-@pytest.fixture
-def runner():
-    return CliRunner()
 
 
 def spec_file(tmp_path, **overrides):
@@ -34,43 +28,48 @@ def spec_file(tmp_path, **overrides):
 
 
 class TestSimulate:
-    def test_deterministic(self, runner, tmp_path):
+    def test_deterministic(self, tmp_path, monkeypatch, capsys):
         spec = spec_file(tmp_path)
         out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert runner.invoke(main, ["simulate", str(spec), "--out", str(out1)]).exit_code == 0
-        assert runner.invoke(main, ["simulate", str(spec), "--out", str(out2)]).exit_code == 0
+        assert run_cli(monkeypatch, capsys,
+                       ["simulate", str(spec), "--out", str(out1)])[0] == 0
+        assert run_cli(monkeypatch, capsys,
+                       ["simulate", str(spec), "--out", str(out2)])[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_noiseless_matches_truth(self, runner, tmp_path):
+    def test_noiseless_matches_truth(self, tmp_path, monkeypatch, capsys):
         spec = spec_file(tmp_path, noise_sd=0.0)
         out = tmp_path / "o.csv"
-        runner.invoke(main, ["simulate", str(spec), "--out", str(out)])
+        run_cli(monkeypatch, capsys, ["simulate", str(spec), "--out", str(out)])
         log = read_observations(out)
         assert len(log) == 20
         first = log.entries[0]
         assert first.x == 5000
         assert first.accuracy == pytest.approx(96.0 - 300.0 * 5000 ** -0.6)
 
-    def test_spikes_present(self, runner, tmp_path):
+    def test_spikes_present(self, tmp_path, monkeypatch, capsys):
         plain_spec = spec_file(tmp_path)
         spike_path = tmp_path / "spike.json"
         payload = json.loads(plain_spec.read_text())
         payload["perturbations"] = [[5, -0.5]]
         spike_path.write_text(json.dumps(payload))
         p_out, s_out = tmp_path / "p.csv", tmp_path / "s.csv"
-        runner.invoke(main, ["simulate", str(plain_spec), "--out", str(p_out)])
-        runner.invoke(main, ["simulate", str(spike_path), "--out", str(s_out)])
+        run_cli(monkeypatch, capsys,
+                ["simulate", str(plain_spec), "--out", str(p_out)])
+        run_cli(monkeypatch, capsys,
+                ["simulate", str(spike_path), "--out", str(s_out)])
         plain = read_observations(p_out)
         spiked = read_observations(s_out)
         diff = [s.accuracy - p.accuracy for s, p in zip(spiked, plain)]
         assert diff[4] == pytest.approx(-0.5)
 
-    def test_spec_seed_sets_the_noise(self, runner, tmp_path):
+    def test_spec_seed_sets_the_noise(self, tmp_path, monkeypatch, capsys):
         outs = {}
         for seed in (1, 99):
             spec = spec_file(tmp_path, noise_sd=0.1, seed=seed)
             outs[seed] = tmp_path / f"{seed}.csv"
-            runner.invoke(main, ["simulate", str(spec), "--out", str(outs[seed])])
+            run_cli(monkeypatch, capsys,
+                    ["simulate", str(spec), "--out", str(outs[seed])])
         assert outs[1].read_bytes() != outs[99].read_bytes()
 
 
@@ -85,69 +84,79 @@ def observations_csv(tmp_path, levels=40, name="obs.csv", strategy_ready=True):
 
 
 class TestAnalyze:
-    def test_converged_exit_zero_and_replayable(self, runner, tmp_path):
+    def test_converged_exit_zero_and_replayable(self, tmp_path, monkeypatch,
+                                                capsys):
         obs = observations_csv(tmp_path)
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
         args = [str(obs), "--strategy", "fixed:100", "--condition", "absolute",
                 "--tau", "6.5"]
-        r1 = runner.invoke(main, ["analyze", *args, "--out", str(out1)])
-        assert r1.exit_code == 0, r1.output
-        assert "clevel:" in r1.output
-        r2 = runner.invoke(main, ["analyze", *args, "--out", str(out2)])
+        code, out, err = run_cli(monkeypatch, capsys,
+                                 ["analyze", *args, "--out", str(out1)])
+        assert code == 0, err
+        assert "clevel:" in out
+        run_cli(monkeypatch, capsys, ["analyze", *args, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
 
-    def test_not_converged_exit_two(self, runner, tmp_path):
+    def test_not_converged_exit_two(self, tmp_path, monkeypatch, capsys):
         obs = observations_csv(tmp_path, levels=25)
-        result = runner.invoke(main, ["analyze", str(obs), "--strategy",
-                                      "fixed:100", "--tau", "1e-9"])
-        assert result.exit_code == 2
-        assert "not converged" in result.output
+        code, out, _ = run_cli(monkeypatch, capsys,
+                               ["analyze", str(obs), "--strategy", "fixed:100",
+                                "--tau", "1e-9"])
+        assert code == 2
+        assert "not converged" in out
 
-    def test_too_few_rows(self, runner, tmp_path):
+    def test_too_few_rows(self, tmp_path, monkeypatch, capsys):
         path = tmp_path / "tiny.csv"
         path.write_text("level,size,accuracy\n1,5000,80.0\n2,10000,85.0\n")
-        result = runner.invoke(main, ["analyze", str(path), "--tau", "1.0"])
-        assert result.exit_code != 0
+        code, _, _ = run_cli(monkeypatch, capsys,
+                             ["analyze", str(path), "--tau", "1.0"])
+        assert code != 0
 
-    def test_parse_error_carries_line_number(self, runner, tmp_path):
+    def test_parse_error_carries_line_number(self, tmp_path, monkeypatch,
+                                             capsys):
         path = tmp_path / "bad.csv"
         path.write_text("level,size,accuracy\n1,5000,80.0\n2,10000,oops\n")
-        result = runner.invoke(main, ["analyze", str(path), "--tau", "1.0"])
-        assert result.exit_code != 0
-        assert ":3:" in str(result.output) + str(result.exception)
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["analyze", str(path), "--tau", "1.0"])
+        assert code != 0
+        assert ":3:" in err
 
-    def test_increasing_backbone_not_decreasing_diagnostic(self, runner, tmp_path):
+    def test_increasing_backbone_not_decreasing_diagnostic(self, tmp_path,
+                                                           monkeypatch, capsys):
         pert = drift_perturbations(30, -1.0, 0.15)
         spec = GeneratorSpec(truth=PowerLawCurve(5 * 5000.0 ** 0.6, 0.6, 96.0),
                              levels=30, perturbations=pert, seed=0)
         path = tmp_path / "inc.csv"
         write_observations(generate(spec), path)
-        result = runner.invoke(main, ["analyze", str(path), "--strategy", "none",
-                                      "--condition", "absolute", "--tau", "0.5"])
-        assert result.exit_code == 1
-        assert "fixed anchoring" in result.output
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["analyze", str(path), "--strategy", "none",
+                                "--condition", "absolute", "--tau", "0.5"])
+        assert code == 1
+        assert "fixed anchoring" in err
 
-    def test_unresolved_working_level_gives_no_anchoring_hint(self, runner,
-                                                              tmp_path):
+    def test_unresolved_working_level_gives_no_anchoring_hint(
+            self, tmp_path, monkeypatch, capsys):
         # six levels cannot resolve the working level; the trace is already
         # fixed-anchored, so advice to use fixed anchoring would mislead
         obs = observations_csv(tmp_path, levels=6)
-        result = runner.invoke(main, ["analyze", str(obs), "--strategy",
-                                      "fixed:100", "--tau", "1.0"])
-        assert result.exit_code == 1
-        assert "working level" in result.output
-        assert "fixed anchoring" not in result.output
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["analyze", str(obs), "--strategy", "fixed:100",
+                                "--tau", "1.0"])
+        assert code == 1
+        assert "working level" in err
+        assert "fixed anchoring" not in err
 
-    def test_series_csv(self, runner, tmp_path):
+    def test_series_csv(self, tmp_path, monkeypatch, capsys):
         obs = observations_csv(tmp_path)
         series = tmp_path / "series.csv"
-        result = runner.invoke(main, ["analyze", str(obs), "--strategy", "fixed:100",
-                                      "--tau", "6.5", "--series", str(series)])
-        assert result.exit_code == 0
+        code, _, _ = run_cli(monkeypatch, capsys,
+                             ["analyze", str(obs), "--strategy", "fixed:100",
+                              "--tau", "6.5", "--series", str(series)])
+        assert code == 0
         header = series.read_text().splitlines()[0]
         assert header == "level,epsilon,is_rupture,put"
 
-    def test_series_put_only_where_defined(self, runner, tmp_path):
+    def test_series_put_only_where_defined(self, tmp_path, monkeypatch, capsys):
         # a drift that keeps the first asymptotes above 100, so the
         # prediction level falls past the first epsilon record
         spec = GeneratorSpec(truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85,
@@ -159,10 +168,11 @@ class TestAnalyze:
 
         def analyze(*options):
             series, report = tmp_path / "series.csv", tmp_path / "report.json"
-            result = runner.invoke(main, ["analyze", str(obs), "--tau", "0.01",
-                                          "--series", str(series),
-                                          "--out", str(report), *options])
-            assert result.exit_code in (0, 2), result.output
+            code, _, err = run_cli(monkeypatch, capsys,
+                                   ["analyze", str(obs), "--tau", "0.01",
+                                    "--series", str(series),
+                                    "--out", str(report), *options])
+            assert code in (0, 2), err
             with open(series, newline="") as handle:
                 rows = list(csv.DictReader(handle))
             assert rows
@@ -184,11 +194,12 @@ class TestAnalyze:
             rows, _ = analyze(*options)
             assert all(row["put"] == "" for row in rows)
 
-    def test_validation_rejects_bad_nu(self, runner, tmp_path):
+    def test_validation_rejects_bad_nu(self, tmp_path, monkeypatch, capsys):
         obs = observations_csv(tmp_path, levels=12)
-        result = runner.invoke(main, ["analyze", str(obs), "--tau", "1.0",
-                                      "--nu", "2.0"])
-        assert result.exit_code != 0
+        code, _, _ = run_cli(monkeypatch, capsys,
+                             ["analyze", str(obs), "--tau", "1.0",
+                              "--nu", "2.0"])
+        assert code != 0
 
 
 def tune_inputs(tmp_path):
@@ -213,22 +224,23 @@ def tune_inputs(tmp_path):
 
 
 class TestTune:
-    def test_tune_runs_and_reports(self, runner, tmp_path):
+    def test_tune_runs_and_reports(self, tmp_path, monkeypatch, capsys):
         # horizon = longer stream; observations = a prefix
         obs_path, horizon_path, tau = tune_inputs(tmp_path)
         out = tmp_path / "tuning.json"
-        result = runner.invoke(main, ["tune", str(obs_path), "--horizon",
-                                      str(horizon_path), "--tau", str(tau),
-                                      "--out", str(out)])
-        assert result.exit_code == 0, result.output
-        assert "selected look-ahead" in result.output
+        code, stdout, err = run_cli(monkeypatch, capsys,
+                                    ["tune", str(obs_path), "--horizon",
+                                     str(horizon_path), "--tau", str(tau),
+                                     "--out", str(out)])
+        assert code == 0, err
+        assert "selected look-ahead" in stdout
         payload = json.loads(out.read_text())
         assert payload["selected"]["look_ahead"] >= 2
         rcs = [c["rc"] for c in payload["candidates"] if c["rc"] is not None]
         assert payload["selected"]["rc"] == pytest.approx(min(rcs))
 
-    def test_anchor_free_trace_replayed_once(self, runner, tmp_path,
-                                             monkeypatch):
+    def test_anchor_free_trace_replayed_once(self, tmp_path, monkeypatch,
+                                             capsys):
         obs_path, horizon_path, tau = tune_inputs(tmp_path)
         replays = []
         real = LearningTrace.from_log
@@ -239,42 +251,46 @@ class TestTune:
             return real(log, strategy, *args, **kwargs)
 
         monkeypatch.setattr(LearningTrace, "from_log", staticmethod(counting))
-        result = runner.invoke(main, ["tune", str(obs_path), "--horizon",
-                                      str(horizon_path), "--tau", str(tau)])
-        assert result.exit_code == 0, result.output
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["tune", str(obs_path), "--horizon",
+                                str(horizon_path), "--tau", str(tau)])
+        assert code == 0, err
         assert len(replays) == 1
 
-    def test_missing_horizon_is_error(self, runner, tmp_path):
+    def test_missing_horizon_is_error(self, tmp_path, monkeypatch, capsys):
         obs = observations_csv(tmp_path)
-        result = runner.invoke(main, ["tune", str(obs), "--tau", "1.0"])
-        assert result.exit_code != 0
+        code, _, _ = run_cli(monkeypatch, capsys,
+                             ["tune", str(obs), "--tau", "1.0"])
+        assert code != 0
 
-    def test_prefix_mismatch_rejected(self, runner, tmp_path):
+    def test_prefix_mismatch_rejected(self, tmp_path, monkeypatch, capsys):
         obs = observations_csv(tmp_path, name="obs.csv")
         other = GeneratorSpec(truth=PowerLawCurve(9 * 5000.0 ** 0.7, 0.7, 96.0),
                               levels=50, seed=2)
         horizon_path = tmp_path / "other.csv"
         write_observations(generate(other), horizon_path)
-        result = runner.invoke(main, ["tune", str(obs), "--horizon",
-                                      str(horizon_path), "--tau", "1.0"])
-        assert result.exit_code != 0
-        assert "not a prefix" in result.output
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["tune", str(obs), "--horizon",
+                                str(horizon_path), "--tau", "1.0"])
+        assert code != 0
+        assert "not a prefix" in err
 
-    def test_shifted_accuracies_rejected(self, runner, tmp_path):
+    def test_shifted_accuracies_rejected(self, tmp_path, monkeypatch, capsys):
         # the sizes agree with the horizon, the accuracies do not
         obs_path, horizon_path, tau = tune_inputs(tmp_path)
         shifted = read_observations(obs_path)
         write_observations(ObservationLog(
             dataclasses.replace(obs, accuracy=obs.accuracy - 1.0)
             for obs in shifted), obs_path)
-        result = runner.invoke(main, ["tune", str(obs_path), "--horizon",
-                                      str(horizon_path), "--tau", str(tau)])
-        assert result.exit_code == 1
-        assert "not a prefix" in result.output
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["tune", str(obs_path), "--horizon",
+                                str(horizon_path), "--tau", str(tau)])
+        assert code == 1
+        assert "not a prefix" in err
 
 
 class TestEvaluate:
-    def test_frame_report(self, runner, tmp_path):
+    def test_frame_report(self, tmp_path, monkeypatch, capsys):
         spec = GeneratorSpec(truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3),
                              levels=70, seed=5,
                              perturbations=drift_perturbations(70, 0.8, 0.15))
@@ -291,38 +307,42 @@ class TestEvaluate:
         frame_path = tmp_path / "frame.json"
         frame_path.write_text(json.dumps(frame))
         prefix = tmp_path / "report"
-        result = runner.invoke(main, ["evaluate", str(frame_path), "--out",
-                                      str(prefix)])
-        assert result.exit_code == 0, result.output
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["evaluate", str(frame_path), "--out",
+                                str(prefix)])
+        assert code == 0, err
         payload = json.loads((tmp_path / "report.json").read_text())
         assert len(payload["rows"]) == 6
         csv_lines = (tmp_path / "report.csv").read_text().splitlines()
         assert csv_lines[0].startswith("strategy,condition,tau,plevel,clevel")
         assert len(csv_lines) == 7
 
-    def test_rising_reference_leaves_tau_a_empty(self, runner, tmp_path):
+    def test_rising_reference_leaves_tau_a_empty(self, tmp_path, monkeypatch,
+                                                 capsys):
         # the relative runs of a frame whose anchor-free backbone rises are
         # reported; its absolute threshold is empty, not an error
         gen = spec_file(tmp_path, a=5 * 5000 ** 0.6, b=0.6, c=96.0,
                         levels=60, seed=0,
                         perturbations=drift_perturbations(60, -1.0, 0.15))
         obs_path = tmp_path / "obs.csv"
-        assert runner.invoke(main, ["simulate", str(gen), "--out",
-                                    str(obs_path)]).exit_code == 0
+        assert run_cli(monkeypatch, capsys, ["simulate", str(gen), "--out",
+                                             str(obs_path)])[0] == 0
         frame_path = tmp_path / "frame.json"
         frame_path.write_text(json.dumps({
             "observations": str(obs_path), "tau_r": 0.0003,
             "strategies": ["none", "fixed:100"], "conditions": ["relative"]}))
         prefix = tmp_path / "report"
-        result = runner.invoke(main, ["evaluate", str(frame_path), "--out",
-                                      str(prefix)])
-        assert result.exit_code == 0, result.output
-        assert result.output.splitlines()[0] == "tau_a (normalised): "
+        code, out, err = run_cli(monkeypatch, capsys,
+                                 ["evaluate", str(frame_path), "--out",
+                                  str(prefix)])
+        assert code == 0, err
+        assert out.splitlines()[0] == "tau_a (normalised): "
         payload = json.loads((tmp_path / "report.json").read_text())
         assert payload["tau_a"] is None
         assert [row["clevel"] for row in payload["rows"]] == [37, None]
 
-    def test_fitted_error_target_on_a_short_horizon(self, runner, tmp_path):
+    def test_fitted_error_target_on_a_short_horizon(self, tmp_path,
+                                                    monkeypatch, capsys):
         # --error-target fitted and a horizon_len below the log's length:
         # each row's A^e is accuracy(run, horizon, "error", "fitted") of the
         # same frame built in-process
@@ -337,9 +357,10 @@ class TestEvaluate:
             "strategies": ["none", "fixed:100", "fixed:100+5"],
             "horizon_len": 60}))
         prefix = tmp_path / "report"
-        result = runner.invoke(main, ["evaluate", str(frame_path), "--out",
-                                      str(prefix), "--error-target", "fitted"])
-        assert result.exit_code == 0, result.output
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["evaluate", str(frame_path), "--out",
+                                str(prefix), "--error-target", "fitted"])
+        assert code == 0, err
         rows = json.loads((tmp_path / "report.json").read_text())["rows"]
 
         frame = build_frame(read_observations(obs_path), FrameSpec(
@@ -591,6 +612,44 @@ def test_malformed_spec_is_error_not_traceback(tmp_path, monkeypatch, capsys,
     assert message in err
 
 
+class TestExitCodes:
+    """Exit 0 is a stop or a command's success and 2 only "not converged
+    yet": a usage error and an unreadable input or output path exit 1
+    with a message on stderr and no traceback, and help exits 0."""
+
+    @pytest.mark.parametrize("args", [
+        ["analyze", "{obs}"],
+        ["analyze", "{obs}", "--tau", "x"],
+        ["analyze", "{obs}", "--tau", "0.5", "--condition", "foo"],
+        ["bogus"],
+        [],
+        ["analyze", "{missing}", "--tau", "0.5"],
+        ["analyze", "{obs}", "--tau", "0.5", "--out", "{dir}"],
+        ["evaluate", "{frame}", "--error-target", "bogus"],
+    ], ids=["no-tau", "bad-tau", "bad-condition", "unknown-command",
+            "no-command", "missing-input", "out-is-a-directory",
+            "bad-error-target"])
+    def test_usage_error_exits_one(self, tmp_path, monkeypatch, capsys, args):
+        obs = observations_csv(tmp_path)
+        frame = tmp_path / "frame.json"
+        frame.write_text(json.dumps(dict(_FRAME, observations=str(obs))))
+        paths = {"obs": obs, "missing": tmp_path / "missing.csv",
+                 "dir": tmp_path, "frame": frame}
+        code, out, err = run_cli(monkeypatch, capsys,
+                                 [arg.format(**paths) for arg in args])
+        assert code == 1
+        assert err.strip()
+        assert "Traceback" not in out + err
+
+    @pytest.mark.parametrize("command", ["", "analyze", "tune", "evaluate",
+                                         "simulate"])
+    def test_help_exits_zero(self, monkeypatch, capsys, command):
+        code, out, _ = run_cli(monkeypatch, capsys,
+                               [command, "--help"] if command else ["--help"])
+        assert code == 0
+        assert "usage" in out.lower()
+
+
 def cold_python(*argv):
     """The finished `python <argv>` process, run on this package."""
     src = str(Path(convergema.__file__).resolve().parents[1])
@@ -617,6 +676,7 @@ class TestColdProcess:
         (40, "fixed:100", "6.5", 0),        # stops
         (25, "fixed:100", "1e-9", 2),       # not yet
         (40, "fixed:1e200", "0.5", 1),      # fails
+        (40, "fixed:100", "x", 1),          # a usage error
     ])
     def test_exit_codes(self, tmp_path, levels, strategy, tau, want):
         obs = observations_csv(tmp_path, levels=levels)
