@@ -2,46 +2,64 @@
 
 Exit codes: 0 converged / success, 2 analyzed but not converged yet,
 1 error.  CSV in, JSON + CSV out; no timestamps in reports so identical
-inputs produce byte-identical outputs.
+inputs produce byte-identical outputs.  A command imports only what it
+runs: `evaluation` and `synth` load inside `evaluate` and `simulate`.
 """
 from __future__ import annotations
 
+import argparse
 import atexit
 import gc
 import json
 import os
 import sys
 from dataclasses import fields
-
-import click
+from types import SimpleNamespace
 
 from .anchoring import AnchoringStrategy
-from .convergence import (CONDITION_KINDS, ProximityCondition, clevel,
-                          epsilon_sequence, find_optimal_look_ahead, put)
+from .convergence import (CONDITION_KINDS, ERROR_TARGETS, ProximityCondition,
+                          clevel, epsilon_sequence, find_optimal_look_ahead,
+                          put)
 from .curves import ACCURACY_CEILING, PowerLawCurve
 from .errors import ConvergemaError, NotDecreasing
-from .evaluation import ERROR_TARGETS, FrameSpec, build_frame
 from .io import (EPSILON_COLUMNS, FRAME_COLUMNS, epsilon_row,
                  read_observations, tuning_payload, write_json,
                  write_observations, write_series_csv)
-from .synth import GeneratorSpec, generate
 from .traces import PLEVEL_SOURCES, LearningScheme, LearningTrace, TraceParams
+
+
+def _command(*options):
+    """The decorated function as a command record: `main` adds `options`,
+    the (flags, keywords) of `add_argument` calls, and calls `callback`."""
+    return lambda callback: SimpleNamespace(callback=callback, options=options)
+
+
+def _arg(*flags, **keywords):
+    return flags, keywords
+
+
+def _output_path(value: str) -> str:
+    # checked before the analysis, not after it; inputs fail as read
+    if os.path.isdir(value):
+        raise argparse.ArgumentTypeError(f"{value!r} is a directory")
+    return value
+
 
 def _scheme(kernel, step):
     if kernel is None and step is None:
         return None
     if kernel is None or step is None:
-        raise click.ClickException("--kernel and --step must be given together")
+        raise ValueError("--kernel and --step must be given together")
     return LearningScheme.uniform(kernel, step)
 
 
 def _read_spec(path) -> dict:
     """The JSON object in the spec file at `path`; a file that holds any
-    other JSON value becomes a ClickException."""
+    other JSON value is a ValueError."""
     with open(path) as handle:
         raw = json.load(handle)
     if not isinstance(raw, dict):
-        raise click.ClickException(
+        raise ValueError(
             f"spec {path} must hold a JSON object, not {type(raw).__name__}")
     return raw
 
@@ -64,54 +82,43 @@ def _perturbation(pair):
 def _spec_value(raw: dict, key: str, convert, *default):
     """`convert` applied to a JSON spec's value for `key`, or to the default
     when the key is absent; a missing key that has no default, or a value
-    `convert` rejects, becomes a ClickException that names the key."""
+    `convert` rejects, becomes a ValueError that names the key."""
     if key not in raw and not default:
-        raise click.ClickException(f"spec missing key {key!r}")
+        raise ValueError(f"spec missing key {key!r}")
     try:
         return convert(raw[key] if key in raw else default[0])
     except (TypeError, ValueError) as exc:
-        raise click.ClickException(
+        raise ValueError(
             f"spec key {key!r} has a bad value {raw.get(key)!r}: {exc}") from None
 
 
-def _common_options(fn):
-    fn = click.option("--kernel", type=int, default=None,
-                      help="Declared kernel size; with --step, input sizes "
-                           "are validated against the uniform scheme.")(fn)
-    fn = click.option("--step", type=int, default=None,
-                      help="Declared uniform step size.")(fn)
-    for flag, name, kind, text in (
-            ("--nu", "nu", float, "Verticality threshold (0 < nu < 1)."),
-            ("--slowdown", "slowdown", int,
-             "Slowdown exponent for the verticality threshold."),
-            ("--lambda", "look_ahead", int,
-             "Look-ahead window for level detection."),
-            ("--anchor-weight", "anchor_weight", float,
-             "Weight of the infinity point."),
-            ("--plevel-source", "plevel_source", click.Choice(PLEVEL_SOURCES),
-             "Whose prediction level gates anchor switches.")):
-        fn = click.option(flag, name, type=kind, default=getattr(TraceParams, name),
-                          show_default=True, help=text)(fn)
-    return fn
+_TRACE_OPTIONS = (
+    _arg("--kernel", type=int, help="Declared kernel size; with --step, input "
+         "sizes are validated against the uniform scheme."),
+    _arg("--step", type=int, help="Declared uniform step size."),
+    _arg("--nu", type=float, default=TraceParams.nu,
+         help="Verticality threshold (0 < nu < 1)."),
+    _arg("--slowdown", type=int, default=TraceParams.slowdown,
+         help="Slowdown exponent for the verticality threshold."),
+    _arg("--lambda", dest="look_ahead", type=int, default=TraceParams.look_ahead,
+         help="Look-ahead window for level detection."),
+    _arg("--anchor-weight", type=float, default=TraceParams.anchor_weight,
+         help="Weight of the infinity point."),
+    _arg("--plevel-source", choices=PLEVEL_SOURCES,
+         default=TraceParams.plevel_source,
+         help="Whose prediction level gates anchor switches."))
 
 
-@click.group()
-def main():
-    """Anchored learning-curve convergence thresholds."""
-
-
-@main.command()
-@click.argument("observations", type=click.Path(exists=True, dir_okay=False))
-@click.option("--strategy", default="none", show_default=True,
-              help="none | canonical | fixed:<beta> | fixed:<beta>+<lookahead>")
-@click.option("--condition", type=click.Choice(CONDITION_KINDS),
-              default="absolute", show_default=True)
-@click.option("--tau", type=float, required=True, help="Proximity threshold.")
-@click.option("--out", type=click.Path(dir_okay=False), default=None,
-              help="Write the JSON analysis report here.")
-@click.option("--series", type=click.Path(dir_okay=False), default=None,
-              help="Write the epsilon/PUT series CSV here.")
-@_common_options
+@_command(
+    _arg("observations", metavar="OBSERVATIONS"),
+    _arg("--strategy", default="none",
+         help="none | canonical | fixed:<beta> | fixed:<beta>+<lookahead>"),
+    _arg("--condition", choices=CONDITION_KINDS, default="absolute",
+         help="Proximity condition."),
+    _arg("--tau", type=float, required=True, help="Proximity threshold."),
+    _arg("--out", type=_output_path, help="Write the JSON analysis report here."),
+    _arg("--series", type=_output_path, help="Write the epsilon/PUT series CSV here."),
+    *_TRACE_OPTIONS)
 def analyze(observations, strategy, condition, tau, out, series, kernel, step,
             nu, slowdown, look_ahead, anchor_weight, plevel_source):
     """Stream a CSV of observations through a trace and report the stop
@@ -122,10 +129,10 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
     log = read_observations(observations, scheme=_scheme(kernel, step))
     trace = LearningTrace.from_log(log, strat, params)
 
-    click.echo(f"observations: {len(log)}")
-    click.echo(f"wlevel: {trace.wlevel}")
-    click.echo(f"plevel: {trace.plevel} (reference={trace.plevel_reference}, "
-               f"anchored={trace.plevel_anchored})")
+    print(f"observations: {len(log)}")
+    print(f"wlevel: {trace.wlevel}")
+    print(f"plevel: {trace.plevel} (reference={trace.plevel_reference}, "
+          f"anchored={trace.plevel_anchored})")
 
     records = []
     eps_error = None
@@ -141,13 +148,13 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
         stop = clevel(trace, cond)
 
     for entry in trace.backbone():
-        click.echo(f"  level {entry.level:>4}  x {entry.x:>10}  "
-                   f"alpha {entry.alpha:.6f}")
+        print(f"  level {entry.level:>4}  x {entry.x:>10}  "
+              f"alpha {entry.alpha:.6f}")
     if records:
-        click.echo("epsilon sequence:")
+        print("epsilon sequence:")
         for rec in records:
             mark = " (rupture)" if rec.is_rupture else ""
-            click.echo(f"  level {rec.level:>4}  eps {rec.epsilon:.6f}{mark}")
+            print(f"  level {rec.level:>4}  eps {rec.epsilon:.6f}{mark}")
 
     report = {
         "strategy": strat.spec_string(),
@@ -175,26 +182,26 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
         write_series_csv(rows, EPSILON_COLUMNS + ("put",), series)
 
     if eps_error is not None and stop is None and cond.kind == "absolute":
-        click.echo(f"error: {eps_error}", err=True)
+        print(f"error: {eps_error}", file=sys.stderr)
         if isinstance(eps_error, NotDecreasing):
-            click.echo("hint: use fixed anchoring for absolute thresholds",
-                       err=True)
+            print("hint: use fixed anchoring for absolute thresholds",
+                  file=sys.stderr)
         sys.exit(1)
     if stop is None:
-        click.echo("not converged yet")
+        print("not converged yet")
         sys.exit(2)
-    click.echo(f"clevel: {stop}")
+    print(f"clevel: {stop}")
 
 
-@main.command()
-@click.argument("observations", type=click.Path(exists=True, dir_okay=False))
-@click.option("--horizon", "horizon_path", required=True,
-              type=click.Path(exists=True, dir_okay=False),
-              help="Oracle observation stream (a superset of OBSERVATIONS).")
-@click.option("--tau", type=float, required=True, help="Absolute threshold.")
-@click.option("--beta", type=float, default=ACCURACY_CEILING, show_default=True)
-@click.option("--out", type=click.Path(dir_okay=False), default=None)
-@_common_options
+@_command(
+    _arg("observations", metavar="OBSERVATIONS"),
+    _arg("--horizon", dest="horizon_path", required=True,
+         help="Oracle observation stream (a superset of OBSERVATIONS)."),
+    _arg("--tau", type=float, required=True, help="Absolute threshold."),
+    _arg("--beta", type=float, default=ACCURACY_CEILING,
+         help="Fixed anchor of the swept traces."),
+    _arg("--out", type=_output_path, help="Write the JSON tuning report here."),
+    *_TRACE_OPTIONS)
 def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
          slowdown, look_ahead, anchor_weight, plevel_source):
     """Sweep tentative PUT values (100 down to 0, step 10) and pick the
@@ -207,38 +214,37 @@ def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
     hor_log = read_observations(horizon_path, scheme=scheme)
     for mine, oracle in zip(obs_log, hor_log):
         if mine != oracle:
-            raise click.ClickException(
+            raise ValueError(
                 "observations are not a prefix of the horizon stream")
     if len(obs_log) > len(hor_log):
-        raise click.ClickException("horizon shorter than the observations")
+        raise ValueError("horizon shorter than the observations")
 
     cond = ProximityCondition("absolute", tau)
     baseline = LearningTrace.from_log(hor_log, AnchoringStrategy.none(), params)
     base_stop = clevel(baseline, cond)
     if base_stop is None:
-        raise click.ClickException("anchor-free baseline did not converge")
+        raise ValueError("anchor-free baseline did not converge")
     result = find_optimal_look_ahead(hor_log, params, tau, beta, base_stop,
                                      reference=baseline)
 
-    click.echo(f"baseline clevel: {base_stop}")
-    click.echo("zeta  lambda  clevel  rc")
+    print(f"baseline clevel: {base_stop}")
+    print("zeta  lambda  clevel  rc")
     for cand in result.candidates:
-        click.echo(f"{cand.zeta:>4.0f}  {cand.look_ahead!s:>6}  "
-                   f"{cand.clevel!s:>6}  "
-                   f"{'-' if cand.rc is None else format(cand.rc, '.4f')}")
-    click.echo(f"selected look-ahead: {result.look_ahead} "
-               f"(zeta {result.zeta:.0f}, PUT {result.put_at_switch:.2f}, "
-               f"RC {result.rc:.4f})")
+        print(f"{cand.zeta:>4.0f}  {cand.look_ahead!s:>6}  "
+              f"{cand.clevel!s:>6}  "
+              f"{'-' if cand.rc is None else format(cand.rc, '.4f')}")
+    print(f"selected look-ahead: {result.look_ahead} "
+          f"(zeta {result.zeta:.0f}, PUT {result.put_at_switch:.2f}, "
+          f"RC {result.rc:.4f})")
     if out:
         write_json({"baseline_clevel": base_stop, **tuning_payload(result)}, out)
 
 
-@main.command()
-@click.argument("frame_spec", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", "out_prefix", type=click.Path(), default=None,
-              help="Write <prefix>.json and <prefix>.csv reports.")
-@click.option("--error-target", type=click.Choice(ERROR_TARGETS),
-              default="raw", show_default=True)
+@_command(
+    _arg("frame_spec", metavar="FRAME_SPEC"),
+    _arg("--out", dest="out_prefix", help="Write <prefix>.json and <prefix>.csv reports."),
+    _arg("--error-target", choices=ERROR_TARGETS, default="raw",
+         help="What A^e compares each error with."))
 def evaluate(frame_spec, out_prefix, error_target):
     """Evaluate a local testing frame described by a JSON spec with keys:
     observations (CSV path), tau_r, strategies, conditions, and optional
@@ -249,6 +255,7 @@ def evaluate(frame_spec, out_prefix, error_target):
         f.name: _spec_value(raw, "lambda" if f.name == "look_ahead" else f.name,
                             type(f.default), f.default)
         for f in fields(TraceParams)})
+    from .evaluation import FrameSpec, build_frame
     spec = FrameSpec(
         tau_r=_spec_value(raw, "tau_r", float),
         strategies=_spec_value(
@@ -266,16 +273,16 @@ def evaluate(frame_spec, out_prefix, error_target):
     def fmt(value, digits=6):
         return "" if value is None else f"{value:.{digits}f}"
 
-    click.echo(f"tau_a (normalised): {fmt(frame.tau_a)}")
-    click.echo("strategy        condition  plevel  clevel  A^c      RC      RP^c     A^e      RP^e     PUT     lookahead")
+    print(f"tau_a (normalised): {fmt(frame.tau_a)}")
+    print("strategy        condition  plevel  clevel  A^c      RC      RP^c     A^e      RP^e     PUT     lookahead")
     rows = frame.rows()
     for row in rows:
-        click.echo(f"{row.strategy:<15} {row.condition:<9} "
-                   f"{row.plevel!s:>6}  {row.clevel!s:>6}  "
-                   f"{fmt(row.a_c, 2):>7}  {fmt(row.rc, 2):>6}  "
-                   f"{fmt(row.rp_c, 2):>7}  {fmt(row.a_e, 2):>7}  "
-                   f"{fmt(row.rp_e, 2):>7}  {fmt(row.put, 2):>6}  "
-                   f"{row.look_ahead!s:>9}")
+        print(f"{row.strategy:<15} {row.condition:<9} "
+              f"{row.plevel!s:>6}  {row.clevel!s:>6}  "
+              f"{fmt(row.a_c, 2):>7}  {fmt(row.rc, 2):>6}  "
+              f"{fmt(row.rp_c, 2):>7}  {fmt(row.a_e, 2):>7}  "
+              f"{fmt(row.rp_e, 2):>7}  {fmt(row.put, 2):>6}  "
+              f"{row.look_ahead!s:>9}")
     if out_prefix:
         payload = {
             "tau_a": frame.tau_a,
@@ -289,14 +296,14 @@ def evaluate(frame_spec, out_prefix, error_target):
         write_series_csv(map(vars, rows), FRAME_COLUMNS, f"{out_prefix}.csv")
 
 
-@main.command()
-@click.argument("spec_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--out", type=click.Path(dir_okay=False), required=True,
-              help="Observation CSV to write.")
+@_command(
+    _arg("spec_path", metavar="SPEC_PATH"),
+    _arg("--out", type=_output_path, required=True, help="Observation CSV to write."))
 def simulate(spec_path, out):
     """Generate a synthetic observation stream from a JSON generator spec
     with keys a, b, c, levels and optional kernel/step/noise_sd/
     perturbations/seed."""
+    from .synth import GeneratorSpec, generate
     raw = _read_spec(spec_path)
     scheme = LearningScheme.uniform(_spec_value(raw, "kernel", int, 5000),
                                     _spec_value(raw, "step", int, 5000))
@@ -311,7 +318,42 @@ def simulate(spec_path, out):
                                   _items(_perturbation), ()),
         seed=_spec_value(raw, "seed", int, 0))
     write_observations(generate(spec), out)
-    click.echo(f"wrote {spec.levels} observations to {out}")
+    print(f"wrote {spec.levels} observations to {out}")
+
+
+class _Parser(argparse.ArgumentParser):
+    # click's command lines: no abbreviated option, no -h, usage errors exit 1
+    def __init__(self, **keywords):
+        super().__init__(add_help=False, allow_abbrev=False, **keywords,
+                         formatter_class=argparse.ArgumentDefaultsHelpFormatter)
+        self.add_argument("--help", action="help", help="Show this help.")
+
+    def error(self, message):     # exit 2 means "not converged yet"
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
+def main(args=None, standalone_mode=True):
+    """Run the command `args` (by default `sys.argv[1:]`) names; an error of
+    its input or analysis exits 1, or propagates if not `standalone_mode`."""
+    commands = {"analyze": analyze, "tune": tune, "evaluate": evaluate,
+                "simulate": simulate}
+    parser = _Parser(prog="convergema", description=
+                     "Anchored learning-curve convergence thresholds.")
+    subparsers = parser.add_subparsers(dest="command", required=True)
+    for name, command in commands.items():
+        sub = subparsers.add_parser(name, description=command.callback.__doc__)
+        for flags, keywords in command.options:
+            sub.add_argument(*flags, **keywords)
+    values = vars(parser.parse_args(args))
+    command = commands[values.pop("command")]
+    errors = ((ConvergemaError, ValueError, OSError, KeyboardInterrupt)
+              if standalone_mode else ())
+    try:
+        return command.callback(**values)
+    except errors as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        sys.exit(1)
 
 
 def _entry():
@@ -322,16 +364,7 @@ def _entry():
     # that a process that goes on after `_entry` (a test) is not frozen.
     atexit.unregister(gc.freeze)    # once per process, however often called
     atexit.register(gc.freeze)
-    try:
-        main(standalone_mode=False)
-    except click.ClickException as exc:
-        exc.show()
-        sys.exit(1)
-    except click.exceptions.Abort:
-        sys.exit(1)
-    except (ConvergemaError, ValueError, OSError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        sys.exit(1)
+    main()
 
 
 if __name__ == "__main__":

@@ -39,6 +39,7 @@ _TAIL_LIMIT = 1e280
 # largest backbone rise still read as decreasing (rounding, not a trend)
 _DECREASING_TOL = 1e-9
 CONDITION_KINDS = ("absolute", "relative")      # of a ProximityCondition
+ERROR_TARGETS = ("raw", "fitted")       # of evaluation.accuracy
 # tentative PUT values of the look-ahead sweep: 100, 90, ..., 0
 _TUNING_ZETAS = tuple(float(z) for z in range(100, -1, -10))
 

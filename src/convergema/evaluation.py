@@ -15,15 +15,13 @@ from itertools import chain
 from typing import Optional
 
 from .anchoring import AnchoringStrategy
-from .convergence import (CONDITION_KINDS, ProximityCondition, clevel,
-                          normalize_threshold, put)
+from .convergence import (CONDITION_KINDS, ERROR_TARGETS, ProximityCondition,
+                          clevel, normalize_threshold, put)
 from .curves import evaluate
 from .errors import (ConvergemaError, DegenerateData, MissingHorizon,
                      NotDecreasing, NotReached, UnresolvedCLevel)
 from .fitting import FitResult
 from .traces import LearningTrace, ObservationLog, TraceParams, run_jobs
-
-ERROR_TARGETS = ("raw", "fitted")      # what `accuracy` compares errors with
 
 
 @dataclass(frozen=True)

@@ -82,6 +82,9 @@ class LearningScheme:
 
     @staticmethod
     def uniform(kernel: int, step: int) -> "LearningScheme":
+        for name, value in (("kernel", kernel), ("step", step)):
+            if value < 1:
+                raise ValueError(f"uniform scheme needs {name} >= 1, got {value}")
         return LearningScheme(kernel_size=kernel, step=lambda i: step)
 
 

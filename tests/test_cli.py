@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import gc
+import importlib
 import json
 import os
 import re
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import convergema
+from convergema import cli
 from convergema.cli import _entry
 from convergema.io import read_observations, write_observations
 from convergema import (AnchoringStrategy, ConvergemaError, FrameSpec,
@@ -516,6 +518,15 @@ class TestInputPaths:
         assert (f"{obs}:3: size 10000 at level 2 disagrees with the "
                 "declared scheme (expected 9000)") in err
 
+    def test_step_below_one_is_named(self, tmp_path, monkeypatch, capsys):
+        # refused as declared, not blamed on the CSV's third line
+        obs = observations_csv(tmp_path)
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["analyze", str(obs), "--tau", "0.5",
+                                "--kernel", "5000", "--step", "-5000"])
+        assert code == 1
+        assert err == "error: uniform scheme needs step >= 1, got -5000\n"
+
     def test_matching_scheme_reads_the_stream(self, tmp_path, monkeypatch,
                                               capsys):
         obs = observations_csv(tmp_path)
@@ -600,6 +611,8 @@ _GENERATOR = {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20}
      "noise_sd must be finite"),
     ("simulate", dict(_GENERATOR, noise_sd=float("inf")),
      "noise_sd must be finite"),
+    ("simulate", dict(_GENERATOR, kernel=0),
+     "uniform scheme needs kernel >= 1, got 0"),
     ("evaluate", dict(_FRAME, conditions=["bogus"]),
      "condition kind must be 'absolute' or 'relative'"),
 ])
@@ -665,6 +678,56 @@ def test_import_pulls_no_scipy():
     done = cold_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_only_what_analyze_runs():
+    # a cold `convergema analyze` pays for no module it does not run
+    code = ("import sys, convergema.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'click' or m in "
+            "('convergema.evaluation', 'convergema.synth')))")
+    done = cold_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+class TestLazyNamespace:
+    """The package resolves each public name from its submodule on first
+    access."""
+
+    def test_every_public_name_is_its_submodules_object(self):
+        assert convergema.build_frame is convergema.evaluation.build_frame
+        for name in convergema.__all__:
+            value = getattr(convergema, name)
+            owner = importlib.import_module(value.__module__)
+            assert value is getattr(owner, name), name
+
+    def test_dir_lists_every_public_name(self):
+        assert set(convergema.__all__) <= set(dir(convergema))
+
+    def test_unknown_name_is_attribute_error(self):
+        with pytest.raises(AttributeError, match="no_such_name"):
+            convergema.no_such_name
+        assert not hasattr(convergema, "no_such_name")
+
+
+def test_main_dispatches_through_the_command_record(tmp_path, monkeypatch):
+    # the traced benchmark child replaces `analyze.callback` and then calls
+    # main(args, standalone_mode=False), where errors propagate
+    obs = observations_csv(tmp_path)
+    real, seen = cli.analyze.callback, []
+
+    def traced(**options):
+        seen.append(options["tau"])
+        return real(**options)
+
+    monkeypatch.setattr(cli.analyze, "callback", traced)
+    cli.main(args=["analyze", str(obs), "--strategy", "fixed:100",
+                   "--tau", "6.5"], standalone_mode=False)
+    assert seen == [6.5]
+    with pytest.raises(ValueError, match="must be given together"):
+        cli.main(args=["analyze", str(obs), "--tau", "6.5", "--kernel", "5"],
+                 standalone_mode=False)
+    assert seen == [6.5, 6.5]
 
 
 class TestColdProcess:

@@ -31,6 +31,14 @@ class TestScheme:
         scheme = LearningScheme.uniform(5000, 5000)
         assert scheme.positions(4) == [5000, 10000, 15000, 20000]
 
+    @pytest.mark.parametrize("kernel,step,name", [
+        (0, 5000, "kernel"), (5000, 0, "step"), (-5000, 5000, "kernel"),
+        (5000, -5000, "step")])
+    def test_uniform_rejects_a_size_below_one(self, kernel, step, name):
+        # refused as declared, not later as a step or a curve at x = 0
+        with pytest.raises(ValueError, match=f"uniform scheme needs {name} >= 1"):
+            LearningScheme.uniform(kernel, step)
+
     def test_custom_step(self):
         scheme = LearningScheme(kernel_size=100, step=lambda i: 10 * i)
         assert scheme.positions(3) == [100, 120, 150]
