@@ -74,9 +74,16 @@ def _items(convert):
     return items
 
 
+def _whole(value) -> int:
+    """`value` as an int if it is a whole number (5000.0 is, 20.9 is not)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{value!r} is not a whole number")
+    return int(value)
+
+
 def _perturbation(pair):
     level, delta = pair
-    return int(level), float(delta)
+    return _whole(level), float(delta)
 
 
 def _spec_value(raw: dict, key: str, convert, *default):
@@ -116,8 +123,10 @@ _TRACE_OPTIONS = (
     _arg("--condition", choices=CONDITION_KINDS, default="absolute",
          help="Proximity condition."),
     _arg("--tau", type=float, required=True, help="Proximity threshold."),
-    _arg("--out", type=_output_path, help="Write the JSON analysis report here."),
-    _arg("--series", type=_output_path, help="Write the epsilon/PUT series CSV here."),
+    _arg("--out", type=_output_path, help="Write the JSON analysis report "
+         "here (give a path that starts with '-' as --out=PATH)."),
+    _arg("--series", type=_output_path, help="Write the epsilon/PUT series "
+         "CSV here (give a path that starts with '-' as --series=PATH)."),
     *_TRACE_OPTIONS)
 def analyze(observations, strategy, condition, tau, out, series, kernel, step,
             nu, slowdown, look_ahead, anchor_weight, plevel_source):
@@ -200,7 +209,8 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
     _arg("--tau", type=float, required=True, help="Absolute threshold."),
     _arg("--beta", type=float, default=ACCURACY_CEILING,
          help="Fixed anchor of the swept traces."),
-    _arg("--out", type=_output_path, help="Write the JSON tuning report here."),
+    _arg("--out", type=_output_path, help="Write the JSON tuning report "
+         "here (give a path that starts with '-' as --out=PATH)."),
     *_TRACE_OPTIONS)
 def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
          slowdown, look_ahead, anchor_weight, plevel_source):
@@ -242,7 +252,9 @@ def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
 
 @_command(
     _arg("frame_spec", metavar="FRAME_SPEC"),
-    _arg("--out", dest="out_prefix", help="Write <prefix>.json and <prefix>.csv reports."),
+    _arg("--out", dest="out_prefix", help="Write <prefix>.json and "
+         "<prefix>.csv reports (give a prefix that starts with '-' as "
+         "--out=PREFIX)."),
     _arg("--error-target", choices=ERROR_TARGETS, default="raw",
          help="What A^e compares each error with."))
 def evaluate(frame_spec, out_prefix, error_target):
@@ -253,7 +265,8 @@ def evaluate(frame_spec, out_prefix, error_target):
     # a key per trace parameter ("lambda" for look_ahead), typed as its default
     params = TraceParams(**{
         f.name: _spec_value(raw, "lambda" if f.name == "look_ahead" else f.name,
-                            type(f.default), f.default)
+                            _whole if type(f.default) is int
+                            else type(f.default), f.default)
         for f in fields(TraceParams)})
     from .evaluation import FrameSpec, build_frame
     spec = FrameSpec(
@@ -265,7 +278,7 @@ def evaluate(frame_spec, out_prefix, error_target):
                                CONDITION_KINDS),
         params=params,
         horizon_len=_spec_value(raw, "horizon_len",
-                                lambda v: None if v is None else int(v), None),
+                                lambda v: None if v is None else _whole(v), None),
         error_target=error_target)
     log = read_observations(_spec_value(raw, "observations", os.fspath))
     frame = build_frame(log, spec)
@@ -298,25 +311,26 @@ def evaluate(frame_spec, out_prefix, error_target):
 
 @_command(
     _arg("spec_path", metavar="SPEC_PATH"),
-    _arg("--out", type=_output_path, required=True, help="Observation CSV to write."))
+    _arg("--out", type=_output_path, required=True, help="Observation CSV "
+         "to write (give a path that starts with '-' as --out=PATH)."))
 def simulate(spec_path, out):
     """Generate a synthetic observation stream from a JSON generator spec
     with keys a, b, c, levels and optional kernel/step/noise_sd/
     perturbations/seed."""
     from .synth import GeneratorSpec, generate
     raw = _read_spec(spec_path)
-    scheme = LearningScheme.uniform(_spec_value(raw, "kernel", int, 5000),
-                                    _spec_value(raw, "step", int, 5000))
+    scheme = LearningScheme.uniform(_spec_value(raw, "kernel", _whole, 5000),
+                                    _spec_value(raw, "step", _whole, 5000))
     spec = GeneratorSpec(
         truth=PowerLawCurve(a=_spec_value(raw, "a", float),
                             b=_spec_value(raw, "b", float),
                             c=_spec_value(raw, "c", float)),
-        levels=_spec_value(raw, "levels", int),
+        levels=_spec_value(raw, "levels", _whole),
         scheme=scheme,
         noise_sd=_spec_value(raw, "noise_sd", float, 0.0),
         perturbations=_spec_value(raw, "perturbations",
                                   _items(_perturbation), ()),
-        seed=_spec_value(raw, "seed", int, 0))
+        seed=_spec_value(raw, "seed", _whole, 0))
     write_observations(generate(spec), out)
     print(f"wrote {spec.levels} observations to {out}")
 

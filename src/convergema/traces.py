@@ -21,9 +21,10 @@ it is extended past the log, and then the store of its own observations.
 A trace reads every fit one way, in level order (`LearningTrace._fits`).
 
 Work that does not depend on other work of its kind is shared with one
-forked helper in one way (`run_jobs`): the two processes claim jobs from a
-pipe until none is left, and the helper's store entries, its fits and
-crossings, warm the store, under the keys one process would store them.
+forked helper in one way (`run_jobs`): this process runs the even-indexed
+jobs and the helper the odd-indexed ones, and the helper's store entries,
+its fits and crossings, warm the store, under the keys one process would
+store them.
 The fits of one view that do not depend on each other (the plain levels,
 and the anchored levels under `fixed` anchoring) are such jobs, one per
 missing fit, run before the view reads them in order; so are the replays
@@ -122,10 +123,6 @@ class _FitStore(dict):
 # forks again, so the two of them run on two CPUs, not three
 _warming = False
 
-# the most jobs `run_jobs` shares: a claim is two bytes, and all claims are
-# written at once, which stays whole while it is at most PIPE_BUF (4096)
-_MAX_SHARED = 2048
-
 
 def _helper_allowed(count: int) -> bool:
     """Whether `count` jobs are shared with a forked helper: at least two,
@@ -137,47 +134,6 @@ def _helper_allowed(count: int) -> bool:
             and threading.active_count() == 1)
 
 
-def _with_helper(part: Callable) -> tuple:
-    """(part(), part() in a forked helper or None), the two run at once.
-
-    The helper runs the same code on the same process image, so what it
-    computes is what this process would, bit for bit.  It sends its result
-    pickled down a pipe and leaves by `os._exit`, so no exit handler or
-    buffered output of this process runs in it.  It is always reaped
-    before this returns, and killed first when this process's part raises.
-    A helper that cannot start, dies or sends a short result gives None."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read_fd)
-        os.close(write_fd)
-        return part(), None
-    if pid == 0:
-        try:
-            os.close(read_fd)
-            with os.fdopen(write_fd, "wb") as pipe:
-                pickle.dump(part(), pipe)
-        finally:
-            os._exit(0)
-    os.close(write_fd)
-    try:
-        with os.fdopen(read_fd, "rb") as pipe:
-            own = part()
-            data = pipe.read()
-    except BaseException:
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.waitpid(pid, 0)
-    try:
-        return own, pickle.loads(data)
-    except Exception:
-        # a helper that died sent a short result, or none: whatever went
-        # wrong there, the caller does its part again and meets it itself
-        return own, None
-
-
 def run_jobs(store: _FitStore, jobs: list[Callable]) -> list:
     """`[job() for job in jobs]`, for jobs whose only side effect is to
     fill `store`: the same results, the first exception in job order
@@ -187,43 +143,71 @@ def run_jobs(store: _FitStore, jobs: list[Callable]) -> list:
     not kept; past a job that raises, `store` may also hold a later job's
     entries.
 
-    When `_helper_allowed` and there are at most `_MAX_SHARED` jobs, this
-    process and a forked helper claim the jobs from a pipe of job indices,
-    so jobs of unequal size balance; neither process forks again
-    meanwhile.  The helper sends back the store entries it added, which
-    this process adds where it holds no entry of that key yet; it then
-    computes the helper's jobs itself, finding every fit and crossing
-    stored, and runs a job the helper did not finish."""
+    When `_helper_allowed`, this process runs jobs 0, 2, 4, ... and a
+    forked helper jobs 1, 3, 5, ..., each in order up to its own first job
+    that raises; neither process forks again meanwhile.  The helper runs
+    the same code on the same process image, so what it computes is what
+    this process would, bit for bit.  It pickles the store entries it
+    added down a pipe and leaves by `os._exit`, so no exit handler or
+    buffered output of this process runs in it; this process adds each
+    entry whose key it does not hold yet.  It then computes the helper's
+    jobs itself, finding every fit and crossing stored, and runs a job the
+    helper did not finish.  The helper is always reaped before this
+    returns, and killed first when this process is interrupted.  A helper
+    that cannot start leaves every job to this process, and one that dies
+    or sends a short result leaves it the helper's jobs."""
     global _warming
-    if not _helper_allowed(len(jobs)) or len(jobs) > _MAX_SHARED:
+    if not _helper_allowed(len(jobs)):
         return [job() for job in jobs]
-    claims, fill = os.pipe()
-    os.write(fill, b"".join(index.to_bytes(2, "big")
-                            for index in range(len(jobs))))
-    os.close(fill)
     known = len(store)
     results, failed = {}, {}
 
-    def claimed() -> list:
-        """Run the jobs this side claims, in order, into `results`, or
-        their exception into `failed`; after a job raises none is claimed.
-        Returns the store entries this side added."""
-        while claim := os.read(claims, 2):
-            index = int.from_bytes(claim, "big")
+    def run(indices: range) -> None:
+        """Run the jobs at `indices` in order into `results`, up to the
+        first that raises, whose exception goes into `failed`."""
+        for index in indices:
             try:
                 results[index] = jobs[index]()
             except Exception as exc:
-                os.read(claims, 2 * len(jobs))      # no later job is needed
                 failed[index] = exc
-        return list(islice(store.items(), known, None))
+                break
 
+    read_fd, write_fd = os.pipe()
     _warming = True
     try:
-        _, theirs = _with_helper(claimed)
+        try:
+            pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            return [job() for job in jobs]
+        if pid == 0:
+            try:
+                os.close(read_fd)
+                run(range(1, len(jobs), 2))
+                with os.fdopen(write_fd, "wb") as pipe:
+                    pickle.dump(list(islice(store.items(), known, None)), pipe)
+            finally:
+                os._exit(0)
+        os.close(write_fd)
+        try:
+            with os.fdopen(read_fd, "rb") as pipe:
+                run(range(0, len(jobs), 2))
+                data = pipe.read()
+        except BaseException:
+            os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            os.waitpid(pid, 0)
     finally:
         _warming = False
-        os.close(claims)
-    for key, result in theirs or ():
+    try:
+        theirs = pickle.loads(data)
+    except Exception:
+        # a helper that died sent a short result, or none: whatever went
+        # wrong there, this process runs the helper's jobs and meets it
+        theirs = ()
+    for key, result in theirs:
         store.setdefault(key, result)
     # a job that raised in the helper is met again here, in job order
     out = []

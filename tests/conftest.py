@@ -2,7 +2,6 @@
 import ast
 import math
 import os
-import select
 import sys
 
 import numpy as np
@@ -74,16 +73,21 @@ class SharedLog:
 def count_fits(monkeypatch, tmp_path):
     """Record the (level, anchor, anchor_weight) of every fit made, by this
     process or a forked helper; the returned function reads them back, each
-    process's fits in the order that process made them."""
+    process's fits in the order that process made them, or with a `pid`
+    only the fits of that process."""
     keys = SharedLog(tmp_path / "fits.log")
     real_fit = traces.fit
 
     def counted(problem):
-        keys.add((len(problem.x), problem.anchor, problem.anchor_weight))
+        keys.add((os.getpid(),
+                  (len(problem.x), problem.anchor, problem.anchor_weight)))
         return real_fit(problem)
 
+    def read(pid=None):
+        return [key for maker, key in keys.read() if pid in (None, maker)]
+
     monkeypatch.setattr(traces, "fit", counted)
-    return keys.read
+    return read
 
 
 def count_intersects(monkeypatch, tmp_path):
@@ -111,9 +115,11 @@ def watch_warm_ups(monkeypatch, tmp_path):
     """Wrap `os.fork` and `run_jobs` where a look-ahead sweep ("sweep"), a
     frame ("frame") and a view's batch of fits ("batch") call it; a call
     entered while a warm-up runs (`traces._warming`) is "nested".  Returns
-    the warm-ups running in this process, innermost last, and two readers
-    of what any process did: (pid, the innermost warm-up) of each fork,
-    and (pid, warm-up, number of jobs) of each `run_jobs` call."""
+    two readers of what any process did: (pid, the innermost warm-up
+    running there) of each fork, and (pid, warm-up, number of jobs) of
+    each `run_jobs` call.  The pid of a fork is the caller's, which runs
+    the warm-up's even-indexed jobs; the helper it forks runs the
+    odd-indexed ones."""
     forks = SharedLog(tmp_path / "forks.log")
     calls = SharedLog(tmp_path / "warm-ups.log")
     running = []
@@ -135,33 +141,7 @@ def watch_warm_ups(monkeypatch, tmp_path):
         return real_fork()
 
     monkeypatch.setattr(os, "fork", fork)
-    return running, forks.read, calls.read
-
-
-def first_claim(monkeypatch, running, side, kind,
-                releases=lambda problem: True):
-    """Let `side` ("caller" or "helper") claim the first jobs of a shared
-    warm-up of `kind` (see `watch_warm_ups`, whose `running` this reads):
-    the other side waits at its fork until that warm-up asks for a fit of
-    a problem `releases` accepts.  Returns the pipe that signals it, to be
-    closed."""
-    go = os.pipe()
-    real_fork, real_fit = os.fork, traces.fit
-
-    def fork():
-        pid = real_fork()
-        if running[-1:] == [kind] and (pid == 0) == (side == "caller"):
-            select.select([go[0]], [], [], 60)
-        return pid
-
-    def fit(problem):
-        if traces._warming and running[:1] == [kind] and releases(problem):
-            os.write(go[1], b".")
-        return real_fit(problem)
-
-    monkeypatch.setattr(os, "fork", fork)
-    monkeypatch.setattr(traces, "fit", fit)
-    return go
+    return forks.read, calls.read
 
 
 # -- numpy SIMD target ----------------------------------------------------

@@ -39,6 +39,19 @@ class TestSimulate:
                        ["simulate", str(spec), "--out", str(out2)])[0] == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_whole_floats_are_ints(self, tmp_path, monkeypatch, capsys):
+        # 20.0 levels are 20, as a size of 5000.0 in a CSV is 5000
+        outs = {}
+        for number in (int, float):
+            spec = spec_file(tmp_path, levels=number(20), kernel=number(5000),
+                             step=number(5000), seed=number(7),
+                             perturbations=[[number(5), 0.5]])
+            outs[number] = tmp_path / f"{number.__name__}.csv"
+            code, _, err = run_cli(monkeypatch, capsys, [
+                "simulate", str(spec), "--out", str(outs[number])])
+            assert code == 0, err
+        assert outs[int].read_bytes() == outs[float].read_bytes()
+
     def test_noiseless_matches_truth(self, tmp_path, monkeypatch, capsys):
         spec = spec_file(tmp_path, noise_sd=0.0)
         out = tmp_path / "o.csv"
@@ -98,6 +111,17 @@ class TestAnalyze:
         assert "clevel:" in out
         run_cli(monkeypatch, capsys, ["analyze", *args, "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_out_path_starting_with_a_dash(self, tmp_path, monkeypatch,
+                                           capsys):
+        # `--out -r.json` would read -r.json as an option
+        obs = observations_csv(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(monkeypatch, capsys, [
+            "analyze", str(obs), "--strategy", "fixed:100", "--tau", "6.5",
+            "--out=-r.json"])
+        assert code == 0, err
+        assert "clevel" in json.loads((tmp_path / "-r.json").read_text())
 
     def test_not_converged_exit_two(self, tmp_path, monkeypatch, capsys):
         obs = observations_csv(tmp_path, levels=25)
@@ -460,6 +484,24 @@ def test_overflowing_anchor_is_error(tmp_path, monkeypatch, capsys, option):
                   "strategies": ["none"]}, "tau_r"),
     ("evaluate", {"observations": "obs.csv", "tau_r": 0.1,
                   "strategies": 5}, "strategies"),
+    # an integer key takes a whole number only, not a truncated fraction
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20.9}, "levels"),
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": float("inf")},
+     "levels"),
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20,
+                  "kernel": 5000.5}, "kernel"),
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20,
+                  "step": 2.5}, "step"),
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20,
+                  "seed": 1.5}, "seed"),
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20,
+                  "perturbations": [[5.5, 0.1]]}, "perturbations"),
+    ("evaluate", {"observations": "obs.csv", "tau_r": 0.1,
+                  "strategies": ["none"], "lambda": 2.7}, "lambda"),
+    ("evaluate", {"observations": "obs.csv", "tau_r": 0.1,
+                  "strategies": ["none"], "slowdown": 1.5}, "slowdown"),
+    ("evaluate", {"observations": "obs.csv", "tau_r": 0.1,
+                  "strategies": ["none"], "horizon_len": 15.9}, "horizon_len"),
 ])
 def test_bad_spec_value_is_error_naming_key(tmp_path, monkeypatch, capsys,
                                             command, payload, key):

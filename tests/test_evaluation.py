@@ -1,5 +1,4 @@
 import dataclasses
-import os
 
 import numpy as np
 import pytest
@@ -10,7 +9,7 @@ from convergema import (AnchoringStrategy, ConvergemaError, FrameSpec,
                         UnresolvedCLevel, accuracy, build_frame,
                         drift_perturbations, faster_than, MissingHorizon,
                         NotDecreasing, evaluation, generate, relative_cost)
-from tests.conftest import (count_fits, first_claim, let_run_on,
+from tests.conftest import (count_fits, let_run_on,
                             watch_warm_ups)
 
 
@@ -262,21 +261,18 @@ class TestFrameFits:
     @pytest.mark.parametrize("side", ["caller", "helper"])
     def test_frame_fits_each_problem_once_on_two_cpus(self, monkeypatch,
                                                       tmp_path, side):
-        # `side` claims the frame's jobs until it fits a problem anchored at
-        # beta; the fixed:100+5 job, left to the other side if it were a job
-        # of its own, would then fit the beta levels below its switch again
+        # the strategies anchored at beta are one job, the caller's (even)
+        # or the helper's (odd); were fixed:100 and fixed:100+5 jobs of
+        # their own, they would fall to both sides, and the second would fit
+        # the beta levels below its switch again
+        none, canonical, fixed, look_ahead = self.STRATEGIES
+        strategies = (self.STRATEGIES if side == "caller" else
+                      (none, fixed, look_ahead, canonical))
         log = synthetic_frame_log(levels=90, seed=7)
         let_run_on(monkeypatch, 2)
         fits = count_fits(monkeypatch, tmp_path)
-        running, forks, _ = watch_warm_ups(monkeypatch, tmp_path)
-        go = first_claim(monkeypatch, running, side, "frame",
-                         lambda problem: problem.anchor == 100.0)
-        try:
-            build_frame(log, FrameSpec(tau_r=0.0003,
-                                       strategies=self.STRATEGIES))
-        finally:
-            os.close(go[0])
-            os.close(go[1])
+        forks, _ = watch_warm_ups(monkeypatch, tmp_path)
+        build_frame(log, FrameSpec(tau_r=0.0003, strategies=strategies))
         assert [kind for _, kind in forks()].count("frame") == 1
         assert len(fits()) == len(set(fits())) == 344
 

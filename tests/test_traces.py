@@ -16,7 +16,7 @@ from convergema import (AnchoringStrategy, BackboneEntry, DegenerateData,
                         generate, prediction_level, traces,
                         verticality_threshold, working_level)
 from tests.conftest import (SharedLog, build_trace, count_fits,
-                            count_intersects, first_claim, let_run_on,
+                            count_intersects, let_run_on,
                             watch_warm_ups)
 
 
@@ -489,8 +489,9 @@ class TestFitStore:
         assert trace.snapshot() == self.fresh(trace.observations, fixed)
 
     def test_no_answer_reads_store_order(self):
-        # a store is filled in the order its fits are claimed, which varies
-        # from run to run on two CPUs; every answer looks its fits up by key
+        # on two CPUs a store holds the helper's entries after the caller's,
+        # not in the order of one process; every answer looks its fits up
+        # by key
         fixed = AnchoringStrategy.fixed(100.0)
         answers = {}
         for reverse in (False, True):
@@ -851,16 +852,42 @@ class TestTwoProcessFill:
         assert shared == alone
         assert shared_fits == alone_fits
 
+    def test_helper_fits_the_odd_jobs(self, monkeypatch, tmp_path):
+        # the plain levels past the prediction level are one warm-up, one
+        # job per level: this process fits jobs 0, 2, 4, ..., the helper
+        # jobs 1, 3, 5, ..., and this process then finds the helper's fits
+        # stored
+        log = TestDeferredReference.stream()
+        let_run_on(monkeypatch, 2)
+        fits = count_fits(monkeypatch, tmp_path)
+        trace = LearningTrace.from_log(log, AnchoringStrategy.none())
+        jobs = [(level, None, 1.0)
+                for level in range(trace._plain_level + 1, len(log) + 1)]
+        helpers = []
+        real_fork = os.fork
+
+        def fork():
+            helpers.append(real_fork())
+            return helpers[-1]
+
+        monkeypatch.setattr(os, "fork", fork)
+        me, before = os.getpid(), len(fits())
+        trace.reference_trends
+        assert len(helpers) == 1 and len(jobs) >= 2
+        assert fits(helpers[0]) == jobs[1::2]
+        assert fits(me)[before:] == jobs[::2]
+
     @pytest.mark.parametrize("half", ["helper", "caller"])
     def test_error_is_raised_at_its_level(self, monkeypatch, tmp_path, half):
         log = TestDeferredReference.stream()
         probe = LearningTrace.from_log(ObservationLog(log.entries),
                                        AnchoringStrategy.none())
         # from_log leaves the plain levels past this one to a view, which
-        # fits them as one warm-up: the other side waits until `half` meets
-        # the failing level, so `half` fits every level below it
+        # fits them as one warm-up, one job per level: the failing level's
+        # job is odd (the helper's) or even (the caller's), and each side
+        # fits its levels below it
         first = probe._plain_level + 1
-        level = first + 11
+        level = first + (11 if half == "helper" else 10)
         raised_on = SharedLog(tmp_path / "raised.log")
         real_fit = traces.fit
 
@@ -871,31 +898,25 @@ class TestTwoProcessFill:
             return real_fit(problem)
 
         monkeypatch.setattr(traces, "fit", fails_at)
-        running, _, _ = watch_warm_ups(monkeypatch, tmp_path)
-        go = first_claim(monkeypatch, running, half, "batch",
-                         lambda problem: len(problem.x) == level)
         stored, raisers = {}, {}
-        try:
-            for cpus in (1, 2):
-                let_run_on(monkeypatch, cpus)
-                copy = ObservationLog(log.entries, log.scheme)
-                trace = LearningTrace.from_log(copy, AnchoringStrategy.none())
-                before = len(raised_on.read())
-                with pytest.raises(ValueError, match=f"at level {level}$"):
-                    trace.reference_trends
-                raisers[cpus] = raised_on.read()[before:]
-                stored[cpus] = stored_reprs(copy)
-                assert (level, None, None) not in stored[cpus]
-                assert sorted(trace._reference_trends) == list(range(3, level))
-        finally:
-            os.close(go[0])
-            os.close(go[1])
+        for cpus in (1, 2):
+            let_run_on(monkeypatch, cpus)
+            copy = ObservationLog(log.entries, log.scheme)
+            trace = LearningTrace.from_log(copy, AnchoringStrategy.none())
+            before = len(raised_on.read())
+            with pytest.raises(ValueError, match=f"at level {level}$"):
+                trace.reference_trends
+            raisers[cpus] = raised_on.read()[before:]
+            stored[cpus] = stored_reprs(copy)
+            assert (level, None, None) not in stored[cpus]
+            assert sorted(trace._reference_trends) == list(range(3, level))
         # the levels below are stored with the one-process fits; the other
-        # side may also have stored a level past the failing one
+        # side has also stored its levels past the failing one
         below = {(lv, None, None) for lv in range(3, level)}
         assert stored[1].keys() == below
         assert {key: stored[2][key] for key in below} == stored[1]
         assert all(key[0] > level for key in stored[2].keys() - below)
+        assert stored[2].keys() - below
         # the failing fit is made once in each process that meets it: on
         # two CPUs by the helper, then by the caller's walk in `run_jobs`,
         # or by the caller alone
@@ -935,7 +956,7 @@ class TestTwoProcessFill:
         assert shared == alone and shared_fits == alone_fits
 
     def test_long_batch_is_shared(self, monkeypatch):
-        # more pending levels than claims of one byte could index
+        # a batch of hundreds of pending levels is shared as one
         log = generate(GeneratorSpec(
             truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3), levels=300,
             seed=3))
@@ -997,7 +1018,7 @@ class TestWarmUp:
         # stops nor normalises a frame's threshold: on the noisy stream the
         # sweep takes a given baseline and no frame is built
         clean = noise_sd == 0.0
-        _, forks, _ = watch_warm_ups(monkeypatch, tmp_path)
+        forks, _ = watch_warm_ups(monkeypatch, tmp_path)
         answers = {}
         for count in (1, 2):
             let_run_on(monkeypatch, count)
@@ -1031,7 +1052,7 @@ class TestWarmUp:
     def test_no_fork_while_a_warm_up_runs(self, monkeypatch, tmp_path):
         # on a new log the frame's fixed:100 run has a batch of anchored
         # fits to make, which a helper would share were it not warming up
-        _, forks, calls = watch_warm_ups(monkeypatch, tmp_path)
+        forks, calls = watch_warm_ups(monkeypatch, tmp_path)
         rows = {}
         for count in (1, 2):
             let_run_on(monkeypatch, count)
@@ -1051,53 +1072,58 @@ class TestWarmUp:
     @pytest.mark.parametrize("call", ["sweep", "frame"])
     def test_error_is_raised_as_one_process_raises(self, monkeypatch,
                                                    tmp_path, call, side):
-        # the failing job is the first to fit: the sweep's smallest
-        # look-ahead at its switch level, or the frame's canonical run (after
-        # 'none', which fits nothing) past its working level; no other job
-        # fits that level with an anchor other than beta
+        # the failing job is odd (the helper's) or even (the caller's): the
+        # sweep's second or first look-ahead at its switch level, whose
+        # anchor is the asymptote frozen at the level below, or the
+        # frame's canonical run past its working level, after 'none' (which
+        # fits nothing) and before or after fixed:100; no other job fits
+        # that level with that anchor
         log = self.stream(0.0)
         plain, tuning = study_sweep(log)
+        fixed = AnchoringStrategy.fixed(100.0)
+        odd = side == "helper"
         if call == "sweep":
-            look = next(c.look_ahead for c in tuning.candidates
-                        if c.look_ahead is not None)
-            level = plain.plevel + look + 1
+            looks = list(dict.fromkeys(c.look_ahead for c in tuning.candidates
+                                       if c.look_ahead is not None))
+            freeze = plain.plevel + looks[1 if odd else 0]
+            level = freeze + 1
+            frozen = LearningTrace.from_log(log, fixed).anchored_trends
+            failing = lambda anchor: anchor == frozen[freeze].curve.c
         else:
             level = plain.wlevel + 5
-        strategies = (AnchoringStrategy.none(), AnchoringStrategy.canonical(),
-                      AnchoringStrategy.fixed(100.0))
+            failing = lambda anchor: anchor not in (None, 100.0)
+        strategies = ((AnchoringStrategy.none(), AnchoringStrategy.canonical(),
+                       fixed) if odd else
+                      (AnchoringStrategy.none(), fixed,
+                       AnchoringStrategy.canonical()))
         raised_on = SharedLog(tmp_path / "raised.log")
         real_fit = traces.fit
 
         def fails_at(problem):
-            if len(problem.x) == level and problem.anchor not in (None, 100.0):
+            if len(problem.x) == level and failing(problem.anchor):
                 raised_on.add(os.getpid())
                 raise ValueError(f"injected at level {level}")
             return real_fit(problem)
 
         monkeypatch.setattr(traces, "fit", fails_at)
-        running, _, _ = watch_warm_ups(monkeypatch, tmp_path)
-        go = first_claim(monkeypatch, running, side, call)
         raisers = {}
-        try:
-            for count in (1, 2):
-                let_run_on(monkeypatch, count)
-                copy = ObservationLog(log.entries, log.scheme)
-                before = len(raised_on.read())
-                with pytest.raises(ValueError, match=f"at level {level}$"):
-                    if call == "sweep":
-                        study_sweep(copy)
-                    else:
-                        study_frame(copy, LearningTrace.from_log(
-                            copy, AnchoringStrategy.none()), strategies)
-                raisers[count] = raised_on.read()[before:]
-        finally:
-            os.close(go[0])
-            os.close(go[1])
+        for count in (1, 2):
+            let_run_on(monkeypatch, count)
+            copy = ObservationLog(log.entries, log.scheme)
+            before = len(raised_on.read())
+            with pytest.raises(ValueError, match=f"at level {level}$"):
+                if call == "sweep":
+                    study_sweep(copy)
+                else:
+                    study_frame(copy, LearningTrace.from_log(
+                        copy, AnchoringStrategy.none()), strategies)
+            raisers[count] = raised_on.read()[before:]
         assert raisers[1] == [os.getpid()]
         # a helper that meets the error leaves its job to this process,
         # which meets it again in job order
         assert raisers[2][-1] == os.getpid()
-        assert (len(raisers[2]) == 2) == (side == "helper")
+        assert len(raisers[2]) == (2 if odd else 1)
+        assert (raisers[2][0] != os.getpid()) == odd
 
     @pytest.mark.parametrize("how", ["dies", "cannot start"])
     def test_failed_helper_gives_the_one_process_result(self, monkeypatch,
@@ -1154,26 +1180,20 @@ class TestSharedCrossings:
             return shared_intersect(*args)
 
         monkeypatch.setattr(convergence, "intersect", own)
-        # the helper claims the first job of the warm-up, which the caller
+        # the helper runs the odd jobs of each warm-up, which the caller
         # then computes again from the store
-        running, _, _ = watch_warm_ups(monkeypatch, tmp_path)
-        go = first_claim(monkeypatch, running, "helper", kind)
         made, here, answers = {}, {}, {}
-        try:
-            for cpus in (1, 2):
-                let_run_on(monkeypatch, cpus)
-                log = TestWarmUp.stream(0.0)
-                before, before_here = len(counted()), len(mine)
-                plain, tuning = study_sweep(log)
-                rows = (study_frame(log, plain,
-                                    study_strategies(tuning.look_ahead))
-                        if kind == "frame" else None)
-                made[cpus] = counted()[before:]
-                here[cpus] = len(mine) - before_here
-                answers[cpus] = tuning, rows
-        finally:
-            os.close(go[0])
-            os.close(go[1])
+        for cpus in (1, 2):
+            let_run_on(monkeypatch, cpus)
+            log = TestWarmUp.stream(0.0)
+            before, before_here = len(counted()), len(mine)
+            plain, tuning = study_sweep(log)
+            rows = (study_frame(log, plain,
+                                study_strategies(tuning.look_ahead))
+                    if kind == "frame" else None)
+            made[cpus] = counted()[before:]
+            here[cpus] = len(mine) - before_here
+            answers[cpus] = tuning, rows
         assert answers[1] == answers[2]
         assert here[1] == len(made[1])
         assert len(set(made[2])) == len(made[2])
