@@ -21,7 +21,7 @@ from .convergence import (CONDITION_KINDS, ERROR_TARGETS, ProximityCondition,
                           clevel, epsilon_sequence, find_optimal_look_ahead,
                           put)
 from .curves import ACCURACY_CEILING, PowerLawCurve
-from .errors import ConvergemaError, NotDecreasing
+from .errors import ConvergemaError, MissingWLevel, NotDecreasing
 from .io import (EPSILON_COLUMNS, FRAME_COLUMNS, epsilon_row,
                  read_observations, tuning_payload, write_json,
                  write_observations, write_series_csv)
@@ -74,16 +74,27 @@ def _items(convert):
     return items
 
 
+def _number(value) -> float:
+    """`value` as a float if it is a JSON number; a bool or a string is not
+    one, though `float` would read either."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {type(value).__name__}")
+    return float(value)
+
+
 def _whole(value) -> int:
-    """`value` as an int if it is a whole number (5000.0 is, 20.9 is not)."""
-    if isinstance(value, float) and not value.is_integer():
+    """`value` as an int if it is a whole JSON number (5000.0 is, 20.9 and
+    true are not)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if not _number(value).is_integer():
         raise ValueError(f"{value!r} is not a whole number")
     return int(value)
 
 
 def _perturbation(pair):
     level, delta = pair
-    return _whole(level), float(delta)
+    return _whole(level), _number(delta)
 
 
 def _spec_value(raw: dict, key: str, convert, *default):
@@ -94,7 +105,7 @@ def _spec_value(raw: dict, key: str, convert, *default):
         raise ValueError(f"spec missing key {key!r}")
     try:
         return convert(raw[key] if key in raw else default[0])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(
             f"spec key {key!r} has a bad value {raw.get(key)!r}: {exc}") from None
 
@@ -191,11 +202,16 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
         write_series_csv(rows, EPSILON_COLUMNS + ("put",), series)
 
     if eps_error is not None and stop is None and cond.kind == "absolute":
-        print(f"error: {eps_error}", file=sys.stderr)
-        if isinstance(eps_error, NotDecreasing):
-            print("hint: use fixed anchoring for absolute thresholds",
-                  file=sys.stderr)
-        sys.exit(1)
+        # an unresolved working level is a stop not reached yet, as under
+        # the relative condition; the report's `error` keeps the reason
+        if isinstance(eps_error, MissingWLevel):
+            print(f"reason: {eps_error}", file=sys.stderr)
+        else:
+            print(f"error: {eps_error}", file=sys.stderr)
+            if isinstance(eps_error, NotDecreasing):
+                print("hint: use fixed anchoring for absolute thresholds",
+                      file=sys.stderr)
+            sys.exit(1)
     if stop is None:
         print("not converged yet")
         sys.exit(2)
@@ -203,39 +219,26 @@ def analyze(observations, strategy, condition, tau, out, series, kernel, step,
 
 
 @_command(
-    _arg("observations", metavar="OBSERVATIONS"),
-    _arg("--horizon", dest="horizon_path", required=True,
-         help="Oracle observation stream (a superset of OBSERVATIONS)."),
+    _arg("stream", metavar="STREAM"),
     _arg("--tau", type=float, required=True, help="Absolute threshold."),
     _arg("--beta", type=float, default=ACCURACY_CEILING,
          help="Fixed anchor of the swept traces."),
     _arg("--out", type=_output_path, help="Write the JSON tuning report "
          "here (give a path that starts with '-' as --out=PATH)."),
     *_TRACE_OPTIONS)
-def tune(observations, horizon_path, tau, beta, out, kernel, step, nu,
-         slowdown, look_ahead, anchor_weight, plevel_source):
-    """Sweep tentative PUT values (100 down to 0, step 10) and pick the
-    look-ahead with the turning-point relative cost.  OBSERVATIONS is only
-    checked to be a prefix of the horizon: the anchor-free baseline and
-    every sweep candidate run on the horizon stream."""
+def tune(stream, tau, beta, out, kernel, step, nu, slowdown, look_ahead,
+         anchor_weight, plevel_source):
+    """Sweep tentative PUT values (100 down to 0, step 10) over STREAM and
+    pick the look-ahead with the turning-point relative cost.  The
+    anchor-free baseline and every sweep candidate replay STREAM."""
     params = TraceParams(nu, slowdown, look_ahead, anchor_weight, plevel_source)
-    scheme = _scheme(kernel, step)
-    obs_log = read_observations(observations, scheme=scheme)
-    hor_log = read_observations(horizon_path, scheme=scheme)
-    for mine, oracle in zip(obs_log, hor_log):
-        if mine != oracle:
-            raise ValueError(
-                "observations are not a prefix of the horizon stream")
-    if len(obs_log) > len(hor_log):
-        raise ValueError("horizon shorter than the observations")
-
+    log = read_observations(stream, scheme=_scheme(kernel, step))
     cond = ProximityCondition("absolute", tau)
-    baseline = LearningTrace.from_log(hor_log, AnchoringStrategy.none(), params)
+    baseline = LearningTrace.from_log(log, AnchoringStrategy.none(), params)
     base_stop = clevel(baseline, cond)
     if base_stop is None:
         raise ValueError("anchor-free baseline did not converge")
-    result = find_optimal_look_ahead(hor_log, params, tau, beta, base_stop,
-                                     reference=baseline)
+    result = find_optimal_look_ahead(log, params, tau, beta, base_stop)
 
     print(f"baseline clevel: {base_stop}")
     print("zeta  lambda  clevel  rc")
@@ -265,12 +268,12 @@ def evaluate(frame_spec, out_prefix, error_target):
     # a key per trace parameter ("lambda" for look_ahead), typed as its default
     params = TraceParams(**{
         f.name: _spec_value(raw, "lambda" if f.name == "look_ahead" else f.name,
-                            _whole if type(f.default) is int
-                            else type(f.default), f.default)
+                            {int: _whole, float: _number}.get(
+                                type(f.default), str), f.default)
         for f in fields(TraceParams)})
     from .evaluation import FrameSpec, build_frame
     spec = FrameSpec(
-        tau_r=_spec_value(raw, "tau_r", float),
+        tau_r=_spec_value(raw, "tau_r", _number),
         strategies=_spec_value(
             raw, "strategies",
             _items(lambda s: AnchoringStrategy.parse(str(s)))),
@@ -322,12 +325,12 @@ def simulate(spec_path, out):
     scheme = LearningScheme.uniform(_spec_value(raw, "kernel", _whole, 5000),
                                     _spec_value(raw, "step", _whole, 5000))
     spec = GeneratorSpec(
-        truth=PowerLawCurve(a=_spec_value(raw, "a", float),
-                            b=_spec_value(raw, "b", float),
-                            c=_spec_value(raw, "c", float)),
+        truth=PowerLawCurve(a=_spec_value(raw, "a", _number),
+                            b=_spec_value(raw, "b", _number),
+                            c=_spec_value(raw, "c", _number)),
         levels=_spec_value(raw, "levels", _whole),
         scheme=scheme,
-        noise_sd=_spec_value(raw, "noise_sd", float, 0.0),
+        noise_sd=_spec_value(raw, "noise_sd", _number, 0.0),
         perturbations=_spec_value(raw, "perturbations",
                                   _items(_perturbation), ()),
         seed=_spec_value(raw, "seed", _whole, 0))

@@ -470,15 +470,10 @@ def _select_turning_point(candidates) -> TuningCandidate:
     scored = [c for c in candidates if c.rc is not None]
     if not scored:
         raise NotReached("no tuning candidate converged within the trace")
-    rcs = [c.rc for c in scored]
-    best_idx = 0
-    best_window = -1
-    for i in range(len(scored)):
-        length = 0
-        while (i + length + 1 < len(scored)
-               and rcs[i + length + 1] > rcs[i + length]):
-            length += 1
-        if length > best_window:
-            best_window = length
-            best_idx = i
-    return scored[best_idx]
+    # runs[i]: the strict RC increases that follow candidate i, one pass
+    # from the back
+    runs = [0] * len(scored)
+    for i in range(len(scored) - 2, -1, -1):
+        if scored[i + 1].rc > scored[i].rc:
+            runs[i] = runs[i + 1] + 1
+    return scored[runs.index(max(runs))]

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import gc
 import importlib
 import json
@@ -16,9 +15,8 @@ from convergema import cli
 from convergema.cli import _entry
 from convergema.io import read_observations, write_observations
 from convergema import (AnchoringStrategy, ConvergemaError, FrameSpec,
-                        GeneratorSpec, LearningTrace, ObservationLog,
-                        PowerLawCurve, accuracy, build_frame,
-                        drift_perturbations, generate)
+                        GeneratorSpec, LearningTrace, PowerLawCurve,
+                        accuracy, build_frame, drift_perturbations, generate)
 
 
 def spec_file(tmp_path, **overrides):
@@ -168,7 +166,7 @@ class TestAnalyze:
         code, _, err = run_cli(monkeypatch, capsys,
                                ["analyze", str(obs), "--strategy", "fixed:100",
                                 "--tau", "1.0"])
-        assert code == 1
+        assert code == 2
         assert "working level" in err
         assert "fixed anchoring" not in err
 
@@ -229,35 +227,29 @@ class TestAnalyze:
 
 
 def tune_inputs(tmp_path):
-    """Observations, the horizon they are a prefix of, and a tau at which
-    the anchor-free baseline converges."""
-    from convergema import epsilon_sequence, ObservationLog, TraceParams
+    """A stream and a tau at which its anchor-free baseline converges."""
+    from convergema import epsilon_sequence, TraceParams
     spec = GeneratorSpec(truth=PowerLawCurve(2.0 * 5000.0 ** 0.85, 0.85, 99.3),
                          levels=80, seed=5,
                          perturbations=drift_perturbations(80, 0.8, 0.15))
     log = generate(spec)
-    horizon_path = tmp_path / "horizon.csv"
-    write_observations(log, horizon_path)
-    prefix = ObservationLog(log.entries[:50])
-    obs_path = tmp_path / "obs.csv"
-    write_observations(prefix, obs_path)
+    stream_path = tmp_path / "stream.csv"
+    write_observations(log, stream_path)
 
     fixed = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0),
                                    TraceParams())
     records = epsilon_sequence(fixed)
     tau = records[int(len(records) * 0.3)].epsilon
-    return obs_path, horizon_path, tau
+    return stream_path, tau
 
 
 class TestTune:
     def test_tune_runs_and_reports(self, tmp_path, monkeypatch, capsys):
-        # horizon = longer stream; observations = a prefix
-        obs_path, horizon_path, tau = tune_inputs(tmp_path)
+        stream_path, tau = tune_inputs(tmp_path)
         out = tmp_path / "tuning.json"
         code, stdout, err = run_cli(monkeypatch, capsys,
-                                    ["tune", str(obs_path), "--horizon",
-                                     str(horizon_path), "--tau", str(tau),
-                                     "--out", str(out)])
+                                    ["tune", str(stream_path), "--tau",
+                                     str(tau), "--out", str(out)])
         assert code == 0, err
         assert "selected look-ahead" in stdout
         payload = json.loads(out.read_text())
@@ -267,7 +259,7 @@ class TestTune:
 
     def test_anchor_free_trace_replayed_once(self, tmp_path, monkeypatch,
                                              capsys):
-        obs_path, horizon_path, tau = tune_inputs(tmp_path)
+        stream_path, tau = tune_inputs(tmp_path)
         replays = []
         real = LearningTrace.from_log
 
@@ -278,41 +270,29 @@ class TestTune:
 
         monkeypatch.setattr(LearningTrace, "from_log", staticmethod(counting))
         code, _, err = run_cli(monkeypatch, capsys,
-                               ["tune", str(obs_path), "--horizon",
-                                str(horizon_path), "--tau", str(tau)])
+                               ["tune", str(stream_path), "--tau", str(tau)])
         assert code == 0, err
         assert len(replays) == 1
 
-    def test_missing_horizon_is_error(self, tmp_path, monkeypatch, capsys):
-        obs = observations_csv(tmp_path)
-        code, _, _ = run_cli(monkeypatch, capsys,
-                             ["tune", str(obs), "--tau", "1.0"])
-        assert code != 0
-
-    def test_prefix_mismatch_rejected(self, tmp_path, monkeypatch, capsys):
-        obs = observations_csv(tmp_path, name="obs.csv")
-        other = GeneratorSpec(truth=PowerLawCurve(9 * 5000.0 ** 0.7, 0.7, 96.0),
-                              levels=50, seed=2)
-        horizon_path = tmp_path / "other.csv"
-        write_observations(generate(other), horizon_path)
-        code, _, err = run_cli(monkeypatch, capsys,
-                               ["tune", str(obs), "--horizon",
-                                str(horizon_path), "--tau", "1.0"])
-        assert code != 0
-        assert "not a prefix" in err
-
-    def test_shifted_accuracies_rejected(self, tmp_path, monkeypatch, capsys):
-        # the sizes agree with the horizon, the accuracies do not
-        obs_path, horizon_path, tau = tune_inputs(tmp_path)
-        shifted = read_observations(obs_path)
-        write_observations(ObservationLog(
-            dataclasses.replace(obs, accuracy=obs.accuracy - 1.0)
-            for obs in shifted), obs_path)
-        code, _, err = run_cli(monkeypatch, capsys,
-                               ["tune", str(obs_path), "--horizon",
-                                str(horizon_path), "--tau", str(tau)])
+    def test_unconverged_baseline_is_error(self, tmp_path, monkeypatch,
+                                           capsys):
+        stream_path, _ = tune_inputs(tmp_path)
+        code, out, err = run_cli(monkeypatch, capsys,
+                                 ["tune", str(stream_path), "--tau", "1e-9"])
         assert code == 1
-        assert "not a prefix" in err
+        assert "Traceback" not in out + err
+        assert "anchor-free baseline did not converge" in err
+
+    def test_second_stream_is_a_usage_error(self, tmp_path, monkeypatch,
+                                            capsys):
+        # tune sweeps the one stream it is given; a call that still names
+        # a second one fails rather than sweep something else
+        stream_path, tau = tune_inputs(tmp_path)
+        code, _, err = run_cli(monkeypatch, capsys,
+                               ["tune", str(stream_path), "--horizon",
+                                str(stream_path), "--tau", str(tau)])
+        assert code == 1
+        assert "unrecognized arguments: --horizon" in err
 
 
 class TestEvaluate:
@@ -502,6 +482,21 @@ def test_overflowing_anchor_is_error(tmp_path, monkeypatch, capsys, option):
                   "strategies": ["none"], "slowdown": 1.5}, "slowdown"),
     ("evaluate", {"observations": "obs.csv", "tau_r": 0.1,
                   "strategies": ["none"], "horizon_len": 15.9}, "horizon_len"),
+    # a key takes a JSON number, not a bool or a string that float() reads
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": True}, "levels"),
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": "12"}, "levels"),
+    ("simulate", {"a": True, "b": 0.6, "c": 96.0, "levels": 20}, "a"),
+    ("simulate", {"a": 10 ** 400, "b": 0.6, "c": 96.0, "levels": 20}, "a"),
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20,
+                  "noise_sd": True}, "noise_sd"),
+    ("simulate", {"a": 300.0, "b": 0.6, "c": 96.0, "levels": 20,
+                  "perturbations": [[5, "0.5"]]}, "perturbations"),
+    ("evaluate", {"observations": "obs.csv", "tau_r": "0.1",
+                  "strategies": ["none"]}, "tau_r"),
+    ("evaluate", {"observations": "obs.csv", "tau_r": 0.1,
+                  "strategies": ["none"], "nu": True}, "nu"),
+    ("evaluate", {"observations": "obs.csv", "tau_r": 0.1,
+                  "strategies": ["none"], "lambda": False}, "lambda"),
 ])
 def test_bad_spec_value_is_error_naming_key(tmp_path, monkeypatch, capsys,
                                             command, payload, key):
@@ -510,6 +505,14 @@ def test_bad_spec_value_is_error_naming_key(tmp_path, monkeypatch, capsys,
     assert code == 1
     assert "Traceback" not in err
     assert repr(key) in err
+
+
+def test_missing_spec_key_is_error(tmp_path, monkeypatch, capsys):
+    code, out, err = run_on_spec(tmp_path, monkeypatch, capsys, "simulate",
+                                 {"b": 0.6, "c": 96.0, "levels": 20})
+    assert code == 1
+    assert "Traceback" not in out + err
+    assert err == "error: spec missing key 'a'\n"
 
 
 def run_on_spec(tmp_path, monkeypatch, capsys, command, payload):
@@ -594,6 +597,22 @@ class TestInputPaths:
         path.write_text(text)
         with pytest.raises(ValueError, match="^" + re.escape(f"{path}{message}")):
             read_observations(path)
+
+    @pytest.mark.parametrize("sizes,message", [
+        ((5000, 4000, 15000), "dec.csv:3: sizes must be strictly increasing"),
+        ((0, 5000, 10000), "dec.csv:2: size must be positive"),
+    ], ids=["falling", "zero"])
+    def test_bad_size_exits_one(self, tmp_path, monkeypatch, capsys, sizes,
+                                message):
+        path = tmp_path / "dec.csv"
+        path.write_text("level,size,accuracy\n" + "".join(
+            f"{level},{size},{80.0 + level}\n"
+            for level, size in enumerate(sizes, start=1)))
+        code, out, err = run_cli(monkeypatch, capsys,
+                                 ["analyze", str(path), "--tau", "0.5"])
+        assert code == 1
+        assert "Traceback" not in out + err
+        assert err == f"error: {tmp_path / message}\n"
 
     def test_blank_lines_are_skipped(self, tmp_path):
         path = tmp_path / "obs.csv"
@@ -782,6 +801,7 @@ class TestColdProcess:
         (25, "fixed:100", "1e-9", 2),       # not yet
         (40, "fixed:1e200", "0.5", 1),      # fails
         (40, "fixed:100", "x", 1),          # a usage error
+        (6, "fixed:100", "1.0", 2),         # no working level yet
     ])
     def test_exit_codes(self, tmp_path, levels, strategy, tau, want):
         obs = observations_csv(tmp_path, levels=levels)

@@ -1,7 +1,10 @@
 import dataclasses
+from itertools import takewhile
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from convergema import (AnchoringStrategy, CoincidentCurves, NotDecreasing,
                         NotReached, PowerLawCurve, ProximityCondition,
@@ -665,6 +668,26 @@ class TestTuningSweep:
         cands = [TuningCandidate(100.0 - 10 * i, 2 + i, 30, 1.5) for i in range(5)]
         chosen = _select_turning_point(cands)
         assert chosen.look_ahead == 2
+
+    @given(st.lists(st.one_of(st.none(), st.sampled_from([1.0, 1.2, 1.5, 2.0])),
+                    min_size=1, max_size=11))
+    def test_turning_point_starts_the_longest_rising_window(self, rcs):
+        # the rule read off its definition: the first scored candidate
+        # whose following run of strict RC increases is longest
+        from convergema.convergence import TuningCandidate, _select_turning_point
+        cands = [TuningCandidate(100.0 - 10 * i, 2 + i, None if rc is None
+                                 else 30, rc) for i, rc in enumerate(rcs)]
+        scored = [c for c in cands if c.rc is not None]
+        if not scored:
+            with pytest.raises(NotReached):
+                _select_turning_point(cands)
+            return
+
+        def window(i):
+            pairs = zip(scored[i:], scored[i + 1:])
+            return len(list(takewhile(lambda p: p[1].rc > p[0].rc, pairs)))
+        want = min(range(len(scored)), key=lambda i: (-window(i), i))
+        assert _select_turning_point(cands) is scored[want]
 
 
 class TestTuningSweepReuse:
