@@ -470,8 +470,7 @@ def _select_turning_point(candidates) -> TuningCandidate:
     scored = [c for c in candidates if c.rc is not None]
     if not scored:
         raise NotReached("no tuning candidate converged within the trace")
-    # runs[i]: the strict RC increases that follow candidate i, one pass
-    # from the back
+    # runs[i]: the strict RC increases that follow candidate i
     runs = [0] * len(scored)
     for i in range(len(scored) - 2, -1, -1):
         if scored[i + 1].rc > scored[i].rc:
