@@ -110,10 +110,8 @@ def anchor_for_level(strategy: AnchoringStrategy, level: int,
         return strategy.beta
 
     if strategy.kind == "canonical":
-        previous = [lv for lv in trace.anchored_trends if lv < level]
-        if previous:
-            return trace.anchored_trends[max(previous)].curve.c
-        return trace.reference_trends[omega].curve.c
+        last = _last_anchored_asymptote(trace, level)
+        return trace.reference_trends[omega].curve.c if last is None else last
 
     # fixed with look-ahead
     plevel = trace.plevel
@@ -127,18 +125,20 @@ def anchor_for_level(strategy: AnchoringStrategy, level: int,
     switch = plevel + strategy.look_ahead + 1
     if level < switch:
         return strategy.beta
-    freeze_level = plevel + strategy.look_ahead
-    if freeze_level in trace.anchored_trends:
-        return trace.anchored_trends[freeze_level].curve.c
-    earlier = [lv for lv in trace.anchored_trends
-               if omega < lv < freeze_level]
-    if earlier:
-        return trace.anchored_trends[max(earlier)].curve.c
-    # No anchored trend at or before the freeze level (it falls at or below
-    # the working level, where anchors do not exist): there is nothing to
-    # update with, so the anchor keeps its fixed value, which makes a null
-    # look-ahead coincide with plain fixed anchoring.
-    return strategy.beta
+    # Frozen at the last anchored asymptote up to the freeze level,
+    # switch - 1; with none (the freeze level falls at or below the working
+    # level, where anchors do not exist) the anchor keeps beta, which makes
+    # a null look-ahead coincide with plain fixed anchoring.
+    last = _last_anchored_asymptote(trace, switch)
+    return strategy.beta if last is None else last
+
+
+def _last_anchored_asymptote(trace: "LearningTrace",
+                             level: int) -> Optional[float]:
+    """The asymptote of the last anchored trend below `level`, or None."""
+    trends = trace.anchored_trends
+    below = [lv for lv in trends if lv < level]
+    return trends[max(below)].curve.c if below else None
 
 
 @dataclass(frozen=True)

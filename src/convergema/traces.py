@@ -355,7 +355,7 @@ def working_level(backbone: list[BackboneEntry], nu: float, slowdown: int,
 
 def prediction_level(backbone: Iterable[BackboneEntry], omega: int) -> Optional[int]:
     """Smallest present level >= omega whose asymptote is at most the
-    accuracy ceiling; the plain and the anchored backbone both use it."""
+    accuracy ceiling; `_fit_anchored` notes the anchored backbone's."""
     for entry in backbone:
         if entry.level >= omega and entry.alpha <= ACCURACY_CEILING:
             return entry.level
@@ -370,8 +370,9 @@ class LearningTrace:
     until a view reads them.  Reading `reference_trends` fits the deferred
     plain levels (`_settle`); reading `anchored_trends`, `anchors` or
     `plevel_anchored` fits the deferred anchored levels in level order
-    (`_fit_anchored`); `trends()` fits those of the active backbone and
-    `skipped` fits both.  A level's fit depends only on its prefix and on
+    (`_fit_anchored`, which notes the anchored prediction level as it
+    fits); `trends()` fits those of the active backbone and `skipped`
+    fits both.  A level's fit depends only on its prefix and on
     the levels below it, so every view holds what an eager trace holds.
     A level whose plain or anchored fit is degenerate is listed in
     `skipped` with its reason, and the other fit of that level stays.
@@ -392,8 +393,8 @@ class LearningTrace:
         # the last level whose plain fit, and whose anchored fit, was made
         self._plain_level = 2
         self._anchored_level = 0
-        # no anchored level up to this one is the anchored prediction level
-        self._plevel_scanned = 0
+        # the first anchored level whose asymptote is at most the ceiling
+        self._plevel_anchored: Optional[int] = None
         # set while anchored levels are fitted: the views then show the
         # trace as it stands, which holds every level an anchor reads
         self._fitting = False
@@ -502,7 +503,9 @@ class LearningTrace:
         the trace below that level (`anchor_for_level`), through views
         that fit nothing while this runs, so it is the anchor an eager
         trace would have used.  A `fixed` anchor is beta, so those anchors
-        are all taken before the first fit."""
+        are all taken before the first fit.  Every anchored level is past
+        the working level, so the first whose asymptote is at most the
+        ceiling is the anchored prediction level, noted as it is fitted."""
         if self._fitting or self.strategy.kind == "none" or self.wlevel is None:
             return
         if upto is None:
@@ -518,6 +521,9 @@ class LearningTrace:
                 if result is not None:
                     self._anchored_trends[level] = result
                     self._anchors[level] = float(anchor)
+                    if (self._plevel_anchored is None
+                            and result.curve.c <= ACCURACY_CEILING):
+                        self._plevel_anchored = level
                 self._anchored_level = level
         finally:
             self._fitting = False
@@ -552,21 +558,11 @@ class LearningTrace:
 
     @property
     def plevel_anchored(self) -> Optional[int]:
-        """The prediction level of the anchored backbone (`prediction_level`).
-
-        Anchored levels are only added, each past the last, so a level a
-        read found wanting (no trend, or an asymptote over the ceiling)
-        stays so, and the next read resumes past it (`_plevel_scanned`)."""
-        trends = self.anchored_trends       # empty while wlevel is None
-        if self.wlevel is None:
-            return None
-        found = prediction_level(
-            self._backbone(trends, range(self._plevel_scanned + 1,
-                                         self._anchored_level + 1)),
-            self.wlevel)
-        self._plevel_scanned = (self._anchored_level if found is None
-                                else found - 1)
-        return found
+        """The prediction level of the anchored backbone (`prediction_level`),
+        noted by `_fit_anchored`; while it runs, of the levels fitted so
+        far."""
+        self._fit_anchored()
+        return self._plevel_anchored
 
     @property
     def skipped(self) -> Mapping[int, str]:
@@ -574,21 +570,18 @@ class LearningTrace:
         self._fit_anchored()
         return MappingProxyType(self._skipped)
 
-    def _backbone(self, trends: Mapping[int, FitResult],
-                  levels: Optional[range] = None) -> Iterator[BackboneEntry]:
-        """The entries of `trends` in level order, or those at `levels`,
-        each made as it is read."""
+    def _backbone(self, trends: Mapping[int, FitResult]) -> list[BackboneEntry]:
+        """The entries of `trends` in level order."""
         entries = self.observations.entries
-        return (BackboneEntry(level, trends[level].curve.c, entries[level - 1].x)
-                for level in (sorted(trends) if levels is None else levels)
-                if level in trends)
+        return [BackboneEntry(level, trends[level].curve.c, entries[level - 1].x)
+                for level in sorted(trends)]
 
     def reference_backbone(self) -> list[BackboneEntry]:
-        return list(self._backbone(self.reference_trends))
+        return self._backbone(self.reference_trends)
 
     def backbone(self) -> list[BackboneEntry]:
         """Active backbone: anchored trends when anchoring, else reference."""
-        return list(self._backbone(self.trends()))
+        return self._backbone(self.trends())
 
     def trends(self) -> dict[int, FitResult]:
         if self.strategy.kind == "none":

@@ -296,25 +296,26 @@ class TestEpsilonFold:
             monkeypatch.setattr(module, name, counting)
 
         trace = LearningTrace(AnchoringStrategy.fixed(100.0))
-        after = 0
+        answered, after = {}, {tau: 0 for tau in want}
         for obs in log:
             trace.extend(obs)
-            if early.tau in trace._stops:
-                before = len(calls)
-                assert clevel(trace, early) == want[early.tau]
-                assert calls[before:] == []
-                after += 1
-            elif trace.wlevel is not None:
-                assert clevel(trace, early) in (None, want[early.tau])
             if trace.wlevel is None:
                 continue
-            answer = clevel(trace, late)
-            if len(trace.observations) < want[late.tau]:
-                assert answer is None and late.tau not in trace._stops
-            else:
-                assert answer == want[late.tau]
-        assert after == len(log) - want[early.tau]
-        assert trace._stops == want
+            for cond in (early, late):
+                before = len(calls)
+                answer = clevel(trace, cond)
+                if cond.tau in answered:
+                    assert answer == answered[cond.tau]
+                    assert calls[before:] == []
+                    after[cond.tau] += 1
+                elif answer is not None:
+                    answered[cond.tau] = answer
+                # None until the trace reaches the stop, then the stop: a
+                # "not yet" is never kept
+                reached = len(trace.observations) >= want[cond.tau]
+                assert answer == (want[cond.tau] if reached else None)
+        assert answered == want
+        assert after == {tau: len(log) - level for tau, level in want.items()}
 
     def test_returned_list_is_the_callers_own(self):
         trace = fixed_trace(levels=25)

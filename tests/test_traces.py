@@ -346,20 +346,24 @@ class TestReferenceReuse:
         with pytest.raises(ValueError):    # longer than the reference
             LearningTrace.from_log(log, fixed, reference=ref)
 
-    def test_diverging_extension_refits_from_there(self):
+    def test_diverging_extension_refits_from_there(self, monkeypatch,
+                                                   tmp_path):
         log = self.stream()
         ref = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
         trace = LearningTrace.from_log(ObservationLog(log.entries[:10]),
                                        AnchoringStrategy.fixed(100.0),
                                        reference=ref)
-        # the plain fits the replay read, up to the prediction level
-        replayed = set(trace._reference_trends)
-        assert replayed and max(replayed) < 10
+        fits = count_fits(monkeypatch, tmp_path)
         moved = dataclasses.replace(log.entries[10],
                                     accuracy=log.entries[10].accuracy + 0.2)
         # after the moved level, the reference's own observations again
         for obs in [moved] + log.entries[11:]:
             trace.extend(obs)
+        # the plain fits the replay read, up to the prediction level: every
+        # plain level not fitted after the extension
+        read = set(trace.reference_trends)
+        replayed = read - {key[0] for key in fits() if key[1] is None}
+        assert replayed and max(replayed) < 10
         # those are the reference's objects; every fit made after the
         # extension is the trace's own, equal to the reference's below the
         # moved level and to none above it
@@ -670,7 +674,8 @@ class TestDeferredReference:
         assert trace.anchored_trends == base.anchored_trends
         assert trace.anchors == base.anchors
 
-    def test_replayed_levels_share_the_log_store(self):
+    def test_replayed_levels_share_the_log_store(self, monkeypatch,
+                                                 tmp_path):
         # the replay reads the reference's fits up to the prediction level;
         # the deferred levels below the extension are fitted after it, in
         # the trace's own store: equal to the reference's, not its objects
@@ -680,12 +685,16 @@ class TestDeferredReference:
         trace = LearningTrace.from_log(ObservationLog(log.entries[:15]), fixed,
                                        reference=ref)
         assert trace.plevel_reference < 14
-        replayed = set(trace._reference_trends)
-        assert replayed and max(replayed) < 15
+        fits = count_fits(monkeypatch, tmp_path)
         moved = dataclasses.replace(log.entries[15],
                                     accuracy=log.entries[15].accuracy + 0.2)
         trace.extend(moved)
-        assert trace._store is trace.observations._fit_store()
+        read = set(trace.reference_trends)
+        refitted = [key[0] for key in fits() if key[1] is None]
+        replayed = read - set(refitted)
+        assert replayed and max(replayed) < 15
+        # every deferred level is fitted anew, those below the moved one too
+        assert sorted(refitted) == list(range(max(replayed) + 1, 17))
         theirs = ref.reference_trends
         for lv, fit in trace.reference_trends.items():
             assert (fit is theirs[lv]) == (lv in replayed)
@@ -861,8 +870,10 @@ class TestTwoProcessFill:
         let_run_on(monkeypatch, 2)
         fits = count_fits(monkeypatch, tmp_path)
         trace = LearningTrace.from_log(log, AnchoringStrategy.none())
+        # the replay fits the plain levels one at a time, up to the level
+        # where the prediction level resolves; a view fits the rest
         jobs = [(level, None, 1.0)
-                for level in range(trace._plain_level + 1, len(log) + 1)]
+                for level in range(fits()[-1][0] + 1, len(log) + 1)]
         helpers = []
         real_fork = os.fork
 
@@ -880,16 +891,17 @@ class TestTwoProcessFill:
     @pytest.mark.parametrize("half", ["helper", "caller"])
     def test_error_is_raised_at_its_level(self, monkeypatch, tmp_path, half):
         log = TestDeferredReference.stream()
-        probe = LearningTrace.from_log(ObservationLog(log.entries),
-                                       AnchoringStrategy.none())
-        # from_log leaves the plain levels past this one to a view, which
-        # fits them as one warm-up, one job per level: the failing level's
-        # job is odd (the helper's) or even (the caller's), and each side
-        # fits its levels below it
-        first = probe._plain_level + 1
+        real_fit = traces.fit
+        fits = count_fits(monkeypatch, tmp_path)
+        LearningTrace.from_log(ObservationLog(log.entries),
+                               AnchoringStrategy.none())
+        # from_log leaves the plain levels past the last it fitted to a
+        # view, which fits them as one warm-up, one job per level: the
+        # failing level's job is odd (the helper's) or even (the caller's),
+        # and each side fits its levels below it
+        first = fits()[-1][0] + 1
         level = first + (11 if half == "helper" else 10)
         raised_on = SharedLog(tmp_path / "raised.log")
-        real_fit = traces.fit
 
         def fails_at(problem):
             if len(problem.x) == level:
@@ -897,10 +909,12 @@ class TestTwoProcessFill:
                 raise ValueError(f"injected at level {level}")
             return real_fit(problem)
 
-        monkeypatch.setattr(traces, "fit", fails_at)
+        want = dict(LearningTrace.from_log(
+            log, AnchoringStrategy.none()).reference_trends)
         stored, raisers = {}, {}
         for cpus in (1, 2):
             let_run_on(monkeypatch, cpus)
+            monkeypatch.setattr(traces, "fit", fails_at)
             copy = ObservationLog(log.entries, log.scheme)
             trace = LearningTrace.from_log(copy, AnchoringStrategy.none())
             before = len(raised_on.read())
@@ -909,7 +923,14 @@ class TestTwoProcessFill:
             raisers[cpus] = raised_on.read()[before:]
             stored[cpus] = stored_reprs(copy)
             assert (level, None, None) not in stored[cpus]
-            assert sorted(trace._reference_trends) == list(range(3, level))
+            # the trace kept the levels below and no level past: once the
+            # fit succeeds, a view fits the failing level and none below,
+            # and reads what a replay reads
+            monkeypatch.setattr(traces, "fit", real_fit)
+            (tmp_path / str(cpus)).mkdir()
+            refits = count_fits(monkeypatch, tmp_path / str(cpus))
+            assert trace.reference_trends == want
+            assert min(key[0] for key in refits()) == level
         # the levels below are stored with the one-process fits; the other
         # side has also stored its levels past the failing one
         below = {(lv, None, None) for lv in range(3, level)}
