@@ -350,20 +350,26 @@ class TestReferenceReuse:
                                                    tmp_path):
         log = self.stream()
         ref = LearningTrace.from_log(log, AnchoringStrategy.fixed(100.0))
+        fits = count_fits(monkeypatch, tmp_path)
+        # the plain fits the replay reads, up to the prediction level: those
+        # a replay of the same prefix with no reference makes
+        LearningTrace.from_log(ObservationLog(log.entries[:10]),
+                               AnchoringStrategy.fixed(100.0))
+        replayed = {key[0] for key in fits() if key[1] is None}
+        assert replayed and max(replayed) < 10
         trace = LearningTrace.from_log(ObservationLog(log.entries[:10]),
                                        AnchoringStrategy.fixed(100.0),
                                        reference=ref)
-        fits = count_fits(monkeypatch, tmp_path)
+        before = len(fits())
         moved = dataclasses.replace(log.entries[10],
                                     accuracy=log.entries[10].accuracy + 0.2)
         # after the moved level, the reference's own observations again
         for obs in [moved] + log.entries[11:]:
             trace.extend(obs)
-        # the plain fits the replay read, up to the prediction level: every
-        # plain level not fitted after the extension
+        # the levels not fitted again are the replayed ones
         read = set(trace.reference_trends)
-        replayed = read - {key[0] for key in fits() if key[1] is None}
-        assert replayed and max(replayed) < 10
+        refitted = {key[0] for key in fits()[before:] if key[1] is None}
+        assert read - refitted == replayed
         # those are the reference's objects; every fit made after the
         # extension is the trace's own, equal to the reference's below the
         # moved level and to none above it
@@ -682,17 +688,22 @@ class TestDeferredReference:
         log = TestReferenceReuse.stream()
         fixed = AnchoringStrategy.fixed(100.0)
         ref = LearningTrace.from_log(log, fixed)
+        fits = count_fits(monkeypatch, tmp_path)
+        # the levels the replay reads: those a replay of the same prefix
+        # with no reference fits
+        LearningTrace.from_log(ObservationLog(log.entries[:15]), fixed)
+        replayed = {key[0] for key in fits() if key[1] is None}
+        assert replayed and max(replayed) < 15
         trace = LearningTrace.from_log(ObservationLog(log.entries[:15]), fixed,
                                        reference=ref)
         assert trace.plevel_reference < 14
-        fits = count_fits(monkeypatch, tmp_path)
+        before = len(fits())
         moved = dataclasses.replace(log.entries[15],
                                     accuracy=log.entries[15].accuracy + 0.2)
         trace.extend(moved)
         read = set(trace.reference_trends)
-        refitted = [key[0] for key in fits() if key[1] is None]
-        replayed = read - set(refitted)
-        assert replayed and max(replayed) < 15
+        refitted = [key[0] for key in fits()[before:] if key[1] is None]
+        assert read - set(refitted) == replayed
         # every deferred level is fitted anew, those below the moved one too
         assert sorted(refitted) == list(range(max(replayed) + 1, 17))
         theirs = ref.reference_trends
